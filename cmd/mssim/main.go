@@ -13,8 +13,10 @@
 // instant markers for squashes, restarts, ARB overflows, mispredictions,
 // sync waits, and register ring traffic. -metrics prints the simulator and
 // grid metrics snapshot after the run in Prometheus text format (the same
-// exposition mssrv's /metrics serves). Observed runs always simulate — the
-// result cache is not consulted (a cache hit would have no events to trace).
+// exposition mssrv's /metrics serves). -timeline prints a text Gantt chart.
+// All three are views of one observed run's event stream, so an observed
+// run always simulates — the result cache is not consulted (a cache hit
+// has no events to derive them from).
 package main
 
 import (
@@ -44,7 +46,7 @@ func main() {
 		pus        = flag.Int("pus", 4, "number of processing units")
 		inorder    = flag.Bool("inorder", false, "in-order PUs instead of out-of-order")
 		noSync     = flag.Bool("nosync", false, "disable the memory dependence synchronization table")
-		timeline   = flag.Int("timeline", 0, "print a Gantt chart of the first N task instances")
+		timeline   = flag.Int("timeline", 0, "print a Gantt chart of the first N task instances (forces a live simulation)")
 		timeout    = flag.Duration("timeout", 0, "overall deadline for the run (0 = none)")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory shared with msreport (default: no cache)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event / Perfetto JSON trace to this file (forces a live simulation)")
@@ -85,7 +87,6 @@ func main() {
 	cfg := sim.DefaultConfig(*pus)
 	cfg.InOrder = *inorder
 	cfg.SyncTable = !*noSync
-	cfg.RecordTimeline = *timeline > 0
 	sel := core.Options{Heuristic: h, TaskSize: *taskSize}
 
 	// SIGINT/SIGTERM (and -timeout, if set) cancel the run's context: a job
@@ -99,9 +100,9 @@ func main() {
 		defer cancel()
 	}
 
-	observed := *traceOut != "" || *metrics
+	observed := *traceOut != "" || *metrics || *timeline > 0
 	var reg *obs.Registry
-	if observed {
+	if *metrics {
 		reg = obs.NewRegistry()
 	}
 	eng := grid.New(grid.Options{Workers: 1, CacheDir: *cacheDir, Metrics: reg})
@@ -115,20 +116,28 @@ func main() {
 
 	var res *sim.Result
 	var col *obs.Collector
+	var tl *sim.TimelineRecorder
 	if observed {
-		// Tracing needs the event stream of a live run, so skip the result
+		// The views need the event stream of a live run, so skip the result
 		// cache and drive the simulator directly (the partition still goes
 		// through the engine and its memo).
 		part, err := eng.PartitionCtx(ctx, w.Name, sel)
 		if err != nil {
 			fatalRun(ctx, err)
 		}
-		ob := sim.Observer{Metrics: reg}
+		var views []obs.Tracer
+		if *metrics {
+			views = append(views, sim.NewMetrics(reg))
+		}
 		if *traceOut != "" {
 			col = &obs.Collector{}
-			ob.Tracer = col
+			views = append(views, col)
 		}
-		res, err = sim.RunObserved(part, cfg, ob)
+		if *timeline > 0 {
+			tl = sim.NewTimeline(part)
+			views = append(views, tl)
+		}
+		res, err = sim.RunObserved(part, cfg, obs.Tee(views...))
 		if err != nil {
 			fatal(err)
 		}
@@ -166,10 +175,10 @@ func main() {
 	fmt.Printf("  task end overhead    %12d\n", b.EndOverhead)
 	fmt.Printf("  control penalty      %12d\n", b.CtrlPenalty)
 	fmt.Printf("  memory penalty       %12d\n", b.MemPenalty)
-	if *timeline > 0 {
+	if tl != nil {
 		fmt.Printf("\nPU occupancy %.1f%%; first %d task instances:\n",
-			100*res.Timeline.Utilization(*pus), *timeline)
-		fmt.Print(sim.FormatTimeline(res.Timeline, *timeline))
+			100*tl.Timeline().Utilization(*pus), *timeline)
+		fmt.Print(sim.FormatTimeline(tl.Timeline(), *timeline))
 	}
 
 	if rootSp != nil {

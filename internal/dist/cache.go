@@ -80,7 +80,6 @@ func (c *LRU) Store(_ context.Context, key string, _ grid.Job, res *sim.Result) 
 	if res == nil {
 		return
 	}
-	res = grid.StripTimeline(res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

@@ -43,20 +43,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestLRUStripsTimeline(t *testing.T) {
-	c := NewLRU(4)
-	res := testResult(1)
-	res.Timeline = []sim.TaskRecord{{}}
-	c.Store(context.Background(), testKey(0), grid.Job{}, res)
-	got, ok := c.Load(context.Background(), testKey(0), grid.Job{})
-	if !ok || got.Timeline != nil {
-		t.Fatalf("cached result ok=%v timeline=%v, want hit without timeline", ok, got.Timeline)
-	}
-	if res.Timeline == nil {
-		t.Error("Store mutated the caller's result")
-	}
-}
-
 // TestTieredPromotion is the disk→LRU half of the fallthrough contract: a
 // miss in the memory tier that hits disk is promoted, so the next load is
 // served from memory even if the disk copy disappears.

@@ -219,7 +219,7 @@ func (c *RemoteCache) Store(ctx context.Context, key string, job grid.Job, res *
 		Workload: job.Workload,
 		Select:   job.Select,
 		Config:   job.Config,
-		Result:   grid.StripTimeline(res),
+		Result:   res,
 	})
 	if err != nil {
 		return

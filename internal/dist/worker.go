@@ -275,7 +275,7 @@ func (w *Worker) report(ctx context.Context, key string, res *sim.Result, errMsg
 	// Detach from cancellation (but keep the deadline): a finished result
 	// should reach the leader even if this worker is shutting down.
 	return w.post(context.WithoutCancel(ctx), "/v1/dist/report", ReportRequest{
-		Worker: w.name, Key: key, Result: grid.StripTimeline(res), Error: errMsg, Spans: spans,
+		Worker: w.name, Key: key, Result: res, Error: errMsg, Spans: spans,
 	}, nil)
 }
 

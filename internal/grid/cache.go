@@ -42,20 +42,6 @@ type Artifact struct {
 	Result   *sim.Result
 }
 
-// StripTimeline returns res without its per-task timeline records, copying
-// only when needed. Cache tiers call it before storing: artifacts are
-// shared by consumers that never asked for per-task records, and persisting
-// a timeline would bloat every warm read. (Engine.Run already bypasses all
-// caches for timeline jobs; this guards direct callers.)
-func StripTimeline(res *sim.Result) *sim.Result {
-	if res == nil || res.Timeline == nil {
-		return res
-	}
-	cp := *res
-	cp.Timeline = nil
-	return &cp
-}
-
 // DiskCache is the content-addressed on-disk Cache: one JSON artifact per
 // key under dir. Any read, decode, or version mismatch is a miss and the
 // entry is recomputed and overwritten.
@@ -92,7 +78,6 @@ func (c *DiskCache) Load(_ context.Context, key string, _ Job) (*sim.Result, boo
 // Store implements Cache: best-effort write-then-rename, so concurrent
 // readers (and a crashed writer) never observe a torn artifact.
 func (c *DiskCache) Store(_ context.Context, key string, job Job, res *sim.Result) {
-	res = StripTimeline(res)
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return
 	}

@@ -394,10 +394,6 @@ func (e *Engine) PartitionCtx(ctx context.Context, workload string, opts core.Op
 // partition; otherwise the partition dependency resolves first (shared with
 // every other job on the same selection) and the simulation runs in a
 // worker slot. Safe for concurrent use; identical concurrent jobs run once.
-//
-// Timeline-recording jobs (Config.RecordTimeline) bypass the disk cache in
-// both directions: their per-task records would bloat artifacts read by
-// every non-timeline consumer, so they always simulate and never persist.
 func (e *Engine) Run(job Job) (*sim.Result, error) {
 	//msvet:allow ctxflow (compat wrapper: uncancellable by design; callers with deadlines use RunCtx)
 	return e.RunCtx(context.Background(), job)
@@ -427,12 +423,8 @@ func (e *Engine) RunCtx(ctx context.Context, job Job) (res *sim.Result, err erro
 		if e.m != nil {
 			e.m.jobs.Inc()
 		}
-		cache := e.cache
-		if job.Config.RecordTimeline {
-			cache = nil
-		}
-		if cache != nil {
-			if res, ok := cacheProbe(ctx, cache, key, job); ok {
+		if e.cache != nil {
+			if res, ok := cacheProbe(ctx, e.cache, key, job); ok {
 				e.cacheHits.Add(1)
 				if e.m != nil {
 					e.m.cacheHits.Inc()
@@ -444,12 +436,12 @@ func (e *Engine) RunCtx(ctx context.Context, job Job) (res *sim.Result, err erro
 				e.m.cacheMiss.Inc()
 			}
 		}
-		if e.dispatch != nil && !job.Config.RecordTimeline {
+		if e.dispatch != nil {
 			res, err := e.dispatch.Dispatch(ctx, key, job)
 			switch {
 			case err == nil:
-				if cache != nil {
-					cache.Store(ctx, key, job, res)
+				if e.cache != nil {
+					e.cache.Store(ctx, key, job, res)
 				}
 				return res, nil
 			case isCtxErr(err):
@@ -464,8 +456,8 @@ func (e *Engine) RunCtx(ctx context.Context, job Job) (res *sim.Result, err erro
 		if err != nil {
 			return nil, err
 		}
-		if cache != nil {
-			cache.Store(ctx, key, job, res)
+		if e.cache != nil {
+			e.cache.Store(ctx, key, job, res)
 		}
 		return res, nil
 	})

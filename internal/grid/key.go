@@ -15,14 +15,17 @@ import (
 // semantics change: old artifacts stop matching and are transparently
 // recomputed rather than served stale.
 //
-// v2: artifacts no longer carry Result.Timeline (timeline-recording jobs
-// bypass the cache entirely and stores strip the field), so v1 artifacts —
-// which could embed per-task records — are invalidated.
+// v2: artifacts no longer carry the per-task timeline records, so v1
+// artifacts — which could embed them — are invalidated.
 //
 // v3: core.Options gained Policy/SizeBudget/CommBudget (the selection-policy
 // zoo), changing the JSON encoding every key hashes; v2 keys for the same
 // logical job no longer match and must be recomputed.
-const SchemaVersion = 3
+//
+// v4: sim.Config lost its timeline-recording flag (the task timeline is now
+// a view of the simulator's event stream, never part of a Result), so the
+// Job encoding every key hashes changed.
+const SchemaVersion = 4
 
 // schemaFingerprint pins the recursive field shape of core.Options and
 // sim.Config (msvet's cachekey analyzer recomputes it on every run). When a
@@ -30,7 +33,7 @@ const SchemaVersion = 3
 // msvet fails with the new expected value: audit that the JSON encoding
 // still covers every field, bump SchemaVersion if old artifacts are now
 // wrong, and paste the new fingerprint here.
-const schemaFingerprint = "f3a9b33878bd"
+const schemaFingerprint = "9067f68d11e8"
 
 // The fingerprint is consumed by tooling, not runtime code; the blank use
 // keeps unused-symbol linters from suggesting its removal.

@@ -2,8 +2,6 @@ package grid
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"multiscalar/internal/core"
@@ -90,79 +88,5 @@ func TestMetricsOffByDefault(t *testing.T) {
 	}
 	if _, err := e.Run(testJob(2)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTimelineJobsBypassCache: timeline-recording runs must not read or
-// write shared artifacts — they always simulate and the cache directory
-// stays free of timeline payloads.
-func TestTimelineJobsBypassCache(t *testing.T) {
-	dir := t.TempDir()
-
-	job := testJob(2)
-	job.Config.RecordTimeline = true
-
-	e := New(Options{Workers: 1, CacheDir: dir})
-	res, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Timeline) == 0 {
-		t.Fatal("timeline job returned no timeline")
-	}
-	if s := e.Stats(); s.CacheHits != 0 || s.CacheMisses != 0 {
-		t.Errorf("timeline job probed the cache: hits=%d misses=%d", s.CacheHits, s.CacheMisses)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("timeline job persisted %d artifacts, want 0", len(entries))
-	}
-
-	// A fresh engine on the same directory re-simulates and still delivers
-	// the timeline (nothing stale to serve).
-	e2 := New(Options{Workers: 1, CacheDir: dir})
-	res2, err := e2.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := e2.Stats(); s.Sims != 1 {
-		t.Errorf("second timeline run simulated %d times, want 1", s.Sims)
-	}
-	if len(res2.Timeline) != len(res.Timeline) {
-		t.Errorf("second run timeline has %d records, first had %d",
-			len(res2.Timeline), len(res.Timeline))
-	}
-}
-
-// TestCacheStoreStripsTimeline guards direct diskCache users: a result
-// carrying a timeline is persisted without it, and the caller's copy is
-// untouched.
-func TestCacheStoreStripsTimeline(t *testing.T) {
-	dir := t.TempDir()
-	c := NewDiskCache(dir)
-	job := testJob(2)
-	res := &sim.Result{
-		Cycles:   123,
-		Timeline: sim.Timeline{{Seq: 0, Retire: 123}},
-	}
-	c.Store(context.Background(), "k", job, res)
-	if len(res.Timeline) != 1 {
-		t.Fatal("store mutated the caller's result")
-	}
-	loaded, ok := c.Load(context.Background(), "k", Job{})
-	if !ok {
-		t.Fatal("stored artifact did not load")
-	}
-	if loaded.Timeline != nil {
-		t.Error("artifact retained the timeline")
-	}
-	if loaded.Cycles != 123 {
-		t.Errorf("artifact cycles = %d, want 123", loaded.Cycles)
-	}
-	if fis, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(fis) != 1 {
-		t.Errorf("expected exactly one artifact, got %v", fis)
 	}
 }

@@ -39,7 +39,10 @@ import (
 // Spec encoding or Record semantics change: old journal entries stop
 // replaying (they are dropped, not misread) and resubmissions mint fresh
 // IDs instead of colliding with incompatible history.
-const SchemaVersion = 1
+//
+// v2: journaled simulate results embed the grid cache key, which
+// grid.SchemaVersion 4 changed; v1 records would serve v3 keys.
+const SchemaVersion = 2
 
 // Spec is what a job runs: a kind (naming a registered executor) and the
 // canonical JSON payload the executor decodes. Callers must canonicalize the

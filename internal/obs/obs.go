@@ -1,13 +1,13 @@
 // Package obs is the observability layer: cycle-stamped event tracing, a
 // typed metrics registry, and a Chrome trace-event / Perfetto exporter.
 //
-// Tracing is pluggable and pay-for-use: producers (the simulator, the grid
-// engine) hold a Tracer interface that is nil by default, and every emission
-// site is guarded — an unobserved run executes exactly the same instructions
-// it did before the instrumentation existed, and produces byte-identical
-// results (asserted by tests in internal/sim). Attach a Collector to record
-// the event stream in memory, then hand it to WriteChromeTrace to get a JSON
-// file ui.perfetto.dev (or chrome://tracing) opens directly.
+// Tracing is pluggable and pay-for-use: the simulator holds one Tracer that
+// is nil by default, and every emission site is guarded — an unobserved run
+// executes exactly the same instructions it did before the instrumentation
+// existed, and produces byte-identical results (asserted by tests in
+// internal/sim). Attach a Collector to record the event stream in memory,
+// then hand it to WriteChromeTrace to get a JSON file ui.perfetto.dev (or
+// chrome://tracing) opens directly; Tee attaches several Tracers to one run.
 //
 // Metrics are the aggregate companion: counters, gauges, and fixed-bucket
 // histograms with atomic (lock-cheap) update paths and deterministic
@@ -25,9 +25,12 @@ const (
 	// EvTaskAssign: the sequencer assigned a dynamic task to a PU
 	// (Cycle = assign time, Arg unused).
 	EvTaskAssign Kind = iota
-	// EvTaskStart: execution began after the task descriptor fetch.
+	// EvTaskStart: execution began after the task descriptor fetch (Arg =
+	// the index of the exit the instance takes in its static task's target
+	// list).
 	EvTaskStart
-	// EvTaskComplete: the last instruction of the task finished.
+	// EvTaskComplete: the last instruction of the task finished (Arg = the
+	// instance's inter-task wait cycles, squashed attempts included).
 	EvTaskComplete
 	// EvTaskRetire: the task retired, in order, including end overhead
 	// (Arg = dynamic instruction count).
@@ -103,6 +106,17 @@ type Event struct {
 // off" and skip emission entirely.
 type Tracer interface {
 	Emit(Event)
+}
+
+// Tee returns a Tracer that forwards every event to each of ts, in order.
+func Tee(ts ...Tracer) Tracer { return tee(ts) }
+
+type tee []Tracer
+
+func (t tee) Emit(e Event) {
+	for _, x := range t {
+		x.Emit(e)
+	}
 }
 
 // Collector is a Tracer that records the stream in memory, in emission

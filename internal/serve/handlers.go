@@ -350,6 +350,53 @@ func runExperiment(ctx context.Context, eng *grid.Engine, req ExperimentRequest)
 	return out, err
 }
 
+// runWithProgress is the one experiment progress loop, shared by the SSE
+// handler and the job executor. It runs req on eng in a goroutine and passes
+// report the engine's activity since the start — once immediately, then
+// every interval — until the run ends or ctx does, and returns the result
+// with its closing Progress block. A report error (the client is gone) is
+// returned at once; the run still ends with ctx and drains into a buffered
+// channel.
+func runWithProgress(ctx context.Context, eng *grid.Engine, req ExperimentRequest,
+	interval time.Duration, report func(Progress) error) (ExperimentResult, error) {
+	base := eng.Stats()
+	start := time.Now()
+	type outcome struct {
+		result ExperimentResult
+		err    error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := runExperiment(ctx, eng, req)
+		done <- outcome{result: res, err: err}
+	}()
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	if err := report(progressSince(base, eng.Stats(), start)); err != nil {
+		return ExperimentResult{}, err
+	}
+	var o outcome
+loop:
+	for {
+		select {
+		case o = <-done:
+			break loop
+		case <-ctx.Done():
+			o = <-done // the runner unwinds promptly once ctx ends
+			break loop
+		case <-tick.C:
+			if err := report(progressSince(base, eng.Stats(), start)); err != nil {
+				return ExperimentResult{}, err
+			}
+		}
+	}
+	if o.err != nil {
+		return ExperimentResult{}, o.err
+	}
+	o.result.Progress = progressSince(base, eng.Stats(), start)
+	return o.result, nil
+}
+
 // handleExperiment streams a named experiment over SSE: `progress` events at
 // the configured cadence (one immediately, so even instant runs stream at
 // least one), then a terminal `result` event — or `error` on failure.
@@ -373,56 +420,23 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	sse := &sseWriter{w: w, f: flusher}
 
 	ctx := r.Context()
-	base := s.eng.Stats()
-	start := time.Now()
-
-	type outcome struct {
-		result ExperimentResult
-		err    error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := runExperiment(ctx, s.eng, req)
-		done <- outcome{result: res, err: err}
-	}()
-
-	sse.event("progress", progressSince(base, s.eng.Stats(), start))
-	tick := time.NewTicker(s.cfg.ProgressInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case o := <-done:
-			if o.err != nil {
-				code, status := "internal", "experiment failed"
-				if errors.Is(o.err, context.DeadlineExceeded) {
-					code, status = "deadline_exceeded", "request deadline exceeded"
-				}
-				s.log.Error("experiment_error", "name", req.Name, "err", o.err.Error())
-				sse.event("error", ErrorBody{Error: ErrorDetail{Code: code, Message: status + ": " + o.err.Error()}})
-				return
-			}
-			o.result.Progress = progressSince(base, s.eng.Stats(), start)
-			sse.event("result", o.result)
-			return
-		case <-tick.C:
-			if err := sse.event("progress", progressSince(base, s.eng.Stats(), start)); err != nil {
-				// Client gone: the runner's ctx cancels with the request,
-				// and the experiment goroutine drains into the buffered
-				// channel. Nothing more to write.
-				return
-			}
-		case <-ctx.Done():
-			o := <-done // the runner unwinds promptly once ctx ends
-			if o.err == nil {
-				o.result.Progress = progressSince(base, s.eng.Stats(), start)
-				sse.event("result", o.result)
-				return
-			}
-			sse.event("error", ErrorBody{Error: ErrorDetail{
-				Code:    "deadline_exceeded",
-				Message: "request deadline exceeded: " + o.err.Error(),
-			}})
-			return
+	var gone error
+	res, err := runWithProgress(ctx, s.eng, req, s.cfg.ProgressInterval, func(p Progress) error {
+		gone = sse.event("progress", p)
+		return gone
+	})
+	switch {
+	case gone != nil:
+		// Client gone: the runner's ctx cancels with the request. Nothing
+		// more to write.
+	case err != nil:
+		code, status := "internal", "experiment failed"
+		if errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
+			code, status = "deadline_exceeded", "request deadline exceeded"
 		}
+		s.log.Error("experiment_error", "name", req.Name, "err", err.Error())
+		sse.event("error", ErrorBody{Error: ErrorDetail{Code: code, Message: status + ": " + err.Error()}})
+	default:
+		sse.event("result", res)
 	}
 }

@@ -249,37 +249,15 @@ func experimentExecutor(eng *grid.Engine, interval time.Duration) jobs.Executor 
 		if err != nil {
 			return nil, fmt.Errorf("decode job payload: %w", err)
 		}
-		base := eng.Stats()
-		start := time.Now()
-		type outcome struct {
-			result ExperimentResult
-			err    error
+		res, err := runWithProgress(ctx, eng, req, interval, func(p Progress) error {
+			emit("progress", p)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		done := make(chan outcome, 1)
-		go func() {
-			res, err := runExperiment(ctx, eng, req)
-			done <- outcome{result: res, err: err}
-		}()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		emit("progress", progressSince(base, eng.Stats(), start))
-		for {
-			select {
-			case o := <-done:
-				if o.err != nil {
-					return nil, o.err
-				}
-				return o.result, nil
-			case <-tick.C:
-				emit("progress", progressSince(base, eng.Stats(), start))
-			case <-ctx.Done():
-				o := <-done // the runner unwinds promptly once ctx ends
-				if o.err != nil {
-					return nil, o.err
-				}
-				return o.result, nil
-			}
-		}
+		res.Progress = Progress{}
+		return res, nil
 	}
 }
 

@@ -1,46 +1,32 @@
 package sim
 
-import (
-	"multiscalar/internal/core"
-	"multiscalar/internal/obs"
-)
+import "multiscalar/internal/obs"
 
-// Observer attaches optional observability sinks to one run. Both fields may
-// be nil independently; a zero Observer makes RunObserved identical to Run.
-//
-// The instrumentation contract is zero overhead and zero perturbation: every
-// emission site in the timing model is guarded by a nil check, no timing
-// decision reads observer state, and a run with an observer attached
-// produces a Result byte-identical to an unobserved run (asserted by
-// TestRunObservedMatchesRun).
-type Observer struct {
-	// Tracer receives cycle-stamped events (task lifetime edges per PU,
-	// squash/restart, ARB overflow, mispredictions, sync waits, register
-	// ring traffic). See obs.Kind for the taxonomy.
-	Tracer obs.Tracer
-	// Metrics, when non-nil, receives the simulator's cycle-accounting
-	// histograms (see newSimMetrics for the catalog).
-	Metrics *obs.Registry
-}
-
-// simMetrics holds the simulator's histogram handles, resolved once per run
-// so the hot loop never touches the registry map.
-type simMetrics struct {
+// metrics is the Tracer behind NewMetrics.
+type metrics struct {
 	tasks       *obs.Counter
 	squashes    *obs.Counter
 	taskInstrs  *obs.Histogram
 	interWait   *obs.Histogram
 	forwardLead *obs.Histogram
 	restartDep  *obs.Histogram
+
+	// State of the task instance in flight: its squashes so far, and the
+	// send cycles of its register forwards, which precede its completion
+	// event in the stream.
+	restarts int64
+	forwards []int64
 }
 
-// newSimMetrics registers the simulator's metrics catalog. Units are cycles
-// unless stated; the catalog is documented in DESIGN.md §9.
-func newSimMetrics(r *obs.Registry) *simMetrics {
+// NewMetrics registers the simulator's metrics catalog on r and returns a
+// Tracer that updates it from one run's event stream (nil when r is nil).
+// Units are cycles unless stated; the catalog is documented in DESIGN.md §9.
+// Tracers for several runs may share one registry.
+func NewMetrics(r *obs.Registry) obs.Tracer {
 	if r == nil {
 		return nil
 	}
-	return &simMetrics{
+	return &metrics{
 		tasks: r.Counter("sim_tasks_total", "tasks",
 			"dynamic task instances retired"),
 		squashes: r.Counter("sim_squashes_total", "squashes",
@@ -61,8 +47,23 @@ func newSimMetrics(r *obs.Registry) *simMetrics {
 	}
 }
 
-// RunObserved simulates the partitioned program with optional tracing and
-// metrics attached. Run(part, cfg) is RunObserved(part, cfg, Observer{}).
-func RunObserved(part *core.Partition, cfg Config, o Observer) (*Result, error) {
-	return runWith(part, cfg, o.Tracer, newSimMetrics(o.Metrics))
+func (m *metrics) Emit(e obs.Event) {
+	switch e.Kind {
+	case obs.EvSquash:
+		m.squashes.Inc()
+		m.restarts++
+	case obs.EvRegForward:
+		m.forwards = append(m.forwards, e.Cycle)
+	case obs.EvTaskComplete:
+		for _, t := range m.forwards {
+			m.forwardLead.Observe(e.Cycle - t)
+		}
+		m.forwards = m.forwards[:0]
+		m.interWait.Observe(e.Arg)
+	case obs.EvTaskRetire:
+		m.tasks.Inc()
+		m.taskInstrs.Observe(e.Arg)
+		m.restartDep.Observe(m.restarts)
+		m.restarts = 0
+	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // TestRunObservedMatchesRun asserts the instrumentation contract: attaching
-// a tracer and a metrics registry changes nothing about the simulation —
-// every Result field (cycles, breakdown, architectural state) is identical
-// to an unobserved run.
+// a collector, the metrics view and the timeline view changes nothing about
+// the simulation — every Result field (cycles, breakdown, architectural
+// state) is identical to an unobserved run.
 func TestRunObservedMatchesRun(t *testing.T) {
 	for _, prog := range []struct {
 		name string
@@ -27,10 +27,8 @@ func TestRunObservedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		observed, err := RunObserved(prog.part, cfg, Observer{
-			Tracer:  &obs.Collector{},
-			Metrics: obs.NewRegistry(),
-		})
+		observed, err := RunObserved(prog.part, cfg, obs.Tee(
+			&obs.Collector{}, NewMetrics(obs.NewRegistry()), NewTimeline(prog.part)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,12 +36,12 @@ func TestRunObservedMatchesRun(t *testing.T) {
 			t.Errorf("%s: observed run diverged from plain run:\nplain:    %+v\nobserved: %+v",
 				prog.name, plain, observed)
 		}
-		zero, err := RunObserved(prog.part, cfg, Observer{})
+		zero, err := RunObserved(prog.part, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plain, zero) {
-			t.Errorf("%s: zero-observer run diverged from plain run", prog.name)
+			t.Errorf("%s: nil-tracer run diverged from plain run", prog.name)
 		}
 	}
 }
@@ -55,7 +53,7 @@ func TestTraceEventCounts(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.SyncTable = false // maximize violations
 	col := &obs.Collector{}
-	res, err := RunObserved(part, cfg, Observer{Tracer: col})
+	res, err := RunObserved(part, cfg, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +110,7 @@ func TestTraceDeterministic(t *testing.T) {
 	cfg := DefaultConfig(4)
 	run := func() []obs.Event {
 		col := &obs.Collector{}
-		if _, err := RunObserved(part, cfg, Observer{Tracer: col}); err != nil {
+		if _, err := RunObserved(part, cfg, col); err != nil {
 			t.Fatal(err)
 		}
 		return col.Events
@@ -131,7 +129,7 @@ func TestChromeExportEndToEnd(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.SyncTable = false
 	col := &obs.Collector{}
-	res, err := RunObserved(part, cfg, Observer{Tracer: col})
+	res, err := RunObserved(part, cfg, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +177,7 @@ func TestChromeExportEndToEnd(t *testing.T) {
 func TestSimMetricsPopulated(t *testing.T) {
 	part := partition(t, memDepProg(t), core.ControlFlow)
 	reg := obs.NewRegistry()
-	res, err := RunObserved(part, DefaultConfig(4), Observer{Metrics: reg})
+	res, err := RunObserved(part, DefaultConfig(4), NewMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

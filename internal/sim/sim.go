@@ -40,10 +40,6 @@ type Config struct {
 
 	// MaxInstrs bounds the simulated dynamic instruction count.
 	MaxInstrs uint64
-
-	// RecordTimeline captures a TaskRecord per dynamic task instance in
-	// Result.Timeline (memory grows with the run; off by default).
-	RecordTimeline bool
 }
 
 // DefaultConfig returns the paper's machine for the given PU count.
@@ -113,10 +109,6 @@ type Result struct {
 
 	// Cache statistics.
 	L1IMissRate, L1DMissRate, L2MissRate float64
-
-	// Timeline holds per-task lifetime records when Config.RecordTimeline
-	// was set.
-	Timeline Timeline
 }
 
 // forwardRec records the latest creator of an architectural register.
@@ -143,22 +135,29 @@ type simulator struct {
 	regFwd     [ir.NumRegs]forwardRec
 	banks      *bankSched
 
-	// Observability sinks (both nil on unobserved runs; every use is
-	// guarded so tracing costs nothing when detached and never perturbs
-	// timing when attached).
+	// tracer is the one instrumentation hook (nil on unobserved runs; every
+	// emission is guarded so tracing costs nothing when detached and never
+	// perturbs timing when attached).
 	tracer obs.Tracer
-	met    *simMetrics
 
 	res Result
 }
 
 // Run simulates the partitioned program on the configured machine.
 func Run(part *core.Partition, cfg Config) (*Result, error) {
-	return runWith(part, cfg, nil, nil)
+	return RunObserved(part, cfg, nil)
 }
 
-// runWith is the shared body behind Run and RunObserved.
-func runWith(part *core.Partition, cfg Config, tracer obs.Tracer, met *simMetrics) (*Result, error) {
+// RunObserved simulates the partitioned program with t receiving every
+// cycle-stamped event (see obs.Kind for the taxonomy). Metrics and the task
+// timeline are Tracers over the same stream (NewMetrics, NewTimeline); attach
+// several with obs.Tee. A nil t makes RunObserved identical to Run.
+//
+// The instrumentation contract is zero overhead and zero perturbation: every
+// emission site is guarded by a nil check and no timing decision reads tracer
+// state, so an observed run produces a Result identical to an unobserved one
+// (asserted by TestRunObservedMatchesRun).
+func RunObserved(part *core.Partition, cfg Config, t obs.Tracer) (*Result, error) {
 	if cfg.NumPUs <= 0 {
 		return nil, fmt.Errorf("sim: NumPUs must be positive, got %d", cfg.NumPUs)
 	}
@@ -168,8 +167,7 @@ func runWith(part *core.Partition, cfg Config, tracer obs.Tracer, met *simMetric
 	s := &simulator{
 		cfg:    cfg,
 		part:   part,
-		tracer: tracer,
-		met:    met,
+		tracer: t,
 		m:      newMachine(part.Prog),
 		hier:   mem.NewHierarchy(cfg.Mem),
 		arb:    mem.NewARB(cfg.ARBEntries),
@@ -218,11 +216,11 @@ func (s *simulator) run() error {
 		pu := seq % s.cfg.NumPUs
 		if s.tracer != nil {
 			s.tracer.Emit(obs.Event{Kind: obs.EvTaskAssign, Cycle: assign, PU: pu, Seq: seq, Task: cur.ID})
-			s.tracer.Emit(obs.Event{Kind: obs.EvTaskStart, Cycle: start, PU: pu, Seq: seq, Task: cur.ID})
+			s.tracer.Emit(obs.Event{Kind: obs.EvTaskStart, Cycle: start, PU: pu, Seq: seq, Task: cur.ID, Arg: int64(tr.exitIdx)})
 		}
 		interWaitBefore := s.res.Breakdown.InterTaskWait
 
-		complete, restarts := s.timeTask(tr, seq, start)
+		complete := s.timeTask(tr, seq, start)
 
 		retire := complete
 		if lastRetir > retire {
@@ -236,14 +234,8 @@ func (s *simulator) run() error {
 		s.lastRetire = retire
 		s.puFree[pu] = retire
 		if s.tracer != nil {
-			s.tracer.Emit(obs.Event{Kind: obs.EvTaskComplete, Cycle: complete, PU: pu, Seq: seq, Task: cur.ID})
+			s.tracer.Emit(obs.Event{Kind: obs.EvTaskComplete, Cycle: complete, PU: pu, Seq: seq, Task: cur.ID, Arg: s.res.Breakdown.InterTaskWait - interWaitBefore})
 			s.tracer.Emit(obs.Event{Kind: obs.EvTaskRetire, Cycle: retire, PU: pu, Seq: seq, Task: cur.ID, Arg: int64(len(tr.ops))})
-		}
-		if s.met != nil {
-			s.met.tasks.Inc()
-			s.met.taskInstrs.Observe(int64(len(tr.ops)))
-			s.met.restartDep.Observe(int64(restarts))
-			s.met.interWait.Observe(s.res.Breakdown.InterTaskWait - interWaitBefore)
 		}
 		s.arb.Retire(seq - 2*s.cfg.NumPUs) // state older than any in-flight window
 		if seq%64 == 0 {
@@ -255,21 +247,6 @@ func (s *simulator) run() error {
 		s.res.TaskInstances++
 		s.res.Instrs += uint64(len(tr.ops))
 		totalCT += uint64(tr.ctInstrs)
-
-		if s.cfg.RecordTimeline {
-			s.res.Timeline = append(s.res.Timeline, TaskRecord{
-				Seq:      seq,
-				TaskID:   cur.ID,
-				PU:       seq % s.cfg.NumPUs,
-				Assign:   assign,
-				Start:    start,
-				Complete: complete,
-				Retire:   retire,
-				Instrs:   len(tr.ops),
-				Exit:     tr.exit,
-				Restarts: restarts,
-			})
-		}
 
 		if tr.done {
 			s.res.Cycles = retire
@@ -305,9 +282,6 @@ func (s *simulator) run() error {
 			s.res.CtrlMispredicts++
 			if s.tracer != nil {
 				s.tracer.Emit(obs.Event{Kind: obs.EvMispredict, Cycle: complete, PU: pu, Seq: seq, Task: cur.ID})
-			}
-			if s.cfg.RecordTimeline {
-				s.res.Timeline[len(s.res.Timeline)-1].Mispredicted = true
 			}
 			if complete+1 > nextAssign {
 				s.res.Breakdown.CtrlPenalty += complete + 1 - nextAssign
@@ -355,22 +329,18 @@ func encodeEntry(k core.EntryKey) uint64 {
 
 // timeTask runs the timing model over a task trace, handling memory
 // dependence violations by restarting the attempt at the violating store's
-// cycle (squash + re-execute), and returns the completion cycle and the
-// number of restarts.
-func (s *simulator) timeTask(tr *taskTrace, seq int, start int64) (int64, int) {
+// cycle (squash + re-execute), and returns the completion cycle.
+func (s *simulator) timeTask(tr *taskTrace, seq int, start int64) int64 {
 	restarts := 0
 	for {
 		complete, viol := s.timeAttempt(tr, seq, start)
 		if viol == nil {
-			return complete, restarts
+			return complete
 		}
 		if s.tracer != nil {
 			pu := seq % s.cfg.NumPUs
 			s.tracer.Emit(obs.Event{Kind: obs.EvSquash, Cycle: viol.time, PU: pu, Seq: seq, Task: tr.task.ID, Arg: int64(restarts)})
 			s.tracer.Emit(obs.Event{Kind: obs.EvRestart, Cycle: viol.time + 1, PU: pu, Seq: seq, Task: tr.task.ID, Arg: int64(restarts)})
-		}
-		if s.met != nil {
-			s.met.squashes.Inc()
 		}
 		restarts++
 		s.arb.NoteViolation()
@@ -632,7 +602,7 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (int64, *vi
 	// a violating attempt returns before reaching it, so forward/release
 	// events are never emitted for squashed work.
 	var released map[ir.Reg]bool
-	if s.tracer != nil || s.met != nil {
+	if s.tracer != nil {
 		released = make(map[ir.Reg]bool)
 	}
 	for _, r := range task.CreateMask.Regs() {
@@ -646,7 +616,7 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (int64, *vi
 	for r, t := range fwdTime {
 		s.regFwd[r] = forwardRec{task: seq, time: t}
 	}
-	if released != nil {
+	if s.tracer != nil {
 		// Emit in ascending register order (fwdTime is a map) so observed
 		// streams are deterministic.
 		pu := seq % cfg.NumPUs
@@ -659,12 +629,7 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (int64, *vi
 			if released[ir.Reg(r)] {
 				kind = obs.EvRegRelease
 			}
-			if s.tracer != nil {
-				s.tracer.Emit(obs.Event{Kind: kind, Cycle: t, PU: pu, Seq: seq, Task: task.ID, Arg: int64(r)})
-			}
-			if s.met != nil && kind == obs.EvRegForward {
-				s.met.forwardLead.Observe(complete - t)
-			}
+			s.tracer.Emit(obs.Event{Kind: kind, Cycle: t, PU: pu, Seq: seq, Task: task.ID, Arg: int64(r)})
 		}
 	}
 	return complete, nil

@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/obs"
 )
 
-// TaskRecord captures the lifetime of one dynamic task instance when
-// Config.RecordTimeline is set.
+// TaskRecord captures the lifetime of one dynamic task instance.
 type TaskRecord struct {
 	Seq      int   // dynamic sequence number (program order)
 	TaskID   int   // static task identity
@@ -25,8 +25,51 @@ type TaskRecord struct {
 	Restarts int
 }
 
-// Timeline is the per-run record sequence (nil unless recording).
+// Timeline is a run's record sequence, in program order.
 type Timeline []TaskRecord
+
+// TimelineRecorder is a Tracer that builds a run's Timeline from the event
+// stream. Memory grows with the run: one TaskRecord per task instance.
+type TimelineRecorder struct {
+	part *core.Partition
+	tl   Timeline
+}
+
+// NewTimeline returns a recorder for a run of part; it resolves each task's
+// exit target from the partition.
+func NewTimeline(part *core.Partition) *TimelineRecorder {
+	return &TimelineRecorder{part: part}
+}
+
+// Emit implements obs.Tracer. Every event of a task instance follows its
+// assignment and precedes the next instance's, so it updates the last record.
+func (r *TimelineRecorder) Emit(e obs.Event) {
+	if e.Kind == obs.EvTaskAssign {
+		r.tl = append(r.tl, TaskRecord{Seq: e.Seq, TaskID: e.Task, PU: e.PU, Assign: e.Cycle})
+		return
+	}
+	rec := &r.tl[len(r.tl)-1]
+	switch e.Kind {
+	case obs.EvTaskStart:
+		rec.Start = e.Cycle
+		// A partition that passes the verifier (PT005) lists every dynamic
+		// exit among the task's targets, so the index is never -1 there.
+		if e.Arg >= 0 {
+			rec.Exit = r.part.Tasks[e.Task].Targets[e.Arg]
+		}
+	case obs.EvTaskComplete:
+		rec.Complete = e.Cycle
+	case obs.EvTaskRetire:
+		rec.Retire, rec.Instrs = e.Cycle, int(e.Arg)
+	case obs.EvSquash:
+		rec.Restarts++
+	case obs.EvMispredict:
+		rec.Mispredicted = true
+	}
+}
+
+// Timeline returns the records built so far.
+func (r *TimelineRecorder) Timeline() Timeline { return r.tl }
 
 // FormatTimeline renders up to max records as a text Gantt chart: one row
 // per task, columns assign/start/complete/retire, plus a proportional bar.

@@ -8,17 +8,26 @@ import (
 	"multiscalar/internal/ir"
 )
 
+// runTimeline simulates with the timeline view attached.
+func runTimeline(t testing.TB, part *core.Partition, cfg Config) (*Result, Timeline) {
+	t.Helper()
+	rec := NewTimeline(part)
+	res, err := RunObserved(part, cfg, rec)
+	if err != nil {
+		t.Fatalf("sim.RunObserved: %v", err)
+	}
+	return res, rec.Timeline()
+}
+
 func TestTimelineRecording(t *testing.T) {
 	part := partition(t, vecSum(t, 50), core.ControlFlow)
-	cfg := DefaultConfig(4)
-	cfg.RecordTimeline = true
-	res := runSim(t, part, cfg)
-	if uint64(len(res.Timeline)) != res.TaskInstances {
-		t.Fatalf("timeline has %d records, %d instances", len(res.Timeline), res.TaskInstances)
+	res, tl := runTimeline(t, part, DefaultConfig(4))
+	if uint64(len(tl)) != res.TaskInstances {
+		t.Fatalf("timeline has %d records, %d instances", len(tl), res.TaskInstances)
 	}
 	var prevRetire, prevAssign int64
 	total := 0
-	for i, rec := range res.Timeline {
+	for i, rec := range tl {
 		if rec.Seq != i {
 			t.Errorf("record %d has seq %d", i, rec.Seq)
 		}
@@ -42,41 +51,41 @@ func TestTimelineRecording(t *testing.T) {
 	if uint64(total) != res.Instrs {
 		t.Errorf("timeline instrs %d != result %d", total, res.Instrs)
 	}
-	if last := res.Timeline[len(res.Timeline)-1]; last.Retire != res.Cycles {
+	if last := tl[len(tl)-1]; last.Retire != res.Cycles {
 		t.Errorf("last retire %d != total cycles %d", last.Retire, res.Cycles)
 	}
 }
 
-func TestTimelineOffByDefault(t *testing.T) {
-	part := partition(t, vecSum(t, 20), core.ControlFlow)
-	res := runSim(t, part, DefaultConfig(4))
-	if res.Timeline != nil {
-		t.Error("timeline recorded without RecordTimeline")
-	}
-}
-
+// TestTimelineMispredictFlags ties the per-record flags and restart counts to
+// the Result totals, on a run that squashes.
 func TestTimelineMispredictFlags(t *testing.T) {
-	part := partition(t, vecSum(t, 50), core.ControlFlow)
+	part := partition(t, memDepProg(t), core.ControlFlow)
 	cfg := DefaultConfig(4)
-	cfg.RecordTimeline = true
-	res := runSim(t, part, cfg)
-	flagged := uint64(0)
-	for _, rec := range res.Timeline {
+	cfg.SyncTable = false
+	res, tl := runTimeline(t, part, cfg)
+	if res.Restarts == 0 || res.CtrlMispredicts == 0 {
+		t.Fatalf("fixture has %d restarts, %d mispredicts; the checks below are vacuous",
+			res.Restarts, res.CtrlMispredicts)
+	}
+	var flagged, restarts uint64
+	for _, rec := range tl {
 		if rec.Mispredicted {
 			flagged++
 		}
+		restarts += uint64(rec.Restarts)
 	}
 	if flagged != res.CtrlMispredicts {
 		t.Errorf("%d flagged records, %d mispredicts", flagged, res.CtrlMispredicts)
+	}
+	if restarts != res.Restarts {
+		t.Errorf("records sum to %d restarts, result has %d", restarts, res.Restarts)
 	}
 }
 
 func TestFormatTimeline(t *testing.T) {
 	part := partition(t, vecSum(t, 30), core.ControlFlow)
-	cfg := DefaultConfig(2)
-	cfg.RecordTimeline = true
-	res := runSim(t, part, cfg)
-	out := FormatTimeline(res.Timeline, 5)
+	_, tl := runTimeline(t, part, DefaultConfig(2))
+	out := FormatTimeline(tl, 5)
 	if !strings.Contains(out, "activity") {
 		t.Errorf("missing header:\n%s", out)
 	}
@@ -122,10 +131,8 @@ func TestFormatTimelineEdges(t *testing.T) {
 
 func TestUtilizationRange(t *testing.T) {
 	part := partition(t, vecSum(t, 80), core.ControlFlow)
-	cfg := DefaultConfig(4)
-	cfg.RecordTimeline = true
-	res := runSim(t, part, cfg)
-	u := res.Timeline.Utilization(4)
+	_, tl := runTimeline(t, part, DefaultConfig(4))
+	u := tl.Utilization(4)
 	if u <= 0 || u > 1 {
 		t.Errorf("utilization %v out of (0,1]", u)
 	}

@@ -29,32 +29,13 @@
 // reruns skip simulation entirely.
 //
 // Observability lives in internal/obs (exported here as Tracer, Metrics, and
-// friends): SimulateObserved streams cycle-stamped events to a Tracer and
-// populates a Metrics registry without perturbing the simulated machine — an
-// observed run returns a Result identical to Simulate's — and
-// WriteChromeTrace exports collected events as a Chrome trace-event /
-// Perfetto JSON file. See DESIGN.md §9.
-//
-// The whole pipeline is also servable over HTTP (internal/serve, exported as
-// Server): partition, simulate, and experiment endpoints on a shared grid
-// engine with request coalescing, load shedding, per-request deadlines, and
-// graceful drain. The cmd/mssrv binary is a thin main around NewServer; see
-// DESIGN.md §10.
-//
-// Sweeps fan out across processes with the distributed grid (internal/dist,
-// exported with the Dist prefix): a work-stealing shard scheduler plugs into
-// GridOptions.Dispatcher, DistWorker processes pull jobs over HTTP and
-// publish results through a tiered cache (in-memory LRU → disk → remote
-// peer), and lost workers are reassigned by lease expiry. Output stays
-// byte-identical to a serial run. See DESIGN.md §12.
-//
-// Every hop of that distributed machinery can be traced end to end with the
-// span layer (internal/obs/span, exported with the Span prefix): a
-// SpanTracer propagates trace context over HTTP and the dist wire protocol,
-// retains finished traces in a flight recorder, serves a live /debug
-// introspection surface (RegisterTraceDebug), and exports any trace as
-// Chrome trace-event JSON with one track per process (WriteSpanTrace). A nil
-// tracer is inert, so an untraced run is byte-identical. See DESIGN.md §13.
+// friends): SimulateObserved streams cycle-stamped events to one Tracer
+// without perturbing the simulated machine — an observed run returns a
+// Result identical to Simulate's. Everything else is a view of that stream:
+// a TraceCollector records it for WriteChromeTrace (Chrome trace-event /
+// Perfetto JSON), SimMetrics maintains the simulator's metrics in a Metrics
+// registry, and a TimelineRecorder builds the per-task timeline; Tee
+// attaches several to one run. See DESIGN.md §9.
 //
 // Beyond the 18 fixed benchmarks, Generate builds property-based workloads
 // from a seed and shape parameters (internal/gen, exported with the Gen
@@ -66,25 +47,13 @@
 // registered policies — greedy, roundrobin, knapsack in internal/policy —
 // replace the heuristics' growth decisions while the selector keeps every
 // partition invariant intact. See DESIGN.md §14.
-//
-// Long-running sweeps become durable async jobs (internal/jobs, exported
-// with the Jobs prefix): content-addressed specs executed by a bounded
-// runner pool on the shared grid, journaled to disk so a restarted server
-// resumes queued work and serves finished results from the terminal cache,
-// scheduled across tenants by weighted fair queueing, and routable across
-// replicas by a consistent-hash ring. ServerConfig.Jobs mounts the whole
-// surface at /v1/jobs. See DESIGN.md §15.
 package multiscalar
 
 import (
-	"context"
 	"io"
-	"net/http"
-	"time"
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
-	"multiscalar/internal/dist"
 	"multiscalar/internal/emu"
 	"multiscalar/internal/experiment"
 	"multiscalar/internal/gen"
@@ -93,11 +62,8 @@ import (
 	// roundrobin, knapsack); Options.Policy accepts any PolicyNames entry.
 	"multiscalar/internal/grid"
 	"multiscalar/internal/ir"
-	"multiscalar/internal/jobs"
 	"multiscalar/internal/obs"
-	"multiscalar/internal/obs/span"
 	_ "multiscalar/internal/policy"
-	"multiscalar/internal/serve"
 	"multiscalar/internal/sim"
 	"multiscalar/internal/verify"
 	"multiscalar/internal/workloads"
@@ -202,22 +168,31 @@ type (
 	// MetricsSnapshot is a point-in-time, deterministically ordered view of
 	// a Metrics registry.
 	MetricsSnapshot = obs.Snapshot
-	// Observer bundles the optional Tracer and Metrics for an observed
-	// simulation; the zero value observes nothing.
-	Observer = sim.Observer
+	// TimelineRecorder is a Tracer that records one TaskRecord per dynamic
+	// task instance (assign, start, complete, retire, exit, restarts).
+	TimelineRecorder = sim.TimelineRecorder
 )
 
-// NewMetrics returns an empty metrics registry. Pass it to SimulateObserved
-// (via Observer) or to a grid engine (GridOptions.Metrics) and read it back
-// with Snapshot.
+// NewMetrics returns an empty metrics registry. Pass it to SimMetrics or to
+// a grid engine (GridOptions.Metrics) and read it back with Snapshot.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// SimulateObserved is Simulate plus observability: events stream to
-// o.Tracer and simulator histograms populate o.Metrics as the run executes.
+// SimMetrics returns a Tracer that maintains the simulator's metrics
+// catalog (task sizes, inter-task wait, forward lead, restart depth) in m
+// from one run's event stream.
+func SimMetrics(m *Metrics) Tracer { return sim.NewMetrics(m) }
+
+// NewTimeline returns a TimelineRecorder for a run of part.
+func NewTimeline(part *Partition) *TimelineRecorder { return sim.NewTimeline(part) }
+
+// Tee returns a Tracer that forwards every event to each of ts.
+func Tee(ts ...Tracer) Tracer { return obs.Tee(ts...) }
+
+// SimulateObserved is Simulate with every cycle-stamped event streamed to t.
 // Observation never changes timing — the returned Result is identical to
 // Simulate's for the same inputs.
-func SimulateObserved(part *Partition, cfg Config, o Observer) (*Result, error) {
-	return sim.RunObserved(part, cfg, o)
+func SimulateObserved(part *Partition, cfg Config, t Tracer) (*Result, error) {
+	return sim.RunObserved(part, cfg, t)
 }
 
 // WriteChromeTrace writes collected events as Chrome trace-event / Perfetto
@@ -384,194 +359,3 @@ func FormatFigure5(cells []Fig5Cell) string { return experiment.FormatFigure5(ce
 
 // FormatTable1 renders Table 1 rows.
 func FormatTable1(rows []T1Row) string { return experiment.FormatTable1(rows) }
-
-// HTTP serving: the simulation service behind cmd/mssrv (DESIGN.md §10).
-type (
-	// Server is the HTTP simulation service: POST /v1/partition, /v1/simulate,
-	// /v1/experiment (SSE progress), GET /healthz, GET /metrics. All requests
-	// execute on one shared Grid, so identical concurrent requests coalesce
-	// into a single simulation; a bounded admission gate sheds excess load
-	// with 429, and Shutdown drains in-flight requests gracefully.
-	Server = serve.Server
-	// ServerConfig configures NewServer. Engine is required; every other
-	// field (admission bound, request timeout, body cap, logger) defaults.
-	ServerConfig = serve.Config
-)
-
-// NewServer returns an HTTP simulation service on cfg.Engine. Serve it with
-// Server.Serve and stop it with Server.Shutdown, or mount Server.Handler in
-// an existing mux.
-func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
-
-// Distributed execution: multi-process fan-out over the grid (DESIGN.md §12).
-type (
-	// GridCache is the result-cache seam the engine loads and stores
-	// artifacts through; DiskCache, DistTiered, and DistRemoteCache all
-	// implement it.
-	GridCache = grid.Cache
-	// DistScheduler is the leader-side work-stealing shard scheduler. Set
-	// it as GridOptions.Dispatcher and the engine offers every job to the
-	// fleet instead of computing inline; Close fails pending jobs open so
-	// the engine falls back to local compute.
-	DistScheduler = dist.Scheduler
-	// DistSchedOptions configures NewDistScheduler (shards, lease).
-	DistSchedOptions = dist.SchedOptions
-	// DistLeader serves the scheduler and a shared cache over HTTP
-	// (/v1/dist/register|pull|report, /v1/cache/{key}, /healthz).
-	DistLeader = dist.Leader
-	// DistLeaderOptions configures NewDistLeader (cache, poll wait, logger).
-	DistLeaderOptions = dist.LeaderOptions
-	// DistWorker pulls jobs from a leader, executes them on its own grid
-	// engine, and publishes results back through its cache tiers.
-	DistWorker = dist.Worker
-	// DistWorkerOptions configures NewDistWorker. Leader and Engine are
-	// required; Concurrency defaults to the engine's worker count.
-	DistWorkerOptions = dist.WorkerOptions
-	// DistCacheConfig selects cache tiers for NewDistCache
-	// (LRU size, disk directory, remote peer URL).
-	DistCacheConfig = dist.CacheConfig
-	// DistTiered stacks cache tiers fastest-first with promotion on hit
-	// and write-through on store.
-	DistTiered = dist.Tiered
-	// DistRemoteCache is the HTTP cache tier: fail-open loads with bounded
-	// retries, detached stores, and a Ping health probe.
-	DistRemoteCache = dist.RemoteCache
-)
-
-// NewDistScheduler returns a work-stealing shard scheduler.
-func NewDistScheduler(opts DistSchedOptions) *DistScheduler { return dist.NewScheduler(opts) }
-
-// NewDistLeader returns the HTTP surface for a scheduler; mount its
-// Handler on a listener the workers can reach.
-func NewDistLeader(s *DistScheduler, opts DistLeaderOptions) *DistLeader {
-	return dist.NewLeader(s, opts)
-}
-
-// NewDistWorker returns a worker bound to a leader URL. Run blocks until
-// the context is canceled, the leader closes the run, or the leader stays
-// unreachable past the failure budget.
-func NewDistWorker(opts DistWorkerOptions) (*DistWorker, error) { return dist.NewWorker(opts) }
-
-// NewDistCache composes cache tiers from cfg. Both returns are nil when no
-// tier is configured; the remote tier is also returned separately so
-// callers can report its hit/miss/error counters.
-func NewDistCache(cfg DistCacheConfig) (*DistTiered, *DistRemoteCache) {
-	return dist.BuildCache(cfg)
-}
-
-// Request tracing: wall-clock spans across serve, grid, and dist hops, with
-// an in-process flight recorder and a /debug introspection surface
-// (DESIGN.md §13). This is distinct from the cycle-level Tracer above: spans
-// time the distributed machinery, not the simulated machine.
-type (
-	// SpanTracer mints spans, stitches cross-process fragments together,
-	// and retains finished traces in a flight recorder. A nil *SpanTracer
-	// is fully inert, so tracing is strictly pay-for-use.
-	SpanTracer = span.Tracer
-	// SpanTracerOptions configures NewSpanTracer (process name, recorder
-	// retention, per-trace span cap, optional Metrics registry for
-	// ms_span_duration_seconds histograms).
-	SpanTracerOptions = span.Options
-	// Span is one timed operation within a trace. All methods are
-	// nil-receiver safe; End(err) records the outcome.
-	Span = span.Span
-	// SpanContext is the propagated (trace ID, span ID) pair — the value
-	// carried on the X-Ms-Trace header and the dist wire protocol.
-	SpanContext = span.SpanContext
-	// SpanData is one finished span as stored by the recorder.
-	SpanData = span.SpanData
-	// SpanTrace is a finished trace: root, spans, and drop count.
-	SpanTrace = span.TraceData
-	// SpanFilter selects recorder traces by name, status, or duration.
-	SpanFilter = span.Filter
-)
-
-// SpanHeader is the HTTP header carrying a SpanContext between processes.
-const SpanHeader = span.Header
-
-// NewSpanTracer returns a tracer with a flight recorder sized by o. Pass it
-// to ServerConfig.Tracer, DistSchedOptions.Tracer, DistLeaderOptions.Tracer,
-// and DistWorkerOptions.Tracer to trace every hop of a distributed sweep.
-func NewSpanTracer(o SpanTracerOptions) *SpanTracer { return span.New(o) }
-
-// StartSpan opens a child span under the span already in ctx; with no
-// traced ancestor it is free and returns (ctx, nil).
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	return span.Start(ctx, name)
-}
-
-// RegisterTraceDebug mounts the tracer's introspection surface on mux:
-// GET /debug/traces (list + filter), /debug/traces/{id} (tree, or Chrome
-// trace-event JSON with ?format=chrome), and /debug/requests (in-flight).
-func RegisterTraceDebug(mux *http.ServeMux, t *SpanTracer) { span.RegisterDebug(mux, t) }
-
-// WriteSpanTrace writes one finished trace as Chrome trace-event JSON (one
-// track per process). Open the output at ui.perfetto.dev.
-func WriteSpanTrace(w io.Writer, td *SpanTrace) error { return span.WriteChrome(w, td) }
-
-// Durable async jobs: long sweeps as journaled, restartable work
-// (DESIGN.md §15). A JobsManager executes content-addressed job specs on a
-// bounded runner pool over the shared Grid, persists lifecycle records to a
-// disk journal so queued and running work resumes after a crash, and
-// schedules tenants by weighted fair queueing. ServerConfig.Jobs mounts the
-// manager as POST /v1/jobs (+ polling, SSE events, cancel); JobsLimiter and
-// JobsRing add per-tenant submission limits and consistent-hash routing
-// across replicas.
-type (
-	// JobsManager owns the queue, the runner pool, the journal, and the
-	// per-job event streams. Start it with a lifecycle context and Close it
-	// after the HTTP drain so in-flight jobs requeue cleanly.
-	JobsManager = jobs.Manager
-	// JobsOptions configures NewJobsManager. Executors is required; Dir
-	// enables the durability journal (convention: <cache-dir>/jobs).
-	JobsOptions = jobs.Options
-	// JobSpec is the content-addressed unit of async work: a kind plus the
-	// canonicalized request payload. JobIDFor(spec) is its identity.
-	JobSpec = jobs.Spec
-	// JobRecord is one job's full lifecycle state as kept by the manager
-	// and the journal.
-	JobRecord = jobs.Record
-	// JobEvent is one entry in a job's append-only event stream (the SSE
-	// feed); Seq is contiguous from 1 per job.
-	JobEvent = jobs.Event
-	// JobExecutor runs one job kind; serve wires partition, simulate,
-	// generate, and experiment executors over the engine.
-	JobExecutor = jobs.Executor
-	// JobsLimiter is the per-tenant token-bucket submission limiter behind
-	// ServerConfig.JobLimiter.
-	JobsLimiter = jobs.Limiter
-	// JobsRing is the consistent-hash ring that assigns each job ID an
-	// owning replica; non-owners answer with a 307 redirect.
-	JobsRing = jobs.Ring
-	// JobsStats snapshots manager counters for /healthz (queued, running,
-	// terminal counts, oldest queued age).
-	JobsStats = jobs.Stats
-)
-
-// NewJobsManager returns a job manager. Call Start before submitting and
-// Close to drain; both are safe around an HTTP server's own lifecycle.
-func NewJobsManager(opts JobsOptions) (*JobsManager, error) { return jobs.NewManager(opts) }
-
-// NewJobsLimiter returns a token-bucket limiter granting rate submissions
-// per second per tenant with the given burst (0 = rate, min 1).
-func NewJobsLimiter(rate, burst float64) *JobsLimiter { return jobs.NewLimiter(rate, burst) }
-
-// NewJobsRing builds the consistent-hash ring from this replica's base URL
-// and the full peer list (canonicalize both with the same rules on every
-// replica — cmd/mssrv uses dist.NormalizePeers). A nil ring owns everything.
-func NewJobsRing(self string, peers []string) *JobsRing { return jobs.NewRing(self, peers) }
-
-// JobIDFor returns the job's content-addressed identity: submitting two
-// specs with equal IDs yields one execution and one shared record.
-func JobIDFor(spec JobSpec) string { return jobs.IDFor(spec) }
-
-// JobExecutors returns the standard executor set over eng — the async
-// counterparts of the partition, simulate, generate, and experiment
-// endpoints — emitting progress events every progressInterval.
-func JobExecutors(eng *Grid, progressInterval time.Duration) map[string]JobExecutor {
-	return serve.Executors(eng, progressInterval)
-}
-
-// JobCost estimates a spec's relative schedule cost for the fair queue
-// (experiments outweigh single simulations). Pass it as JobsOptions.Cost.
-func JobCost(spec JobSpec) float64 { return serve.JobCost(spec) }

@@ -245,7 +245,9 @@ func TestPublicObservability(t *testing.T) {
 
 	col := &multiscalar.TraceCollector{}
 	reg := multiscalar.NewMetrics()
-	observed, err := multiscalar.SimulateObserved(part, cfg, multiscalar.Observer{Tracer: col, Metrics: reg})
+	tl := multiscalar.NewTimeline(part)
+	observed, err := multiscalar.SimulateObserved(part, cfg,
+		multiscalar.Tee(col, multiscalar.SimMetrics(reg), tl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +256,9 @@ func TestPublicObservability(t *testing.T) {
 	}
 	if len(col.Events) == 0 {
 		t.Fatal("collector saw no events")
+	}
+	if got := uint64(len(tl.Timeline())); got != observed.TaskInstances {
+		t.Errorf("timeline has %d records, want %d task instances", got, observed.TaskInstances)
 	}
 
 	var buf bytes.Buffer
