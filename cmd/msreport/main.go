@@ -5,8 +5,8 @@
 //
 // With -workers the run fans out across processes: msreport becomes the
 // leader of a distributed grid, listening on the given address for mssrv
-// -worker peers. Cache-missing jobs go to a work-stealing shard scheduler;
-// the leader's own cores participate through a local worker loop, remote
+// -worker peers. Cache-missing jobs go to one leased FIFO queue; the
+// leader's own cores participate through a local worker loop, remote
 // workers pull over HTTP, and results flow back through reports and the
 // shared cache. Output stays byte-identical to a serial run — collection is
 // by index, not arrival order. -remote-cache chains a peer's cache behind
@@ -513,8 +513,8 @@ func distSummary(d *distRun, remote *dist.RemoteCache) {
 		for _, name := range names {
 			parts = append(parts, fmt.Sprintf("%s:%d", name, jobs[name]))
 		}
-		fmt.Fprintf(os.Stderr, "msreport: dist workers=%d jobs{%s} submitted=%d completed=%d steals=%d reassigned=%d\n",
-			st.RemoteWorkers, strings.Join(parts, " "), st.Submitted, st.Completed, st.Steals, st.Reassigned)
+		fmt.Fprintf(os.Stderr, "msreport: dist workers=%d jobs{%s} submitted=%d completed=%d reassigned=%d\n",
+			st.RemoteWorkers, strings.Join(parts, " "), st.Submitted, st.Completed, st.Reassigned)
 	}
 	if remote != nil {
 		rs := remote.Stats()

@@ -9,10 +9,9 @@
 //
 // Long sweeps can run asynchronously through the durable job surface
 // (POST /v1/jobs, GET /v1/jobs/{id}, SSE at /v1/jobs/{id}/events): jobs are
-// journaled under <cache-dir>/jobs and resume after a restart, tenants
+// journaled under <cache-dir>/jobs and resume after a restart, and tenants
 // (X-Api-Key) share runner time by weighted fair queueing under optional
-// token-bucket submission limits, and -peers/-self spread job ownership over
-// a consistent-hash ring of replicas via 307 redirects.
+// token-bucket submission limits.
 //
 // The cache is tiered: -lru puts a bounded in-memory tier in front, -cache-dir
 // adds the content-addressed disk store, and -remote-cache chains another
@@ -22,7 +21,7 @@
 //
 // With -worker the process joins a distributed run instead of serving: it
 // registers with the msreport leader at -leader, pulls simulation jobs from
-// the shard scheduler, executes them on the local engine, and publishes
+// the leader's queue, executes them on the local engine, and publishes
 // results through the cache tiers (the remote tier defaults to the leader).
 //
 // Usage:
@@ -83,8 +82,6 @@ func main() {
 		logFormat    = flag.String("log-format", "text", "structured log encoding: text or json")
 		traceRing    = flag.Int("trace-ring", 256, "flight-recorder capacity in completed traces; 0 disables tracing and the /debug surface")
 		jobsRunners  = flag.Int("jobs-runners", 2, "concurrent async job executions (0 disables the /v1/jobs surface)")
-		peers        = flag.String("peers", "", "comma-separated replica base URLs forming the job-routing ring (must include -self; every replica needs the same list)")
-		selfURL      = flag.String("self", "", "this replica's base URL as it appears in -peers (required with -peers)")
 		tenantRPS    = flag.Float64("tenant-rps", 0, "per-tenant job submissions per second (0 = unlimited)")
 		tenantBurst  = flag.Float64("tenant-burst", 0, "per-tenant submission burst (default: -tenant-rps, min 1)")
 		tenantWeight = flag.String("tenant-weights", "", "per-tenant fair-share weights as name=weight pairs, comma-separated (unlisted tenants weigh 1)")
@@ -185,29 +182,6 @@ func main() {
 		if *tenantRPS > 0 {
 			cfg.JobLimiter = jobs.NewLimiter(*tenantRPS, *tenantBurst)
 		}
-		if *peers != "" {
-			if *selfURL == "" {
-				fatal(errors.New("-peers requires -self"))
-			}
-			list, err := dist.NormalizePeers(*peers)
-			if err != nil {
-				fatal(err)
-			}
-			self, err := dist.NormalizePeers(*selfURL)
-			if err != nil {
-				fatal(err)
-			}
-			found := false
-			for _, p := range list {
-				if p == self[0] {
-					found = true
-				}
-			}
-			if !found {
-				fatal(fmt.Errorf("-self %q is not in -peers %v", self[0], list))
-			}
-			cfg.Ring = jobs.NewRing(self[0], list)
-		}
 	}
 	if cache != nil {
 		cfg.Cache = cache
@@ -226,7 +200,7 @@ func main() {
 	}
 	logger.Info("listening", "addr", ln.Addr().String(), "workers", eng.Workers(),
 		"cache", *cacheDir, "lru", lru, "remote", remote, "tracing", tracer != nil,
-		"jobs", mgr != nil, "ring", cfg.Ring != nil)
+		"jobs", mgr != nil)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()

@@ -11,12 +11,12 @@
 //     corrupt artifact, or stale schema is a miss, never an error — so cache
 //     infrastructure can only make runs slower, not wrong.
 //
-//   - A work-stealing shard Scheduler that partitions the job keyspace by
-//     cache-key hash. It implements grid.Dispatcher, so the leader's engine
-//     hands every cache-missing simulation to it; workers (remote processes
-//     and the leader's own RunLocal loop) pull from their home shard, steal
-//     from the longest queue when idle, and hold time-bounded leases —
-//     a worker that dies mid-job is reaped and its jobs are reassigned.
+//   - A Scheduler: one FIFO queue of leased jobs. It implements
+//     grid.Dispatcher, so the leader's engine hands every cache-missing
+//     simulation to it; workers (remote processes and the leader's own
+//     RunLocal loop) pull from the head of the queue and hold time-bounded
+//     leases — a worker that dies mid-job is reaped and its jobs go back to
+//     the head of the queue for the next puller.
 //
 //   - The worker protocol: a Leader mounts the scheduler and a cache over
 //     HTTP (/v1/dist/register, /v1/dist/pull, /v1/dist/report,

@@ -26,7 +26,6 @@ type RegisterRequest struct {
 // RegisterResponse carries the worker's assigned identity and lease terms.
 type RegisterResponse struct {
 	Worker  string `json:"worker"`
-	Home    int    `json:"home"`
 	LeaseMS int64  `json:"lease_ms"`
 }
 
@@ -144,11 +143,9 @@ func (l *Leader) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if _, ok := decodeBody[RegisterRequest](w, r); !ok {
 		return
 	}
-	name, home, lease := l.sched.Register(true)
-	l.log.Printf("level=info msg=dist_register worker=%s home=%d", name, home)
-	l.writeJSON(w, http.StatusOK, RegisterResponse{
-		Worker: name, Home: home, LeaseMS: lease.Milliseconds(),
-	})
+	name, lease := l.sched.Register(true)
+	l.log.Printf("level=info msg=dist_register worker=%s", name)
+	l.writeJSON(w, http.StatusOK, RegisterResponse{Worker: name, LeaseMS: lease.Milliseconds()})
 }
 
 func (l *Leader) handlePull(w http.ResponseWriter, r *http.Request) {

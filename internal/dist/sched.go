@@ -16,10 +16,6 @@ import (
 
 // SchedOptions configures a Scheduler; the zero value is usable.
 type SchedOptions struct {
-	// Shards is the number of keyspace partitions (0 = 16). Jobs hash to a
-	// shard by cache key; workers are assigned home shards round-robin and
-	// steal from the longest other queue when theirs is empty.
-	Shards int
 	// Lease bounds how long a pulled job may go unreported before it is
 	// reassigned to another worker (0 = 2 minutes). Duplicate execution
 	// after a false-positive reap is harmless — the simulator is
@@ -44,9 +40,8 @@ type SchedStats struct {
 	// are lifetime totals.
 	Queued, Leased       int
 	Submitted, Completed int64
-	// Steals counts pulls served from another live worker's home shard;
 	// Reassigned counts jobs requeued after their lease expired.
-	Steals, Reassigned int64
+	Reassigned int64
 }
 
 type taskState int
@@ -61,11 +56,8 @@ const (
 type task struct {
 	key   string
 	job   grid.Job
-	shard int
 	state taskState
-
-	worker string    // current lessee when leased
-	lease  time.Time // reassignment deadline when leased
+	lease time.Time // reassignment deadline when leased
 
 	// sp is the dispatching caller's dist.dispatch span (nil untraced); sc
 	// is its portable context, handed to whichever worker pulls the job so
@@ -80,9 +72,7 @@ type task struct {
 
 // workerInfo tracks one registered worker's health and leases.
 type workerInfo struct {
-	name     string
 	remote   bool
-	home     int
 	lastSeen time.Time
 	leased   map[string]*task
 	jobs     *obs.Counter // nil without metrics
@@ -90,29 +80,27 @@ type workerInfo struct {
 }
 
 type schedMetrics struct {
-	submitted, completed, steals, reassigned *obs.Counter
-	workers, queued                          *obs.Gauge
+	submitted, completed, reassigned *obs.Counter
+	workers, queued                  *obs.Gauge
 }
 
-// Scheduler is the leader-side work-stealing shard scheduler. It implements
-// grid.Dispatcher: the leader's engine submits every cache-missing
-// simulation job, workers pull and report over the Leader's HTTP surface
-// (or in-process via RunLocal), and Dispatch callers block until the job's
-// first report. All state lives behind one mutex; waiting happens on
-// per-task channels, so the lock is never held across a job execution.
+// Scheduler is the leader-side job queue: one FIFO of leased jobs. It
+// implements grid.Dispatcher: the leader's engine submits every
+// cache-missing simulation job, workers pull and report over the Leader's
+// HTTP surface (or in-process via RunLocal), and Dispatch callers block until
+// the job's first report. All state lives behind one mutex; waiting happens
+// on per-task channels, so the lock is never held across a job execution.
 type Scheduler struct {
-	nShards int
-	lease   time.Duration
+	lease time.Duration
 
 	mu        sync.Mutex
-	shards    [][]*task // queued tasks per shard, FIFO
+	queue     []*task // queued tasks, FIFO; reaped leases rejoin at the head
 	tasks     map[string]*task
 	workers   map[string]*workerInfo
 	seq       int
 	closed    bool
 	submitted int64
 	completed int64
-	steals    int64
 	reassigns int64
 
 	reg    *obs.Registry
@@ -122,16 +110,11 @@ type Scheduler struct {
 
 // NewScheduler returns an empty scheduler.
 func NewScheduler(opts SchedOptions) *Scheduler {
-	if opts.Shards <= 0 {
-		opts.Shards = 16
-	}
 	if opts.Lease <= 0 {
 		opts.Lease = 2 * time.Minute
 	}
 	s := &Scheduler{
-		nShards: opts.Shards,
 		lease:   opts.Lease,
-		shards:  make([][]*task, opts.Shards),
 		tasks:   make(map[string]*task),
 		workers: make(map[string]*workerInfo),
 		reg:     opts.Metrics,
@@ -139,9 +122,8 @@ func NewScheduler(opts SchedOptions) *Scheduler {
 	}
 	if r := opts.Metrics; r != nil {
 		s.m = &schedMetrics{
-			submitted:  r.Counter("dist_submitted_total", "jobs", "jobs submitted to the shard scheduler"),
+			submitted:  r.Counter("dist_submitted_total", "jobs", "jobs submitted to the scheduler"),
 			completed:  r.Counter("dist_completed_total", "jobs", "jobs completed by any worker"),
-			steals:     r.Counter("dist_steals_total", "pulls", "pulls served from another live worker's home shard"),
 			reassigned: r.Counter("dist_reassigned_total", "jobs", "jobs requeued after a lease expired"),
 			workers:    r.Gauge("dist_workers", "workers", "live registered workers (incl. the local loop)"),
 			queued:     r.Gauge("dist_queued", "jobs", "jobs waiting for a worker"),
@@ -150,28 +132,10 @@ func NewScheduler(opts SchedOptions) *Scheduler {
 	return s
 }
 
-// shardOf maps a cache key (hex) onto a shard. Non-hex keys (tests) fold
-// bytes instead, so every key lands somewhere deterministic.
-func (s *Scheduler) shardOf(key string) int {
-	if len(key) >= 8 {
-		if v, err := strconv.ParseUint(key[:8], 16, 64); err == nil {
-			return int(v % uint64(s.nShards))
-		}
-	}
-	sum := 0
-	for i := 0; i < len(key); i++ {
-		sum = sum*31 + int(key[i])
-	}
-	if sum < 0 {
-		sum = -sum
-	}
-	return sum % s.nShards
-}
-
-// Dispatch implements grid.Dispatcher: enqueue the job on its shard (or
-// join an already-scheduled copy) and wait for the first report. A closed
-// scheduler answers with an error wrapping grid.ErrDispatch, which sends
-// the engine back to in-process compute.
+// Dispatch implements grid.Dispatcher: enqueue the job (or join an
+// already-scheduled copy) and wait for the first report. A closed scheduler
+// answers with an error wrapping grid.ErrDispatch, which sends the engine
+// back to in-process compute.
 func (s *Scheduler) Dispatch(ctx context.Context, key string, job grid.Job) (res *sim.Result, err error) {
 	ctx, sp := span.Start(ctx, "dist.dispatch")
 	defer func() { sp.End(err) }()
@@ -182,16 +146,15 @@ func (s *Scheduler) Dispatch(ctx context.Context, key string, job grid.Job) (res
 	}
 	t, ok := s.tasks[key]
 	if !ok {
-		t = &task{key: key, job: job, shard: s.shardOf(key), done: make(chan struct{})}
+		t = &task{key: key, job: job, done: make(chan struct{})}
 		if sp != nil {
 			// The first dispatcher's span parents the worker's spans; a
 			// joining duplicate still records its own wait below.
 			t.sp = sp
 			t.sc = sp.Context()
-			sp.SetAttr("shard", strconv.Itoa(t.shard))
 		}
 		s.tasks[key] = t
-		s.shards[t.shard] = append(s.shards[t.shard], t)
+		s.queue = append(s.queue, t)
 		s.submitted++
 		if s.m != nil {
 			s.m.submitted.Inc()
@@ -208,9 +171,9 @@ func (s *Scheduler) Dispatch(ctx context.Context, key string, job grid.Job) (res
 	}
 }
 
-// Register adds a worker and returns its assigned name, home shard, and the
-// lease the leader will hold it to.
-func (s *Scheduler) Register(remote bool) (name string, home int, lease time.Duration) {
+// Register adds a worker and returns its assigned name and the lease the
+// leader will hold it to.
+func (s *Scheduler) Register(remote bool) (name string, lease time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
@@ -219,9 +182,7 @@ func (s *Scheduler) Register(remote bool) (name string, home int, lease time.Dur
 		name = "local"
 	}
 	w := &workerInfo{
-		name:     name,
 		remote:   remote,
-		home:     (s.seq - 1) % s.nShards,
 		lastSeen: time.Now(),
 		leased:   make(map[string]*task),
 	}
@@ -233,15 +194,14 @@ func (s *Scheduler) Register(remote bool) (name string, home int, lease time.Dur
 	if s.m != nil {
 		s.m.workers.Set(int64(len(s.workers)))
 	}
-	return name, w.home, s.lease
+	return name, s.lease
 }
 
-// Pull hands worker its next job: the head of its home shard, else the tail
-// of the longest other queue (a steal, when that queue belongs to a live
-// worker). The returned span context (zero when the dispatcher was
-// untraced) lets the worker stitch its execution spans into the
-// dispatcher's trace. ok=false means no work right now; closed=true tells
-// the worker the run is over.
+// Pull leases worker the job at the head of the queue, whichever worker
+// asks. The returned span context (zero when the dispatcher was untraced)
+// lets the worker stitch its execution spans into the dispatcher's trace.
+// ok=false means no work right now; closed=true tells the worker the run is
+// over.
 func (s *Scheduler) Pull(worker string) (key string, job grid.Job, sc span.SpanContext, ok, closed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -263,8 +223,7 @@ func (s *Scheduler) Pull(worker string) (key string, job grid.Job, sc span.SpanC
 	if w == nil {
 		// Reaped as dead (or never registered): re-admit so a slow-but-alive
 		// worker keeps working after a false-positive reap.
-		w = &workerInfo{name: worker, remote: worker != "local",
-			home: 0, lastSeen: now, leased: make(map[string]*task)}
+		w = &workerInfo{remote: worker != "local", lastSeen: now, leased: make(map[string]*task)}
 		s.workers[worker] = w
 		if s.m != nil {
 			s.m.workers.Set(int64(len(s.workers)))
@@ -272,79 +231,49 @@ func (s *Scheduler) Pull(worker string) (key string, job grid.Job, sc span.SpanC
 	}
 	w.lastSeen = now
 
-	t := s.popLocked(w.home, false)
+	t := s.popLocked()
 	if t == nil {
-		// Steal: longest queue wins, taken from the tail — the cold end,
-		// farthest from where its owner is working.
-		best, bestLen := -1, 0
-		for i, q := range s.shards {
-			if len(q) > bestLen {
-				best, bestLen = i, len(q)
-			}
-		}
-		if best < 0 {
-			return "", grid.Job{}, span.SpanContext{}, false, false
-		}
-		if t = s.popLocked(best, true); t == nil {
-			return "", grid.Job{}, span.SpanContext{}, false, false
-		}
-		for _, other := range s.workers {
-			if other.name != worker && other.home == best {
-				s.steals++
-				if s.m != nil {
-					s.m.steals.Inc()
-				}
-				t.sp.Event("dist.steal", "worker", worker, "shard", strconv.Itoa(best))
-				break
-			}
-		}
+		return "", grid.Job{}, span.SpanContext{}, false, false
 	}
 	t.state = taskLeased
-	t.worker = worker
 	t.lease = now.Add(s.lease)
 	w.leased[t.key] = t
 	s.gaugeQueuedLocked()
 	return t.key, t.job, t.sc, true, false
 }
 
-// popLocked removes the next still-queued task from one shard, discarding
-// entries a racing report already completed (a reassigned job can finish
-// under its original worker while its requeued copy waits in line).
-func (s *Scheduler) popLocked(shard int, fromTail bool) *task {
-	q := s.shards[shard]
-	for len(q) > 0 {
-		var t *task
-		if fromTail {
-			t = q[len(q)-1]
-			q = q[:len(q)-1]
-		} else {
-			t = q[0]
-			q = q[1:]
-		}
+// popLocked removes the next still-queued task, discarding entries a racing
+// report already completed (a reassigned job can finish under its original
+// worker while its requeued copy waits in line).
+func (s *Scheduler) popLocked() *task {
+	for len(s.queue) > 0 {
+		t := s.queue[0]
+		s.queue[0] = nil // let a finished task go before the backing array does
+		s.queue = s.queue[1:]
 		if t.state == taskQueued {
-			s.shards[shard] = q
 			return t
 		}
 	}
-	s.shards[shard] = q
 	return nil
 }
 
-// gaugeQueuedLocked re-derives the queued gauge from the shard queues, so
+// gaugeQueuedLocked re-derives the queued gauge from the queue, so
 // discarded duplicates can never make it drift.
 func (s *Scheduler) gaugeQueuedLocked() {
-	if s.m == nil {
-		return
+	if s.m != nil {
+		s.m.queued.Set(int64(s.queuedLocked()))
 	}
+}
+
+// queuedLocked counts the queue's live entries.
+func (s *Scheduler) queuedLocked() int {
 	n := 0
-	for _, q := range s.shards {
-		for _, t := range q {
-			if t.state == taskQueued {
-				n++
-			}
+	for _, t := range s.queue {
+		if t.state == taskQueued {
+			n++
 		}
 	}
-	s.m.queued.Set(int64(n))
+	return n
 }
 
 // Report completes a job. Late reports — after a reassignment raced the
@@ -390,8 +319,7 @@ func (s *Scheduler) reapLocked(now time.Time) {
 		for key, t := range w.leased {
 			if t.state == taskLeased && now.After(t.lease) {
 				t.state = taskQueued
-				t.worker = ""
-				s.shards[t.shard] = append([]*task{t}, s.shards[t.shard]...)
+				s.queue = append([]*task{t}, s.queue...)
 				s.reassigns++
 				if s.m != nil {
 					s.m.reassigned.Inc()
@@ -426,9 +354,7 @@ func (s *Scheduler) Close() {
 			close(t.done)
 		}
 	}
-	for i := range s.shards {
-		s.shards[i] = nil
-	}
+	s.queue = nil
 	if s.m != nil {
 		s.m.queued.Set(0)
 	}
@@ -439,15 +365,8 @@ func (s *Scheduler) Stats() SchedStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := SchedStats{
-		Submitted: s.submitted, Completed: s.completed,
-		Steals: s.steals, Reassigned: s.reassigns,
-	}
-	for _, q := range s.shards {
-		for _, t := range q {
-			if t.state == taskQueued {
-				st.Queued++
-			}
-		}
+		Queued:    s.queuedLocked(),
+		Submitted: s.submitted, Completed: s.completed, Reassigned: s.reassigns,
 	}
 	for _, w := range s.workers {
 		st.Workers++
@@ -496,7 +415,7 @@ func (s *Scheduler) RunLocal(ctx context.Context, n int, compute func(context.Co
 	if n <= 0 {
 		n = 1
 	}
-	worker, _, _ := s.Register(false)
+	worker, _ := s.Register(false)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)

@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,12 +11,6 @@ import (
 	"multiscalar/internal/grid"
 	"multiscalar/internal/sim"
 )
-
-// shardKey returns a valid key that hashes onto the given shard (the first
-// 8 hex chars are the shard number, and shard < nShards <= 16^8).
-func shardKey(shard, salt int) string {
-	return fmt.Sprintf("%08x%08x%048x", shard, salt, 0)
-}
 
 func testJob(pus int) grid.Job {
 	return grid.Job{Workload: "compress", Config: sim.DefaultConfig(pus)}
@@ -35,12 +28,12 @@ func dispatchAsync(ctx context.Context, s *Scheduler, key string, job grid.Job) 
 }
 
 func TestDispatchPullReport(t *testing.T) {
-	s := NewScheduler(SchedOptions{Shards: 4})
-	worker, home, _ := s.Register(true)
-	if worker != "w1" || home != 0 {
-		t.Fatalf("Register = (%s, %d), want (w1, 0)", worker, home)
+	s := NewScheduler(SchedOptions{})
+	worker, lease := s.Register(true)
+	if worker != "w1" || lease != 2*time.Minute {
+		t.Fatalf("Register = (%s, %v), want (w1, 2m)", worker, lease)
 	}
-	key := shardKey(0, 1)
+	key := testKey(0)
 	done := dispatchAsync(context.Background(), s, key, testJob(4))
 
 	var gotKey string
@@ -62,49 +55,51 @@ func TestDispatchPullReport(t *testing.T) {
 	}
 }
 
-// TestShardAffinityAndStealing: with two workers homed on shards 0 and 1, a
-// job on each shard, each worker pulls its own shard's job first (no
-// steal), and a third pull crossing shards counts as a steal.
-func TestShardAffinityAndStealing(t *testing.T) {
-	s := NewScheduler(SchedOptions{Shards: 4})
-	w1, _, _ := s.Register(true) // home 0
-	w2, _, _ := s.Register(true) // home 1
+// TestFIFOOrderAndReapToHead: pulls hand out jobs in dispatch order no
+// matter which worker asks, and a reaped lease rejoins the queue at its head,
+// ahead of jobs that were dispatched after it.
+func TestFIFOOrderAndReapToHead(t *testing.T) {
+	const lease = 200 * time.Millisecond
+	s := NewScheduler(SchedOptions{Lease: lease})
+	w1, _ := s.Register(true)
+	w2, _ := s.Register(true)
 
+	// Sequence the dispatches so the queue order is deterministic —
+	// concurrent dispatches may enqueue in either order.
 	ctx := context.Background()
-	// Sequence the dispatches so shard 1's queue order (k1 before k1b) is
-	// deterministic — concurrent dispatches may enqueue in either order.
-	k0, k1, k1b := shardKey(0, 1), shardKey(1, 2), shardKey(1, 3)
-	d0 := dispatchAsync(ctx, s, k0, testJob(4))
-	d1 := dispatchAsync(ctx, s, k1, testJob(4))
-	waitForCond(t, "2 queued", func() bool { return s.Stats().Queued == 2 })
-	d1b := dispatchAsync(ctx, s, k1b, testJob(4))
-	waitForCond(t, "3 queued", func() bool { return s.Stats().Queued == 3 })
+	var keys []string
+	var done []chan error
+	for i := 0; i < 4; i++ {
+		keys = append(keys, testKey(i))
+		done = append(done, dispatchAsync(ctx, s, keys[i], testJob(4)))
+		waitForCond(t, "dispatch queued", func() bool { return s.Stats().Queued == i+1 })
+	}
 
-	if k, _, _, ok, _ := s.Pull(w1); !ok || k != k0 {
-		t.Fatalf("w1 pulled %q, want home-shard job %q", k, k0)
-	}
-	if k, _, _, ok, _ := s.Pull(w2); !ok || k != k1 {
-		t.Fatalf("w2 pulled %q, want home-shard job %q", k, k1)
-	}
-	if st := s.Stats(); st.Steals != 0 {
-		t.Fatalf("steals = %d after home pulls, want 0", st.Steals)
-	}
-	// w1's home shard is dry; the remaining job on w2's home shard must be
-	// stolen rather than left waiting.
-	if k, _, _, ok, _ := s.Pull(w1); !ok || k != k1b {
-		t.Fatalf("w1 stole %q, want %q", k, k1b)
-	}
-	if st := s.Stats(); st.Steals != 1 {
-		t.Fatalf("steals = %d, want 1", st.Steals)
-	}
-	for _, w := range []string{w1, w2} {
-		for k := range map[string]bool{k0: true, k1: true, k1b: true} {
-			s.Report(w, k, testResult(1), "")
+	pull := func(w, want string) {
+		t.Helper()
+		if k, _, _, ok, _ := s.Pull(w); !ok || k != want {
+			t.Fatalf("%s pulled (%q, %v), want %q", w, k, ok, want)
 		}
 	}
-	for _, d := range []chan error{d0, d1, d1b} {
+	pull(w2, keys[0])
+	pull(w1, keys[1])
+	s.Report(w2, keys[0], testResult(1), "")
+
+	// w1 never reports keys[1]. Once its lease has expired, the next pull
+	// reaps it back to the head: it comes out before keys[2] and keys[3].
+	time.Sleep(lease + 50*time.Millisecond)
+	pull(w2, keys[1])
+	if st := s.Stats(); st.Reassigned != 1 {
+		t.Fatalf("reassigned = %d, want 1", st.Reassigned)
+	}
+	pull(w1, keys[2])
+	pull(w2, keys[3])
+	for _, k := range keys[1:] {
+		s.Report(w2, k, testResult(1), "")
+	}
+	for i, d := range done {
 		if err := <-d; err != nil {
-			t.Fatalf("Dispatch: %v", err)
+			t.Fatalf("Dispatch %d: %v", i, err)
 		}
 	}
 }
@@ -114,11 +109,11 @@ func TestShardAffinityAndStealing(t *testing.T) {
 // expires, another worker's pull reaps and re-pulls it, and the original
 // Dispatch still completes. Run under -race.
 func TestLostWorkerReassignment(t *testing.T) {
-	s := NewScheduler(SchedOptions{Shards: 2, Lease: 30 * time.Millisecond})
-	lost, _, _ := s.Register(true)
-	alive, _, _ := s.Register(true)
+	s := NewScheduler(SchedOptions{Lease: 30 * time.Millisecond})
+	lost, _ := s.Register(true)
+	alive, _ := s.Register(true)
 
-	key := shardKey(0, 1)
+	key := testKey(0)
 	done := dispatchAsync(context.Background(), s, key, testJob(4))
 	waitForCond(t, "job queued", func() bool { return s.Stats().Queued == 1 })
 
@@ -153,9 +148,9 @@ func TestLostWorkerReassignment(t *testing.T) {
 // TestFirstReportWins: when a reassigned job races its original worker to
 // completion, the first report's result is what Dispatch returns.
 func TestFirstReportWins(t *testing.T) {
-	s := NewScheduler(SchedOptions{Shards: 2})
-	w, _, _ := s.Register(true)
-	key := shardKey(0, 1)
+	s := NewScheduler(SchedOptions{})
+	w, _ := s.Register(true)
+	key := testKey(0)
 	out := make(chan *sim.Result, 1)
 	go func() {
 		res, _ := s.Dispatch(context.Background(), key, testJob(4))
@@ -173,9 +168,9 @@ func TestFirstReportWins(t *testing.T) {
 }
 
 func TestReportErrorPropagates(t *testing.T) {
-	s := NewScheduler(SchedOptions{Shards: 2})
-	w, _, _ := s.Register(true)
-	key := shardKey(0, 1)
+	s := NewScheduler(SchedOptions{})
+	w, _ := s.Register(true)
+	key := testKey(0)
 	done := dispatchAsync(context.Background(), s, key, testJob(4))
 	waitForCond(t, "job queued", func() bool {
 		_, _, _, ok, _ := s.Pull(w)
@@ -221,7 +216,7 @@ func TestCloseFailsOpenToLocalCompute(t *testing.T) {
 // errors on Close rather than hanging, and subsequent pulls say closed.
 func TestCloseUnblocksWaiters(t *testing.T) {
 	s := NewScheduler(SchedOptions{})
-	w, _, _ := s.Register(true)
+	w, _ := s.Register(true)
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for i := 0; i < 4; i++ {
@@ -251,8 +246,8 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 // and both complete on a single report.
 func TestDispatchJoinsDuplicate(t *testing.T) {
 	s := NewScheduler(SchedOptions{})
-	w, _, _ := s.Register(true)
-	key := shardKey(0, 1)
+	w, _ := s.Register(true)
+	key := testKey(0)
 	d1 := dispatchAsync(context.Background(), s, key, testJob(4))
 	d2 := dispatchAsync(context.Background(), s, key, testJob(4))
 	waitForCond(t, "job queued", func() bool {

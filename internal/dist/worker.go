@@ -57,7 +57,7 @@ type WorkerStats struct {
 }
 
 // Worker is one fleet member: it registers with a leader, pulls jobs from
-// the shard scheduler, executes them through its own engine — the
+// the leader's queue, executes them through its own engine — the
 // partition→simulate dependency resolves locally; results publish through
 // the engine's cache tiers — and reports completions. Run returns when the
 // leader declares the run over, the context ends, or the leader stays

@@ -42,7 +42,7 @@ type Options struct {
 	// one engine participates in a multi-process grid.
 	Cache Cache
 	// Dispatcher, when non-nil, is offered every cache-missing simulation
-	// job before local execution — the hook the distributed shard scheduler
+	// job before local execution — the hook the distributed job queue
 	// (internal/dist) plugs into. A dispatcher that answers with an error
 	// wrapping ErrDispatch sends the job back to in-process compute, so a
 	// drained or unreachable fleet degrades to single-process execution

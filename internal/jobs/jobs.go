@@ -3,24 +3,21 @@
 // experiment, corpus sweeps) into named, content-addressed jobs with a
 // lifecycle clients poll or stream instead of holding a connection open.
 //
-// The design splits four concerns that the synchronous HTTP path conflated:
+// The design splits three concerns that the synchronous HTTP path conflated:
 //
 //   - identity: a job is addressed by the SHA-256 of its canonical spec, so
 //     two tenants submitting the same sweep share one record and one
 //     execution, and a warm resubmission returns the cached terminal result
 //     without recomputing anything;
 //   - durability: every state transition appends to a JSON-lines journal
-//     under the cache directory; on restart the journal replays, terminal
-//     results are served again, and queued or interrupted jobs are
-//     re-offered to the runners (a kill -9 mid-sweep costs only the cycles
-//     since the last grid cache write);
+//     under the cache directory before any reader can see it; on restart
+//     the journal replays, terminal results are served again, and queued
+//     or interrupted jobs are re-offered to the runners (a kill -9
+//     mid-sweep costs only the cycles since the last grid cache write);
 //   - fairness: submissions enter a per-tenant weighted-fair queue, so one
 //     tenant's thousand-job backlog cannot starve another's single request,
 //     and a token-bucket limiter sheds pathological submission rates before
-//     they reach the queue at all;
-//   - routing: a consistent-hash ring over job IDs lets N replicas behave as
-//     one coalescing surface — every replica redirects a job to its owner,
-//     so identical submissions land on the same engine and dedupe there.
+//     they reach the queue at all.
 //
 // The manager executes jobs through pluggable executors (registered per
 // kind by the serve layer), keeping this package free of HTTP and

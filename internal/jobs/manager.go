@@ -289,9 +289,9 @@ func (m *Manager) Submit(tenant string, spec Spec) (Record, bool, error) {
 			st.rec.Finished = time.Time{}
 			st.canceled = false
 			rec := st.rec
+			m.persistLocked(rec)
 			m.queue.enqueue(tenant, id, m.cost(spec), now)
 			m.mu.Unlock()
-			m.persist(rec)
 			m.submitted()
 			return rec, true, nil
 		}
@@ -306,9 +306,9 @@ func (m *Manager) Submit(tenant string, spec Spec) (Record, bool, error) {
 	m.jobs[id] = st
 	m.evictLocked()
 	rec := st.rec
+	m.persistLocked(rec)
 	m.queue.enqueue(tenant, id, m.cost(spec), now)
 	m.mu.Unlock()
-	m.persist(rec)
 	m.submitted()
 	return rec, true, nil
 }
@@ -396,9 +396,9 @@ func (m *Manager) Cancel(id string) (Record, bool) {
 			st.rec.Finished = time.Now()
 			st.canceled = true
 			rec := st.rec
+			m.persistLocked(rec)
+			st.appendEvent("error", errorEvent("canceled", rec.Error))
 			m.mu.Unlock()
-			m.persist(rec)
-			m.finalizeEvent(id, "error", map[string]any{"code": "canceled", "message": rec.Error})
 			if m.m != nil {
 				m.m.canceled.Inc()
 			}
@@ -466,31 +466,37 @@ func (m *Manager) EventsSince(id string, after int64) (evs []Event, more <-chan 
 // appendEvent appends one event to a job's stream and wakes watchers.
 func (m *Manager) appendEvent(id, name string, data json.RawMessage) {
 	m.mu.Lock()
-	st, ok := m.jobs[id]
-	if !ok {
-		m.mu.Unlock()
-		return
+	defer m.mu.Unlock()
+	if st, ok := m.jobs[id]; ok {
+		st.appendEvent(name, data)
 	}
-	st.events = append(st.events, Event{Seq: int64(len(st.events)) + 1, Name: name, Data: data})
-	old := st.notify
-	st.notify = make(chan struct{})
-	m.mu.Unlock()
-	close(old)
 }
 
-// finalizeEvent marshals and appends a terminal event.
-func (m *Manager) finalizeEvent(id, name string, v any) {
-	blob, err := json.Marshal(v)
+// appendEvent appends one event to the stream and wakes watchers; callers
+// hold m.mu.
+func (st *jobState) appendEvent(name string, data json.RawMessage) {
+	st.events = append(st.events, Event{Seq: int64(len(st.events)) + 1, Name: name, Data: data})
+	close(st.notify)
+	st.notify = make(chan struct{})
+}
+
+// errorEvent is the payload of a job's terminal error event.
+func errorEvent(code, message string) json.RawMessage {
+	blob, err := json.Marshal(map[string]any{"code": code, "message": message})
 	if err != nil {
 		blob = []byte(`{}`)
 	}
-	m.appendEvent(id, name, blob)
+	return blob
 }
 
-// persist journals one record snapshot (no-op without a journal). Append
-// errors are deliberately swallowed after the open succeeded: a full disk
-// degrades durability, not availability, matching the cache's posture.
-func (m *Manager) persist(rec Record) {
+// persistLocked journals one record snapshot (no-op without a journal).
+// Callers hold m.mu across the state change and this append, so a record's
+// lines land in the order its state changed and no reader sees a state
+// before its line is durable — replay is last-wins, so either slip would
+// bring the job back in a stale state. Append errors are deliberately
+// swallowed after the open succeeded: a full disk degrades durability, not
+// availability, matching the cache's posture.
+func (m *Manager) persistLocked(rec Record) {
 	if m.journal == nil {
 		return
 	}
@@ -531,10 +537,10 @@ func (m *Manager) run(ctx context.Context, id string) {
 	st.rec.Started = time.Now()
 	st.rec.Attempts++
 	rec := st.rec
+	m.persistLocked(rec)
 	exec := m.opt.Executors[rec.Spec.Kind]
 	m.mu.Unlock()
 	defer cancel()
-	m.persist(rec)
 	m.gauges()
 
 	var sp *span.Span
@@ -567,7 +573,9 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// finish records a completed execution's outcome.
+// finish records a completed execution's outcome. The terminal state, its
+// journal line, and its terminal event land under one hold of m.mu, so a
+// watcher that sees the job terminal also finds its last event.
 func (m *Manager) finish(id string, out any, err error) {
 	m.mu.Lock()
 	st, ok := m.jobs[id]
@@ -593,9 +601,8 @@ func (m *Manager) finish(id string, out any, err error) {
 		// Shutdown, not cancellation: back to queued so the journal resumes
 		// it on the next start. No terminal event — the job is not over.
 		st.rec.State = StateQueued
-		rec := st.rec
+		m.persistLocked(st.rec)
 		m.mu.Unlock()
-		m.persist(rec)
 		if m.m != nil {
 			m.m.requeued.Inc()
 		}
@@ -611,22 +618,23 @@ func (m *Manager) finish(id string, out any, err error) {
 		st.rec.Finished = now
 	}
 	rec := st.rec
-	m.mu.Unlock()
-	m.persist(rec)
+	m.persistLocked(rec)
 	switch rec.State {
 	case StateDone:
-		m.appendEvent(id, "result", rec.Result)
-		if m.m != nil {
-			m.m.done.Inc()
-		}
+		st.appendEvent("result", rec.Result)
 	case StateCanceled:
-		m.finalizeEvent(id, "error", map[string]any{"code": "canceled", "message": rec.Error})
-		if m.m != nil {
-			m.m.canceled.Inc()
-		}
+		st.appendEvent("error", errorEvent("canceled", rec.Error))
 	default:
-		m.finalizeEvent(id, "error", map[string]any{"code": "failed", "message": rec.Error})
-		if m.m != nil {
+		st.appendEvent("error", errorEvent("failed", rec.Error))
+	}
+	m.mu.Unlock()
+	if m.m != nil {
+		switch rec.State {
+		case StateDone:
+			m.m.done.Inc()
+		case StateCanceled:
+			m.m.canceled.Inc()
+		default:
 			m.m.failed.Inc()
 		}
 	}

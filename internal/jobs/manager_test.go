@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -368,6 +369,60 @@ func TestTerminalResultSurvivesRestart(t *testing.T) {
 
 // TestGracefulCloseRequeues: a Close (or Start-ctx cancellation) mid-run
 // journals the job back to queued instead of failing it.
+// TestJournalNeverLagsVisibleState: replay is last-wins, so a job seen done
+// must already be done in the journal. The probe polls each of 200 no-op
+// jobs until Get says done, then replays the journal at once: a state
+// published before its line is durable, or a queued line that lands after
+// the runner's lines, would bring the job back as queued or running and run
+// it again after a restart.
+func TestJournalNeverLagsVisibleState(t *testing.T) {
+	dir := t.TempDir()
+	m, err := NewManager(Options{
+		Runners: 1,
+		Dir:     dir,
+		Executors: map[string]Executor{
+			"noop": func(ctx context.Context, spec Spec, emit EmitFunc) (any, error) { return nil, nil },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.Start(ctx)
+
+	lagging := 0
+	for i := 0; i < 200; i++ {
+		rec, _, err := m.Submit("alice", specFor("noop", fmt.Sprintf(`{"n":%d}`, i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Spin rather than poll: the stale window is one fsync wide.
+		for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+			if r, _ := m.Get(rec.ID); r.State == StateDone {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d never finished", i)
+			}
+		}
+		recs, err := replayJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if r.ID == rec.ID && r.State != StateDone {
+				lagging++
+				t.Errorf("job %d is done in memory but %s in the journal", i, r.State)
+			}
+		}
+	}
+	if lagging > 0 {
+		t.Fatalf("%d of 200 done jobs replay in a stale state", lagging)
+	}
+}
+
 func TestGracefulCloseRequeues(t *testing.T) {
 	dir := t.TempDir()
 	started := make(chan struct{})

@@ -16,8 +16,8 @@ type Cache struct {
 	ways      int
 	blockBits uint
 	hitLat    int
-	tags      [][]uint64 // [set][way], 0 = invalid (tag stores addr|1)
-	lru       [][]uint32
+	tags      []uint64 // set-major [set*ways+way], 0 = invalid (tag stores addr|1)
+	lru       []uint32 // last-use clock, indexed like tags
 	clock     uint32
 
 	// Accesses and Misses count for reporting.
@@ -41,12 +41,8 @@ func NewCache(name string, size, ways, blockSize, hitLat int) *Cache {
 		ways:      ways,
 		blockBits: bits,
 		hitLat:    hitLat,
-		tags:      make([][]uint64, sets),
-		lru:       make([][]uint32, sets),
-	}
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.lru[i] = make([]uint32, ways)
+		tags:      make([]uint64, sets*ways),
+		lru:       make([]uint32, sets*ways),
 	}
 	return c
 }
@@ -58,21 +54,22 @@ func (c *Cache) Lookup(addr uint64) (lat int, miss bool) {
 	c.Accesses++
 	c.clock++
 	block := addr >> c.blockBits
-	set := int(block % uint64(c.sets))
+	base := int(block%uint64(c.sets)) * c.ways
+	tags, lru := c.tags[base:base+c.ways], c.lru[base:base+c.ways]
 	key := block<<1 | 1
 	victim := 0
-	for w := 0; w < c.ways; w++ {
-		if c.tags[set][w] == key {
-			c.lru[set][w] = c.clock
+	for w := range tags {
+		if tags[w] == key {
+			lru[w] = c.clock
 			return c.hitLat, false
 		}
-		if c.lru[set][w] < c.lru[set][victim] {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
 	c.Misses++
-	c.tags[set][victim] = key
-	c.lru[set][victim] = c.clock
+	tags[victim] = key
+	lru[victim] = c.clock
 	return c.hitLat, true
 }
 

@@ -33,6 +33,16 @@ func TestCacheLRUWithinSet(t *testing.T) {
 	}
 }
 
+// The tag and LRU arrays are one allocation each rather than one per set,
+// so a hierarchy that stays reachable gives the garbage collector no
+// per-set objects to trace.
+func TestNewCacheAllocsIndependentOfSets(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() { NewCache("l2", 4<<20, 2, 32, 12) })
+	if allocs > 3 {
+		t.Errorf("a 65536-set cache took %.0f allocations, want at most 3", allocs)
+	}
+}
+
 func TestCacheMissRate(t *testing.T) {
 	c := NewCache("t", 1<<10, 2, 32, 1)
 	c.Lookup(0)

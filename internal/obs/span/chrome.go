@@ -72,7 +72,7 @@ func WriteChrome(w io.Writer, td *TraceData) error {
 		}
 		p := pid[s.Process]
 		if s.Duration == 0 {
-			// Instant events (Event markers: steals, reassignments).
+			// Instant events (Event markers such as lease reassignments).
 			events = append(events, obs.ChromeEvent{
 				Name: s.Name, Ph: "i", Ts: ts, Pid: p, Tid: 0, Scope: "t",
 				Args: args,

@@ -1,6 +1,6 @@
 // Package span is the distributed-tracing layer: lightweight spans with
 // parent links that follow one request across processes — serve admission →
-// grid single-flight → shard scheduler → remote worker → sim and back.
+// grid single-flight → job queue → remote worker → sim and back.
 //
 // Design rules, in priority order:
 //
@@ -164,8 +164,8 @@ func (s *Span) SetAttr(key, value string) {
 }
 
 // Event records an instant (zero-duration) child span — for point-in-time
-// facts like a steal or a lease reassignment that have no extent of their
-// own but belong on the trace timeline.
+// facts like a lease reassignment that have no extent of their own but
+// belong on the trace timeline.
 func (s *Span) Event(name string, kv ...string) {
 	if s == nil {
 		return

@@ -253,7 +253,7 @@ func TestChromeExport(t *testing.T) {
 	worker := New(Options{Process: "w1"})
 	ctx, root := leader.StartRoot(context.Background(), "request")
 	_, sp := Start(ctx, "grid.run")
-	sp.Event("dist.steal", "worker", "w1")
+	sp.Event("dist.lease-reassign", "worker", "w1")
 	_, exec := worker.StartRemote(context.Background(), root.Context(), "worker.exec")
 	exec.End(nil)
 	leader.Ingest(worker.Collect(root.TraceID()))
@@ -307,7 +307,7 @@ func TestChromeExport(t *testing.T) {
 		}
 	}
 	if !sawInstant {
-		t.Error("steal event not exported as an instant")
+		t.Error("lease-reassign event not exported as an instant")
 	}
 }
 

@@ -287,19 +287,47 @@ func generateResult(p gen.Params) GenerateResponse {
 	return resp
 }
 
-// sseWriter emits Server-Sent Events with JSON payloads, flushing after
-// each so clients observe progress live.
-type sseWriter struct {
+// sseStream is one Server-Sent Events response: the only place serve
+// formats an event frame.
+type sseStream struct {
 	w http.ResponseWriter
 	f http.Flusher
 }
 
-func (s *sseWriter) event(name string, v any) error {
+// startSSE answers 200 with the event-stream headers. When w cannot stream
+// it writes the error response itself and reports false.
+func startSSE(w http.ResponseWriter) (*sseStream, bool) {
+	f, ok := w.(http.Flusher)
+	if !ok {
+		writeError(w, http.StatusInternalServerError, "internal", "response writer cannot stream")
+		return nil, false
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	return &sseStream{w: w, f: f}, true
+}
+
+// frame writes one event without flushing. id 0 omits the id: line; a
+// resumable stream numbers its events from 1.
+func (s *sseStream) frame(id int64, name string, data []byte) error {
+	if id > 0 {
+		if _, err := fmt.Fprintf(s.w, "id: %d\n", id); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data)
+	return err
+}
+
+// event writes v as one unnumbered JSON event and flushes it, so clients
+// observe progress live.
+func (s *sseStream) event(name string, v any) error {
 	blob, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, blob); err != nil {
+	if err := s.frame(0, name, blob); err != nil {
 		return err
 	}
 	s.f.Flush()
@@ -409,15 +437,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
 		return
 	}
-	flusher, ok := w.(http.Flusher)
+	sse, ok := startSSE(w)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "internal", "response writer cannot stream")
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	sse := &sseWriter{w: w, f: flusher}
 
 	ctx := r.Context()
 	var gone error

@@ -241,8 +241,8 @@ func generateExecutor() jobs.Executor {
 // experimentExecutor runs a named sweep, emitting progress deltas into the
 // job's event stream at the configured cadence. The terminal result carries a
 // zero Progress block: progress is observation, not outcome, and folding live
-// counters into the result would break the byte-identity that lets replicas
-// and restarts serve the same job from its stored bytes.
+// counters into the result would break the byte-identity that lets
+// restarts serve the same job from its stored bytes.
 func experimentExecutor(eng *grid.Engine, interval time.Duration) jobs.Executor {
 	return func(ctx context.Context, spec jobs.Spec, emit jobs.EmitFunc) (any, error) {
 		req, err := strictUnmarshal[ExperimentRequest](spec.Payload)
@@ -298,23 +298,10 @@ func (s *Server) pressure() int {
 	return d
 }
 
-// routeJob redirects a job request to the replica owning id (307 preserves
-// method and body). Reports true when the request was redirected; a nil ring
-// or single-replica deployment owns everything and never routes.
-func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, id string) bool {
-	if s.cfg.Ring.Owns(id) {
-		return false
-	}
-	owner := s.cfg.Ring.Owner(id)
-	http.Redirect(w, r, owner+r.URL.RequestURI(), http.StatusTemporaryRedirect)
-	return true
-}
-
 // handleJobSubmit accepts a job, answering 202 when this call scheduled new
 // work and 200 when an identical job already existed (queued, running, or
 // finished — the body's state says which). Submissions are rate limited per
-// tenant; on another replica's key the client is redirected before any
-// limiter token is spent.
+// tenant.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[JobSubmitRequest](w, r, s.cfg.MaxBodyBytes)
 	if !ok {
@@ -323,10 +310,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := canonicalJobSpec(req.Kind, req.Request)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
-	}
-	id := jobs.IDFor(spec)
-	if s.routeJob(w, r, id) {
 		return
 	}
 	tenant := tenantOf(r)
@@ -355,9 +338,6 @@ func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) (jobs.Recor
 	id := r.PathValue("id")
 	if err := jobs.ValidateID(id); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_id", err.Error())
-		return jobs.Record{}, false
-	}
-	if s.routeJob(w, r, id) {
 		return jobs.Record{}, false
 	}
 	rec, ok := s.cfg.Jobs.Get(id)
@@ -392,9 +372,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := jobs.ValidateID(id); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_id", err.Error())
-		return
-	}
-	if s.routeJob(w, r, id) {
 		return
 	}
 	rec, ok := s.cfg.Jobs.Cancel(id)
@@ -435,14 +412,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		writeError(w, http.StatusInternalServerError, "internal", "response writer cannot stream")
+	sse, ok := startSSE(w)
+	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
 
 	after := lastEventID(r)
 	for {
@@ -451,13 +424,13 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return // evicted mid-stream
 		}
 		for _, ev := range evs {
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Name, ev.Data); err != nil {
+			if err := sse.frame(ev.Seq, ev.Name, ev.Data); err != nil {
 				return
 			}
 			after = ev.Seq
 		}
 		if len(evs) > 0 {
-			flusher.Flush()
+			sse.f.Flush()
 		}
 		if terminal {
 			return

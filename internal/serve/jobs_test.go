@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,11 +13,9 @@ import (
 	"testing"
 	"time"
 
-	"multiscalar/internal/core"
 	"multiscalar/internal/grid"
 	"multiscalar/internal/jobs"
 	"multiscalar/internal/obs"
-	"multiscalar/internal/sim"
 )
 
 // newJobsServer builds a server with the async job subsystem wired the way
@@ -481,77 +478,5 @@ func TestJobSurvivesRestart(t *testing.T) {
 	}
 	if calls.Load() != simsBefore {
 		t.Fatalf("restart re-ran %d sims, want 0", calls.Load()-simsBefore)
-	}
-}
-
-// TestTwoReplicaRouting is the fleet acceptance: two replicas joined by a
-// consistent-hash ring behave as one surface. Every submission lands on the
-// key's owner (via 307 redirect) no matter which replica received it, both
-// entry points return byte-identical results, and those bytes equal a
-// single-server serial run of the same bodies.
-func TestTwoReplicaRouting(t *testing.T) {
-	// Deterministic sim that varies per machine config, so identical bytes
-	// across servers prove real agreement rather than a constant.
-	restore := grid.SetSimForTesting(func(part *core.Partition, cfg sim.Config) (*sim.Result, error) {
-		return &sim.Result{
-			IPC:    float64(cfg.NumPUs) + float64(len(part.Tasks))/1000,
-			Cycles: int64(cfg.NumPUs * 100),
-			Instrs: uint64(len(part.Tasks)),
-		}, nil
-	})
-	t.Cleanup(restore)
-
-	l1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	url1 := "http://" + l1.Addr().String()
-	url2 := "http://" + l2.Addr().String()
-	peers := []string{url1, url2}
-
-	mk := func(self string, l net.Listener) *Server {
-		srv, _, _ := newJobsServer(t, "", Config{Ring: jobs.NewRing(self, peers)})
-		go srv.Serve(l)
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		})
-		return srv
-	}
-	mk(url1, l1)
-	mk(url2, l2)
-	client := &http.Client{Timeout: 5 * time.Second}
-
-	bodies := make([]string, 6)
-	for i := range bodies {
-		bodies[i] = fmt.Sprintf(`{"kind":"simulate","request":{"workload":"compress","select":{},"machine":{"pus":%d}}}`, i+1)
-	}
-
-	// Serial reference: one standalone server runs the same bodies.
-	ref, _, _ := newJobsServer(t, "", Config{})
-	rs := httptest.NewServer(ref.Handler())
-	defer rs.Close()
-
-	for _, body := range bodies {
-		viaA := submitJob(t, client, url1, body)
-		doneA := pollJob(t, client, url1, viaA.ID)
-		viaB := submitJob(t, client, url2, body)
-		doneB := pollJob(t, client, url2, viaB.ID)
-		if viaA.ID != viaB.ID {
-			t.Fatalf("entry points disagree on job ID: %s vs %s", viaA.ID, viaB.ID)
-		}
-		if string(doneA.Result) != string(doneB.Result) {
-			t.Fatalf("replica results diverge:\nA: %s\nB: %s", doneA.Result, doneB.Result)
-		}
-		serial := submitJob(t, client, rs.URL, body)
-		doneSerial := pollJob(t, client, rs.URL, serial.ID)
-		if string(doneA.Result) != string(doneSerial.Result) {
-			t.Fatalf("fleet result diverges from serial run:\nfleet:  %s\nserial: %s", doneA.Result, doneSerial.Result)
-		}
 	}
 }

@@ -82,10 +82,6 @@ type Config struct {
 	// JobLimiter rate-limits job submissions per tenant (X-Api-Key header).
 	// Nil admits every submission.
 	JobLimiter *jobs.Limiter
-	// Ring, when non-nil, routes job requests to the replica owning each job
-	// ID (307 redirect), so a fleet of mssrv instances dedups as one surface.
-	// Nil serves every key locally.
-	Ring *jobs.Ring
 }
 
 // serveMetrics holds the server's registry handles, resolved once at New.
