@@ -89,7 +89,7 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
 		traceRun   = flag.Bool("trace", false, "trace the run end to end, spanning distributed workers (implied by -trace-out)")
 		traceOut   = flag.String("trace-out", "", "write the run's trace as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
-		submitURL  = flag.String("submit", "", "submit the experiment as an async job to this mssrv base URL instead of running locally, poll it to completion, and print the result")
+		submitURL  = flag.String("submit", "", "submit the experiment as a job to this mssrv base URL instead of running locally, stream its events to completion, and print the result")
 		apiKey     = flag.String("api-key", "", "X-Api-Key tenant header for -submit (default: the server's anonymous tenant)")
 	)
 	flag.Parse()
@@ -159,7 +159,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := runSubmit(ctx, *submitURL, *apiKey, req); err != nil {
+		if err := runSubmit(ctx, os.Stdout, os.Stderr, *submitURL, *apiKey, req); err != nil {
 			fatal(err)
 		}
 		return

@@ -1,13 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
@@ -36,123 +37,107 @@ func buildSubmitRequest(which, corpusArg string, policies, names []string, pus [
 }
 
 // runSubmit is msreport as a thin job client: POST the experiment to an
-// mssrv job surface, poll the record to a terminal state, and print the
-// result with the same formatters a local run uses. Submitting the same
-// flags twice hits the server's terminal cache, so a rerun costs one GET.
-func runSubmit(ctx context.Context, base, apiKey string, req serve.ExperimentRequest) error {
+// mssrv's /v1/experiment, which submits (or joins) the job and streams its
+// event log, and print the terminal result with the same formatters a local
+// run uses to stdout; the job's ID goes to stderr. Submitting the same flags
+// twice joins the finished job, whose stored log replays at once. If ctx
+// ends first, the job is canceled with a best-effort DELETE, so the server
+// stops burning runner time on a sweep nobody will read.
+func runSubmit(ctx context.Context, stdout, stderr io.Writer, base, apiKey string, req serve.ExperimentRequest) error {
 	base = strings.TrimRight(base, "/")
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	sub, err := json.Marshal(serve.JobSubmitRequest{Kind: "experiment", Request: body})
+	post, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/experiment", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	st, err := submitOnce(ctx, client, base, apiKey, sub)
+	post.Header.Set("Content-Type", "application/json")
+	if apiKey != "" {
+		post.Header.Set("X-Api-Key", apiKey)
+	}
+	resp, err := http.DefaultClient.Do(post)
 	if err != nil {
 		return err
-	}
-	fmt.Fprintf(os.Stderr, "submitted job %s (%s)\n", st.ID, st.State)
-
-	tick := time.NewTicker(500 * time.Millisecond)
-	defer tick.Stop()
-	for !terminalState(st.State) {
-		select {
-		case <-ctx.Done():
-			// Best-effort cancel so the server stops burning runner time on
-			// a sweep nobody will read. A fresh context: ours is done.
-			cancelCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
-			defer cancel()
-			del, _ := http.NewRequestWithContext(cancelCtx, http.MethodDelete, base+"/v1/jobs/"+st.ID, nil)
-			if resp, err := client.Do(del); err == nil {
-				resp.Body.Close()
-			}
-			return ctx.Err()
-		case <-tick.C:
-		}
-		if st, err = getJob(ctx, client, base, apiKey, st.ID); err != nil {
-			return err
-		}
-	}
-	if st.State != "done" {
-		return fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
-	}
-	return printJobResult(req, st.Result)
-}
-
-// submitOnce POSTs the job and decodes the accepted record. 202 means the
-// job was created; 200 means an identical job already exists (shared or
-// already finished) — both return the record to poll.
-func submitOnce(ctx context.Context, client *http.Client, base, apiKey string, body []byte) (serve.JobStatusResponse, error) {
-	var st serve.JobStatusResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
-		return st, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if apiKey != "" {
-		req.Header.Set("X-Api-Key", apiKey)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return st, fmt.Errorf("submit: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
-}
-
-// getJob polls one job record.
-func getJob(ctx context.Context, client *http.Client, base, apiKey, id string) (serve.JobStatusResponse, error) {
-	var st serve.JobStatusResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return st, err
-	}
-	if apiKey != "" {
-		req.Header.Set("X-Api-Key", apiKey)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return st, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return st, fmt.Errorf("poll: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+		return fmt.Errorf("submit: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	loc := resp.Header.Get("Location")
+	id := strings.TrimPrefix(loc, "/v1/jobs/")
+	fmt.Fprintf(stderr, "submitted job %s\n", id)
+
+	name, data, err := terminalEvent(resp.Body)
+	if ctx.Err() != nil {
+		// A fresh context: ours is done.
+		delCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
+		defer cancel()
+		del, _ := http.NewRequestWithContext(delCtx, http.MethodDelete, base+loc, nil)
+		if resp, err := http.DefaultClient.Do(del); err == nil {
+			resp.Body.Close()
+		}
+		return ctx.Err()
+	}
+	if err != nil {
+		return fmt.Errorf("job %s: %w", id, err)
+	}
+	if name == "error" {
+		var e struct{ Code, Message string }
+		if err := json.Unmarshal(data, &e); err != nil {
+			return fmt.Errorf("job %s: decode error event: %w", id, err)
+		}
+		return fmt.Errorf("job %s %s: %s", id, e.Code, e.Message)
+	}
+	return printJobResult(stdout, req, data)
 }
 
-func terminalState(s string) bool {
-	return s == "done" || s == "failed" || s == "canceled"
+// terminalEvent reads an SSE stream up to its terminal event — result or
+// error — and returns that event's name and data.
+func terminalEvent(r io.Reader) (name string, data []byte, err error) {
+	br := bufio.NewReader(r)
+	for {
+		line, err := br.ReadBytes('\n')
+		if errors.Is(err, io.EOF) {
+			return "", nil, errors.New("stream ended before the job finished")
+		}
+		if err != nil {
+			return "", nil, err
+		}
+		line = bytes.TrimSuffix(line, []byte("\n"))
+		switch {
+		case bytes.HasPrefix(line, []byte("event: ")):
+			name = string(line[len("event: "):])
+		case bytes.HasPrefix(line, []byte("data: ")) && (name == "result" || name == "error"):
+			return name, line[len("data: "):], nil
+		}
+	}
 }
 
 // printJobResult renders the async result with the local run's formatters,
 // so `msreport -submit URL` and plain `msreport` are diffable.
-func printJobResult(req serve.ExperimentRequest, raw json.RawMessage) error {
+func printJobResult(out io.Writer, req serve.ExperimentRequest, raw []byte) error {
 	var res serve.ExperimentResult
 	if err := json.Unmarshal(raw, &res); err != nil {
 		return fmt.Errorf("decode result: %w", err)
 	}
+	var text string
 	switch req.Name {
 	case "fig5":
-		fmt.Print(experiment.FormatFigure5(res.Cells))
+		text = experiment.FormatFigure5(res.Cells)
 	case "table1":
-		fmt.Print(experiment.FormatTable1(res.Rows))
+		text = experiment.FormatTable1(res.Rows)
 	case "summary":
-		fmt.Print(experiment.FormatSummary(res.Summaries))
+		text = experiment.FormatSummary(res.Summaries)
 	case "corpus":
 		spec := experiment.CorpusSpec{Seed: req.Seed, N: req.N, Policies: req.Policies}
-		fmt.Print(experiment.FormatCorpus(spec, res.Corpus))
+		text = experiment.FormatCorpus(spec, res.Corpus)
 	default:
 		// Future kinds fall back to the raw payload rather than guessing.
-		os.Stdout.Write(append(bytes.TrimSpace(raw), '\n'))
+		text = string(bytes.TrimSpace(raw)) + "\n"
 	}
-	return nil
+	_, err := io.WriteString(out, text)
+	return err
 }

@@ -1,17 +1,18 @@
 // Command mssrv serves the Multiscalar pipeline over HTTP: task selection
 // (POST /v1/partition), simulation (POST /v1/simulate), property-based
-// workload generation (POST /v1/generate), the paper's experiment grids and
-// the generated-corpus sweep with SSE progress (POST /v1/experiment), a
-// shared result cache (GET/PUT /v1/cache/{key}), plus /healthz and a
-// Prometheus /metrics scrape. All requests share one grid engine, so identical concurrent
+// workload generation (POST /v1/generate), a shared result cache
+// (GET/PUT /v1/cache/{key}), plus /healthz and a Prometheus /metrics
+// scrape. All requests share one grid engine, so identical concurrent
 // requests coalesce into a single simulation and warm results are served
 // from the cache tiers without touching a worker.
 //
-// Long sweeps can run asynchronously through the durable job surface
-// (POST /v1/jobs, GET /v1/jobs/{id}, SSE at /v1/jobs/{id}/events): jobs are
-// journaled under <cache-dir>/jobs and resume after a restart, and tenants
-// (X-Api-Key) share runner time by weighted fair queueing under optional
-// token-bucket submission limits.
+// The paper's experiment grids and the generated-corpus sweep run as jobs
+// on the durable job surface (POST /v1/jobs, GET /v1/jobs/{id}, SSE at
+// /v1/jobs/{id}/events): POST /v1/experiment submits (or joins) one and
+// streams its events. Jobs are journaled under <cache-dir>/jobs and resume
+// after a restart, and tenants (X-Api-Key) share runner time by weighted
+// fair queueing under optional token-bucket submission limits.
+// -jobs-runners 0 turns the job surface, /v1/experiment included, off.
 //
 // The cache is tiered: -lru puts a bounded in-memory tier in front, -cache-dir
 // adds the content-addressed disk store, and -remote-cache chains another
@@ -81,7 +82,7 @@ func main() {
 		metricsOut   = flag.String("metrics-out", "", "write the final metrics snapshot (Prometheus text format) to this file on exit (default: stderr)")
 		logFormat    = flag.String("log-format", "text", "structured log encoding: text or json")
 		traceRing    = flag.Int("trace-ring", 256, "flight-recorder capacity in completed traces; 0 disables tracing and the /debug surface")
-		jobsRunners  = flag.Int("jobs-runners", 2, "concurrent async job executions (0 disables the /v1/jobs surface)")
+		jobsRunners  = flag.Int("jobs-runners", 2, "concurrent async job executions (0 disables the /v1/jobs surface and /v1/experiment)")
 		tenantRPS    = flag.Float64("tenant-rps", 0, "per-tenant job submissions per second (0 = unlimited)")
 		tenantBurst  = flag.Float64("tenant-burst", 0, "per-tenant submission burst (default: -tenant-rps, min 1)")
 		tenantWeight = flag.String("tenant-weights", "", "per-tenant fair-share weights as name=weight pairs, comma-separated (unlisted tenants weigh 1)")
@@ -186,10 +187,7 @@ func main() {
 	if cache != nil {
 		cfg.Cache = cache
 		cfg.Backend = func(ctx context.Context) serve.BackendStatus {
-			return serve.BackendStatus{
-				CacheTiers:  tierStatus(cache.Health(ctx)),
-				DistWorkers: -1, // an mssrv instance leads no fleet
-			}
+			return serve.BackendStatus{CacheTiers: tierStatus(cache.Health(ctx))}
 		}
 	}
 	srv := serve.New(cfg)

@@ -39,7 +39,9 @@ import (
 //
 // v2: journaled simulate results embed the grid cache key, which
 // grid.SchemaVersion 4 changed; v1 records would serve v3 keys.
-const SchemaVersion = 2
+// v3: experiment results no longer carry a "progress" block; progress lives
+// only in the job's event stream.
+const SchemaVersion = 3
 
 // Spec is what a job runs: a kind (naming a registered executor) and the
 // canonical JSON payload the executor decodes. Callers must canonicalize the
@@ -110,8 +112,11 @@ type Record struct {
 
 // Event is one entry in a job's ordered progress stream. Seq starts at 1 and
 // increases without gaps within one process lifetime, so an SSE client that
-// reconnects with Last-Event-ID resumes exactly where it left off. Name is
-// the SSE event name ("progress", "result", "error"); Data is its JSON body.
+// reconnects with Last-Event-ID resumes exactly where it left off (see
+// Manager.EventsSince for a cursor from an earlier process). A retry of a
+// failed or canceled job starts a fresh stream numbered on from the old one.
+// Name is the SSE event name ("progress", "result", "error"); Data is its
+// JSON body.
 type Event struct {
 	Seq  int64           `json:"seq"`
 	Name string          `json:"name"`

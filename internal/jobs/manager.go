@@ -57,7 +57,8 @@ type Options struct {
 // process-local event stream and cancellation handle.
 type jobState struct {
 	rec      Record
-	events   []Event
+	events   []Event       // the current attempt's stream
+	seq      int64         // last Seq assigned; never reused within the process
 	notify   chan struct{} // closed and replaced on every append
 	cancel   context.CancelFunc
 	canceled bool // explicit DELETE, distinguishes cancel from shutdown
@@ -151,7 +152,9 @@ func NewManager(opts Options) (*Manager, error) {
 			st := &jobState{rec: rec, notify: make(chan struct{})}
 			switch {
 			case rec.State.Terminal():
-				// Served as-is; its result survived the restart.
+				// Served as-is; its result survived the restart, and its
+				// stream replays as the one terminal event.
+				st.appendTerminal()
 			default:
 				// queued stays queued; running was interrupted — either by a
 				// graceful shutdown (which already journaled it back to
@@ -288,6 +291,9 @@ func (m *Manager) Submit(tenant string, spec Spec) (Record, bool, error) {
 			st.rec.Result = nil
 			st.rec.Finished = time.Time{}
 			st.canceled = false
+			// The retry gets a fresh stream: a watcher joining now must not
+			// read the old attempt's terminal event as this one's.
+			st.events = nil
 			rec := st.rec
 			m.persistLocked(rec)
 			m.queue.enqueue(tenant, id, m.cost(spec), now)
@@ -390,24 +396,23 @@ func (m *Manager) Cancel(id string) (Record, bool) {
 	}
 	switch st.rec.State {
 	case StateQueued:
-		if m.queue.remove(id) {
-			st.rec.State = StateCanceled
-			st.rec.Error = "canceled before execution"
-			st.rec.Finished = time.Now()
-			st.canceled = true
-			rec := st.rec
-			m.persistLocked(rec)
-			st.appendEvent("error", errorEvent("canceled", rec.Error))
-			m.mu.Unlock()
-			if m.m != nil {
-				m.m.canceled.Inc()
-			}
-			m.gauges()
-			return rec, true
+		// A runner may already hold the ID between its dequeue and run();
+		// run() skips any job no longer queued under m.mu, so finalizing here
+		// is what makes the cancellation land either way.
+		m.queue.remove(id)
+		st.rec.State = StateCanceled
+		st.rec.Error = "canceled before execution"
+		st.rec.Finished = time.Now()
+		st.canceled = true
+		rec := st.rec
+		m.persistLocked(rec)
+		st.appendTerminal()
+		m.mu.Unlock()
+		if m.m != nil {
+			m.m.canceled.Inc()
 		}
-		// A runner grabbed it between our lock and the queue's: fall through
-		// to the running case so the cancellation still lands.
-		fallthrough
+		m.gauges()
+		return rec, true
 	case StateRunning:
 		st.canceled = true
 		if st.cancel != nil {
@@ -448,6 +453,12 @@ func (m *Manager) Stats() Stats {
 // closes when another event arrives, and whether the job is terminal. The
 // SSE handler loops on it: drain, flush, wait — and a client that
 // reconnects with Last-Event-ID=N simply calls EventsSince(id, N).
+//
+// Sequence numbers restart with each process, so a cursor may come from an
+// earlier one. Within a process st.seq never goes backwards, so a cursor
+// past it is such a cursor and replays from the start; and a cursor at the
+// end of a finished stream gets the terminal event again. Duplicates are the
+// safe failure mode; a stream that ends without its terminal event is not.
 func (m *Manager) EventsSince(id string, after int64) (evs []Event, more <-chan struct{}, terminal bool, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -455,12 +466,19 @@ func (m *Manager) EventsSince(id string, after int64) (evs []Event, more <-chan 
 	if !exists {
 		return nil, nil, false, false
 	}
+	if after > st.seq {
+		after = 0
+	}
 	for _, e := range st.events {
 		if e.Seq > after {
 			evs = append(evs, e)
 		}
 	}
-	return evs, st.notify, st.rec.State.Terminal(), true
+	terminal = st.rec.State.Terminal()
+	if terminal && len(evs) == 0 && len(st.events) > 0 {
+		evs = append(evs, st.events[len(st.events)-1])
+	}
+	return evs, st.notify, terminal, true
 }
 
 // appendEvent appends one event to a job's stream and wakes watchers.
@@ -475,9 +493,24 @@ func (m *Manager) appendEvent(id, name string, data json.RawMessage) {
 // appendEvent appends one event to the stream and wakes watchers; callers
 // hold m.mu.
 func (st *jobState) appendEvent(name string, data json.RawMessage) {
-	st.events = append(st.events, Event{Seq: int64(len(st.events)) + 1, Name: name, Data: data})
+	st.seq++
+	st.events = append(st.events, Event{Seq: st.seq, Name: name, Data: data})
 	close(st.notify)
 	st.notify = make(chan struct{})
+}
+
+// appendTerminal appends the event that ends the stream of a job in a
+// terminal state: its result, or an error naming how it ended. Callers hold
+// m.mu.
+func (st *jobState) appendTerminal() {
+	switch st.rec.State {
+	case StateDone:
+		st.appendEvent("result", st.rec.Result)
+	case StateCanceled:
+		st.appendEvent("error", errorEvent("canceled", st.rec.Error))
+	default:
+		st.appendEvent("error", errorEvent("failed", st.rec.Error))
+	}
 }
 
 // errorEvent is the payload of a job's terminal error event.
@@ -619,14 +652,7 @@ func (m *Manager) finish(id string, out any, err error) {
 	}
 	rec := st.rec
 	m.persistLocked(rec)
-	switch rec.State {
-	case StateDone:
-		st.appendEvent("result", rec.Result)
-	case StateCanceled:
-		st.appendEvent("error", errorEvent("canceled", rec.Error))
-	default:
-		st.appendEvent("error", errorEvent("failed", rec.Error))
-	}
+	st.appendTerminal()
 	m.mu.Unlock()
 	if m.m != nil {
 		switch rec.State {

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -204,6 +205,48 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if r, _ := m.Get(re.ID); r.Attempts != 1 {
 		t.Fatalf("attempts after requeue %d, want 1 (first attempt never ran)", r.Attempts)
 	}
+	// The retry's stream holds only its own result, numbered on from the
+	// canceled attempt's error event: a watcher joining from zero must not
+	// read the old attempt's end as this one's.
+	evs, _, _, _ = m.EventsSince(re.ID, 0)
+	if len(evs) != 1 || evs[0].Name != "result" || evs[0].Seq != 2 {
+		t.Fatalf("retry stream %+v, want one result event with seq 2", evs)
+	}
+}
+
+// TestCancelBetweenDequeueAndRun plays the runner by hand: a DELETE that
+// lands after a runner dequeued the job but before run() took the lock must
+// still cancel it, and run() must then skip it.
+func TestCancelBetweenDequeueAndRun(t *testing.T) {
+	var calls atomic.Int64
+	m, err := NewManager(Options{
+		Executors: map[string]Executor{
+			"echo": func(ctx context.Context, spec Spec, emit EmitFunc) (any, error) {
+				calls.Add(1)
+				return "ran", nil
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+
+	rec, _, _ := m.Submit("a", specFor("echo", `{}`))
+	id, _, ok := m.queue.dequeue()
+	if !ok || id != rec.ID {
+		t.Fatalf("dequeue = %q ok=%v, want %s", id, ok, rec.ID)
+	}
+	if got, _ := m.Cancel(id); got.State != StateCanceled {
+		t.Fatalf("Cancel after dequeue = %s, want canceled", got.State)
+	}
+	m.run(context.Background(), id)
+	if got, _ := m.Get(id); got.State != StateCanceled {
+		t.Fatalf("final state %s, want canceled", got.State)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("executor ran %d times after the cancel, want 0", n)
+	}
 }
 
 func TestFailureAndEvents(t *testing.T) {
@@ -320,6 +363,95 @@ func TestJournalResumeAfterCrash(t *testing.T) {
 	}
 }
 
+// TestOldCursorAfterRestart: event numbers restart with each process, so a
+// client that resumes with a Last-Event-ID from before a restart must still
+// reach the job's terminal event — for a job that finished before the
+// restart (its stream is then the one replayed terminal event) and for one
+// the restart requeued (its stream is then the new attempt's).
+func TestOldCursorAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	mk := func(second bool) *Manager {
+		m, err := NewManager(Options{
+			Runners: 1,
+			Dir:     dir,
+			Executors: map[string]Executor{
+				"done": func(ctx context.Context, spec Spec, emit EmitFunc) (any, error) {
+					for i := 0; i < 3; i++ {
+						emit("progress", i)
+					}
+					return "finished", nil
+				},
+				"requeued": func(ctx context.Context, spec Spec, emit EmitFunc) (any, error) {
+					emit("progress", "new attempt")
+					if !second {
+						for i := 0; i < 4; i++ {
+							emit("progress", i)
+						}
+						<-ctx.Done() // the shutdown requeues it
+						return nil, ctx.Err()
+					}
+					<-release
+					return "resumed", nil
+				},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a := mk(false)
+	actx, acancel := context.WithCancel(context.Background())
+	a.Start(actx)
+	done, _, _ := a.Submit("alice", specFor("done", `{}`))
+	requeued, _, _ := a.Submit("alice", specFor("requeued", `{}`))
+	waitFor(t, "first attempts", func() bool {
+		evs, _, _, _ := a.EventsSince(requeued.ID, 0)
+		r, _ := a.Get(done.ID)
+		return len(evs) == 5 && r.State == StateDone
+	})
+	acancel()
+	a.Close()
+
+	b := mk(true)
+	t.Cleanup(b.Close)
+	bctx, bcancel := context.WithCancel(context.Background())
+	defer bcancel()
+	b.Start(bctx)
+	hasResult := func(evs []Event) bool {
+		return len(evs) > 0 && evs[len(evs)-1].Name == "result"
+	}
+	// The finished job: its old stream ran to seq 4; every cursor a client
+	// can hold from it (it never saw the result) still gets the result.
+	for after := int64(0); after <= 4; after++ {
+		evs, _, terminal, _ := b.EventsSince(done.ID, after)
+		if !terminal || !hasResult(evs) {
+			t.Errorf("finished job, old cursor %d: %+v terminal=%v, want the result", after, evs, terminal)
+		}
+	}
+	// The requeued job: the old cursor 5 is past the new attempt's stream,
+	// so it reads that stream from its start, then its result.
+	waitFor(t, "new attempt started", func() bool {
+		evs, _, _, _ := b.EventsSince(requeued.ID, 0)
+		return len(evs) == 1
+	})
+	if evs, _, terminal, _ := b.EventsSince(requeued.ID, 5); terminal || len(evs) != 1 || evs[0].Seq != 1 {
+		t.Errorf("running job, old cursor 5: %+v terminal=%v, want the new attempt's event 1", evs, terminal)
+	}
+	close(release)
+	waitFor(t, "requeued job done", func() bool {
+		r, _ := b.Get(requeued.ID)
+		return r.State == StateDone
+	})
+	for after := int64(0); after <= 5; after++ {
+		evs, _, terminal, _ := b.EventsSince(requeued.ID, after)
+		if !terminal || !hasResult(evs) || string(evs[len(evs)-1].Data) != `"resumed"` {
+			t.Errorf("requeued job, old cursor %d: %+v terminal=%v, want the new result", after, evs, terminal)
+		}
+	}
+}
+
 // TestTerminalResultSurvivesRestart proves the other half of durability: a
 // finished job's result is served after a restart without re-running
 // anything.
@@ -364,6 +496,12 @@ func TestTerminalResultSurvivesRestart(t *testing.T) {
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("executor ran %d times across restart, want 1", n)
+	}
+	// The replayed job's stream is its terminal event, so a watcher that
+	// joins after the restart still reads the result.
+	evs, _, terminal, _ := b.EventsSince(rec.ID, 0)
+	if !terminal || len(evs) != 1 || evs[0].Name != "result" || string(evs[0].Data) != `"first"` {
+		t.Fatalf("post-restart stream %+v terminal=%v, want the one result event", evs, terminal)
 	}
 }
 
@@ -486,6 +624,71 @@ func TestJournalTolerantOfTornTail(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].ID != rec.ID || recs[0].State != StateDone {
 		t.Fatalf("replay over torn tail = %+v", recs)
+	}
+}
+
+// TestJournalTornAtEveryOffset cuts a journal holding one job's queued,
+// running and done lines at every byte of its last line. Only the cut that
+// drops just the newline leaves the done line whole; every other cut must
+// bring the job back queued, and once it re-runs the journal must replay
+// as that one job, done.
+func TestJournalTornAtEveryOffset(t *testing.T) {
+	echo := map[string]Executor{
+		"echo": func(ctx context.Context, spec Spec, emit EmitFunc) (any, error) { return "ok", nil },
+	}
+	src := t.TempDir()
+	m, err := NewManager(Options{Runners: 1, Dir: src, Executors: echo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.Start(ctx)
+	rec, _, _ := m.Submit("a", specFor("echo", `{}`))
+	waitFor(t, "done", func() bool {
+		r, _ := m.Get(rec.ID)
+		return r.State == StateDone
+	})
+	m.Close()
+	full, err := os.ReadFile(journalPath(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(full, []byte("\n")); n != 3 {
+		t.Fatalf("journal has %d lines, want queued, running, done", n)
+	}
+	last := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1
+
+	for cut := last; cut < len(full); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(journalPath(dir), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewManager(Options{Runners: 1, Dir: dir, Executors: echo})
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		want := StateQueued
+		if cut == len(full)-1 {
+			want = StateDone
+		}
+		if got, _ := m.Get(rec.ID); got.State != want {
+			m.Close()
+			t.Fatalf("cut %d of %d: replayed %s, want %s", cut, len(full), got.State, want)
+		}
+		m.Start(ctx)
+		waitFor(t, "re-run", func() bool {
+			r, _ := m.Get(rec.ID)
+			return r.State == StateDone
+		})
+		m.Close()
+		recs, err := replayJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].ID != rec.ID || recs[0].State != StateDone {
+			t.Fatalf("cut %d: second replay %+v, want one done record", cut, recs)
+		}
 	}
 }
 

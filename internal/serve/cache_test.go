@@ -118,7 +118,6 @@ func TestHealthzBackend(t *testing.T) {
 			{Tier: "lru", OK: true},
 			{Tier: "remote", OK: false, Err: "connection refused"},
 		},
-		DistWorkers: -1,
 	}
 	srv, _ := newTestServer(t, grid.Options{Workers: 1}, Config{
 		Backend: func(context.Context) BackendStatus { return backend },

@@ -98,7 +98,7 @@ func TestGeneratorInlineRequests(t *testing.T) {
 // TestGeneratorAndPolicyValidation pins the new 4xx surface: conflicting
 // program sources, unknown policies, negative budgets, and corpus bounds.
 func TestGeneratorAndPolicyValidation(t *testing.T) {
-	srv, eng := newTestServer(t, grid.Options{Workers: 1}, Config{})
+	srv, eng, _ := newJobsServer(t, "", Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -137,7 +137,7 @@ func TestGeneratorAndPolicyValidation(t *testing.T) {
 // endpoint and checks the scoreboard rows arrive with every arm.
 func TestCorpusExperimentSSE(t *testing.T) {
 	fastSim(t)
-	srv, _ := newTestServer(t, grid.Options{Workers: 4}, Config{})
+	srv, _, _ := newJobsServer(t, "", Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -146,7 +146,10 @@ func TestCorpusExperimentSSE(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d body %s", resp.StatusCode, body)
 	}
-	events := parseSSE(t, body)
+	events := readSSE(t, strings.NewReader(body), 0)
+	if len(events) == 0 {
+		t.Fatalf("empty stream")
+	}
 	last := events[len(events)-1]
 	if last.name != "result" {
 		t.Fatalf("terminal event %q, want result:\n%s", last.name, body)
@@ -170,7 +173,7 @@ func TestCorpusExperimentSSE(t *testing.T) {
 			t.Errorf("missing arm %q in %v", want, arms)
 		}
 	}
-	if res.Progress.JobsDone == 0 {
-		t.Errorf("terminal progress shows no work: %+v", res.Progress)
+	if p := lastProgress(t, events); p.JobsDone == 0 {
+		t.Errorf("last progress event shows no work: %+v", p)
 	}
 }

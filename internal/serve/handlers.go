@@ -5,14 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
-	"multiscalar/internal/core"
 	"multiscalar/internal/experiment"
 	"multiscalar/internal/gen"
 	"multiscalar/internal/grid"
 	"multiscalar/internal/ir"
+	"multiscalar/internal/jobs"
 	"multiscalar/internal/verify"
 )
 
@@ -33,14 +34,29 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
+// strictDecode is the one JSON decoder for request bodies and job payloads:
+// unknown fields and trailing data are errors, so a job payload passes
+// exactly the same gate as the synchronous endpoint's body.
+func strictDecode[T any](r io.Reader) (*T, error) {
+	v := new(T)
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return v, err
+	}
+	if dec.More() {
+		return v, errors.New("trailing data after JSON body")
+	}
+	return v, nil
+}
+
 // decode strictly parses a JSON request body: unknown fields, trailing data,
 // and oversized bodies are all rejected before any engine work starts. It
 // writes the error response itself and reports ok=false.
-func decode[T any](w http.ResponseWriter, r *http.Request, maxBytes int64) (v T, ok bool) {
+func decode[T any](w http.ResponseWriter, r *http.Request, maxBytes int64) (*T, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
+	v, err := strictDecode[T](r.Body)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
@@ -50,11 +66,18 @@ func decode[T any](w http.ResponseWriter, r *http.Request, maxBytes int64) (v T,
 		writeError(w, http.StatusBadRequest, "invalid_request", "decode request: "+err.Error())
 		return v, false
 	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "invalid_request", "trailing data after JSON body")
-		return v, false
-	}
 	return v, true
+}
+
+// writeCheckError answers a body its kind's check refused: 400 with the
+// check's error code, invalid_request unless the check names another.
+func writeCheckError(w http.ResponseWriter, err error) {
+	code := "invalid_request"
+	var re *requestError
+	if errors.As(err, &re) {
+		code = re.code
+	}
+	writeError(w, http.StatusBadRequest, code, err.Error())
 }
 
 // writeEngineError maps an engine failure onto the wire: a blown request
@@ -76,8 +99,10 @@ func (s *Server) writeEngineError(w http.ResponseWriter, r *http.Request, err er
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ok", http.StatusOK
-	if s.draining.Load() {
+	select {
+	case <-s.drained:
 		status, code = "draining", http.StatusServiceUnavailable
+	default:
 	}
 	resp := HealthResponse{
 		Status:   status,
@@ -167,40 +192,70 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[PartitionRequest](w, r, s.cfg.MaxBodyBytes)
-	if !ok {
-		return
+// request is one request kind's body. check validates it and resolves it in
+// place, into unexported fields the wire never sees: it is the kind's only
+// check, called by the sync endpoint, job submission and the job executor
+// alike, so every path accepts and refuses the same bodies with the same
+// error codes.
+type request interface {
+	check() error
+}
+
+// syncRequest is a checked kind with a synchronous endpoint. run is its
+// transport-free core, so a job and a direct request produce identical
+// bodies through the same engine (and therefore the same single-flight and
+// cache).
+type syncRequest interface {
+	request
+	run(ctx context.Context, eng *grid.Engine) (any, error)
+}
+
+// handleSync serves one synchronous request kind: strict decode, the kind's
+// check, then its work under the request's deadline.
+func handleSync[T any, PT interface {
+	*T
+	syncRequest
+}](s *Server) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, ok := decode[T](w, r, s.cfg.MaxBodyBytes)
+		if !ok {
+			return
+		}
+		if err := PT(req).check(); err != nil {
+			writeCheckError(w, err)
+			return
+		}
+		resp, err := PT(req).run(r.Context(), s.eng)
+		if err != nil {
+			s.writeEngineError(w, r, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
+}
+
+func (req *PartitionRequest) check() error {
 	opts, err := req.Select.core()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
+		return err
 	}
 	name, err := resolveWorkload(req.Workload, req.Generator)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "unknown_workload", err.Error())
-		return
+		return err
 	}
-	resp, err := partitionResult(r.Context(), s.eng, name, opts)
-	if err != nil {
-		s.writeEngineError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	req.name, req.opts = name, opts
+	return nil
 }
 
-// partitionResult is the transport-free core of /v1/partition, shared with
-// the async job executor so both paths produce identical bodies.
-func partitionResult(ctx context.Context, eng *grid.Engine, name string, opts core.Options) (PartitionResponse, error) {
-	part, err := eng.PartitionCtx(ctx, name, opts)
+func (req *PartitionRequest) run(ctx context.Context, eng *grid.Engine) (any, error) {
+	part, err := eng.PartitionCtx(ctx, req.name, req.opts)
 	if err != nil {
-		return PartitionResponse{}, err
+		return nil, err
 	}
 	findings := verify.Partition(part)
 	findings.Sort()
 	resp := PartitionResponse{
-		Workload:  name,
+		Workload:  req.name,
 		Heuristic: part.Heuristic.String(),
 		Policy:    part.Opts.Policy,
 		Tasks:     len(part.Tasks),
@@ -220,61 +275,44 @@ func partitionResult(ctx context.Context, eng *grid.Engine, name string, opts co
 	return resp, nil
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[SimulateRequest](w, r, s.cfg.MaxBodyBytes)
-	if !ok {
-		return
-	}
+func (req *SimulateRequest) check() error {
 	opts, err := req.Select.core()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
+		return err
 	}
 	cfg, err := req.Machine.config()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
+		return err
 	}
 	name, err := resolveWorkload(req.Workload, req.Generator)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "unknown_workload", err.Error())
-		return
+		return err
 	}
-	resp, err := simulateResult(r.Context(), s.eng, grid.Job{Workload: name, Select: opts, Config: cfg})
-	if err != nil {
-		s.writeEngineError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	req.job = grid.Job{Workload: name, Select: opts, Config: cfg}
+	return nil
 }
 
-// simulateResult is the transport-free core of /v1/simulate.
-func simulateResult(ctx context.Context, eng *grid.Engine, job grid.Job) (SimulateResponse, error) {
-	res, err := eng.RunCtx(ctx, job)
+func (req *SimulateRequest) run(ctx context.Context, eng *grid.Engine) (any, error) {
+	res, err := eng.RunCtx(ctx, req.job)
 	if err != nil {
-		return SimulateResponse{}, err
+		return nil, err
 	}
 	return SimulateResponse{
-		Workload: job.Workload,
-		Key:      grid.Key(job),
+		Workload: req.job.Workload,
+		Key:      grid.Key(req.job),
 		Result:   res,
 	}, nil
 }
 
-// handleGenerate materializes a property-based program: the response's
-// canonical name feeds straight back into /v1/partition, /v1/simulate, or a
-// CLI -workload flag, and the listing lets a client inspect (or archive)
-// exactly what that name denotes.
-func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[GenerateRequest](w, r, s.cfg.MaxBodyBytes)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, generateResult(req.Generator.params()))
-}
+// check accepts every generator spec: the generator clamps its parameters.
+func (req *GenerateRequest) check() error { return nil }
 
-// generateResult is the transport-free core of /v1/generate.
-func generateResult(p gen.Params) GenerateResponse {
+// run materializes the program. The response's canonical name feeds
+// straight back into /v1/partition, /v1/simulate, or a CLI -workload flag,
+// and the listing lets a client inspect (or archive) exactly what that name
+// denotes.
+func (req *GenerateRequest) run(context.Context, *grid.Engine) (any, error) {
+	p := req.Generator.params()
 	prog := gen.Generate(p)
 	resp := GenerateResponse{Name: p.Key(), Program: ir.Format(prog)}
 	for _, fn := range prog.Fns {
@@ -284,73 +322,44 @@ func generateResult(p gen.Params) GenerateResponse {
 			resp.Instrs += len(b.Instrs)
 		}
 	}
-	return resp
+	return resp, nil
 }
 
-// sseStream is one Server-Sent Events response: the only place serve
-// formats an event frame.
-type sseStream struct {
-	w http.ResponseWriter
-	f http.Flusher
-}
+// maxCorpusN bounds the corpus size a single request may ask for, the same
+// way maxPUs bounds machine size.
+const maxCorpusN = 1000
 
-// startSSE answers 200 with the event-stream headers. When w cannot stream
-// it writes the error response itself and reports false.
-func startSSE(w http.ResponseWriter) (*sseStream, bool) {
-	f, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "internal", "response writer cannot stream")
-		return nil, false
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	return &sseStream{w: w, f: f}, true
-}
-
-// frame writes one event without flushing. id 0 omits the id: line; a
-// resumable stream numbers its events from 1.
-func (s *sseStream) frame(id int64, name string, data []byte) error {
-	if id > 0 {
-		if _, err := fmt.Fprintf(s.w, "id: %d\n", id); err != nil {
-			return err
+// check validates the sweep. It has no synchronous endpoint: it runs only
+// inside a job, whose event stream takes the progress (see Executors).
+func (req *ExperimentRequest) check() error {
+	switch req.Name {
+	case "fig5", "table1", "summary":
+		for _, n := range req.Workloads {
+			if err := validateWorkload(n); err != nil {
+				return err
+			}
 		}
+		for _, n := range req.PUs {
+			if n < 1 || n > maxPUs {
+				return fmt.Errorf("pus %d out of range [1,%d]", n, maxPUs)
+			}
+		}
+	case "corpus":
+		if req.N < 0 || req.N > maxCorpusN {
+			return fmt.Errorf("corpus n %d out of range [0,%d]", req.N, maxCorpusN)
+		}
+		for _, p := range req.Policies {
+			if err := validatePolicy(p); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("unknown experiment %q (want fig5, table1, summary, or corpus)", req.Name)
 	}
-	_, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data)
-	return err
-}
-
-// event writes v as one unnumbered JSON event and flushes it, so clients
-// observe progress live.
-func (s *sseStream) event(name string, v any) error {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if err := s.frame(0, name, blob); err != nil {
-		return err
-	}
-	s.f.Flush()
 	return nil
 }
 
-// progressSince reports engine activity as deltas against the counters at
-// request start — with a shared engine, absolute counters mix every
-// client's work together.
-func progressSince(base, now grid.Stats, start time.Time) Progress {
-	d := now.Delta(base)
-	return Progress{
-		JobsDone:  d.Done,
-		Sims:      d.Sims,
-		CacheHits: d.CacheHits,
-		Deduped:   d.Deduped,
-		ElapsedMS: time.Since(start).Milliseconds(),
-	}
-}
-
-// runExperiment is the transport-free core of /v1/experiment: one named
-// figure/table/corpus sweep through the engine. Shared by the SSE handler
-// and the async job executor.
+// runExperiment runs one named figure/table/corpus sweep through the engine.
 func runExperiment(ctx context.Context, eng *grid.Engine, req ExperimentRequest) (ExperimentResult, error) {
 	runner := experiment.NewRunnerOn(eng).WithContext(ctx)
 	out := ExperimentResult{Name: req.Name}
@@ -378,88 +387,54 @@ func runExperiment(ctx context.Context, eng *grid.Engine, req ExperimentRequest)
 	return out, err
 }
 
-// runWithProgress is the one experiment progress loop, shared by the SSE
-// handler and the job executor. It runs req on eng in a goroutine and passes
-// report the engine's activity since the start — once immediately, then
-// every interval — until the run ends or ctx does, and returns the result
-// with its closing Progress block. A report error (the client is gone) is
-// returned at once; the run still ends with ctx and drains into a buffered
-// channel.
+// runWithProgress is the one experiment progress loop. It runs req on eng in
+// a goroutine and emits the engine's activity since the start as a
+// `progress` event — once immediately, then every interval, and once more
+// when the run ends, so the last progress event counts all of the sweep's
+// work. Activity is a delta against the counters at the start: with a shared
+// engine, absolute counters mix every client's work together. The run ends
+// with ctx: the runner unwinds promptly once it does.
 func runWithProgress(ctx context.Context, eng *grid.Engine, req ExperimentRequest,
-	interval time.Duration, report func(Progress) error) (ExperimentResult, error) {
-	base := eng.Stats()
-	start := time.Now()
-	type outcome struct {
-		result ExperimentResult
-		err    error
+	interval time.Duration, emit jobs.EmitFunc) (res ExperimentResult, err error) {
+	base, start := eng.Stats(), time.Now()
+	report := func() {
+		d := eng.Stats().Delta(base)
+		emit("progress", Progress{JobsDone: d.Done, Sims: d.Sims, CacheHits: d.CacheHits,
+			Deduped: d.Deduped, ElapsedMS: time.Since(start).Milliseconds()})
 	}
-	done := make(chan outcome, 1)
+	done := make(chan struct{})
 	go func() {
-		res, err := runExperiment(ctx, eng, req)
-		done <- outcome{result: res, err: err}
+		defer close(done)
+		res, err = runExperiment(ctx, eng, req)
 	}()
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	if err := report(progressSince(base, eng.Stats(), start)); err != nil {
-		return ExperimentResult{}, err
-	}
-	var o outcome
-loop:
+	report()
 	for {
 		select {
-		case o = <-done:
-			break loop
-		case <-ctx.Done():
-			o = <-done // the runner unwinds promptly once ctx ends
-			break loop
+		case <-done:
+			report()
+			return res, err
 		case <-tick.C:
-			if err := report(progressSince(base, eng.Stats(), start)); err != nil {
-				return ExperimentResult{}, err
-			}
+			report()
 		}
 	}
-	if o.err != nil {
-		return ExperimentResult{}, o.err
-	}
-	o.result.Progress = progressSince(base, eng.Stats(), start)
-	return o.result, nil
 }
 
-// handleExperiment streams a named experiment over SSE: `progress` events at
-// the configured cadence (one immediately, so even instant runs stream at
-// least one), then a terminal `result` event — or `error` on failure.
+// handleExperiment submits (or joins) the experiment job the body names and
+// streams that job's event log, frame for frame what GET
+// /v1/jobs/{id}/events replays. The sweep belongs to the job, not the
+// connection: a client that goes away leaves it running for whoever else
+// joined it, and DELETE /v1/jobs/{id} ends it.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[ExperimentRequest](w, r, s.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
-	}
-	sse, ok := startSSE(w)
+	rec, _, ok := s.submit(w, r, "experiment", req)
 	if !ok {
 		return
 	}
-
-	ctx := r.Context()
-	var gone error
-	res, err := runWithProgress(ctx, s.eng, req, s.cfg.ProgressInterval, func(p Progress) error {
-		gone = sse.event("progress", p)
-		return gone
-	})
-	switch {
-	case gone != nil:
-		// Client gone: the runner's ctx cancels with the request. Nothing
-		// more to write.
-	case err != nil:
-		code, status := "internal", "experiment failed"
-		if errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
-			code, status = "deadline_exceeded", "request deadline exceeded"
-		}
-		s.log.Error("experiment_error", "name", req.Name, "err", err.Error())
-		sse.event("error", ErrorBody{Error: ErrorDetail{Code: code, Message: status + ": " + err.Error()}})
-	default:
-		sse.event("result", res)
-	}
+	w.Header().Set("Location", "/v1/jobs/"+rec.ID)
+	s.streamEvents(w, r, rec.ID, 0)
 }

@@ -18,6 +18,7 @@ import (
 // the same request bodies as the synchronous endpoints but returns a job ID
 // immediately; GET /v1/jobs/{id} polls status, GET /v1/jobs/{id}/events
 // streams progress over SSE (resumable via Last-Event-ID), DELETE cancels.
+// POST /v1/experiment is a submission that streams its job's events at once.
 // Job identity is the content address of the canonicalized request, so two
 // tenants submitting the same sweep share one execution and a resubmission
 // after the job finished returns the stored result without running anything.
@@ -81,97 +82,48 @@ type JobsStatus struct {
 	OldestQueuedMS int64 `json:"oldest_queued_ms"`
 }
 
-// strictUnmarshal is decode's transport-free twin: unknown fields and
-// trailing data are errors, so a job payload passes exactly the same gate as
-// the synchronous endpoint's body.
-func strictUnmarshal[T any](raw []byte) (T, error) {
-	var v T
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		return v, err
-	}
-	if dec.More() {
-		return v, fmt.Errorf("trailing data after JSON body")
-	}
-	return v, nil
+// kinds names every request kind and strictly decodes its body: the one
+// table job submission and the executors dispatch on.
+var kinds = map[string]func(raw []byte) (request, error){
+	"partition":  decodeAs[PartitionRequest],
+	"simulate":   decodeAs[SimulateRequest],
+	"generate":   decodeAs[GenerateRequest],
+	"experiment": decodeAs[ExperimentRequest],
 }
 
-// canonicalJobSpec validates a submission and re-marshals the typed request,
-// so formatting differences — field order, whitespace, absent-vs-zero fields
-// — never split identical work across distinct job IDs.
-func canonicalJobSpec(kind string, raw json.RawMessage) (jobs.Spec, error) {
-	if len(raw) == 0 {
-		return jobs.Spec{}, fmt.Errorf("missing request body for kind %q", kind)
-	}
-	var canon any
-	switch kind {
-	case "partition":
-		req, err := strictUnmarshal[PartitionRequest](raw)
-		if err != nil {
-			return jobs.Spec{}, err
-		}
-		if _, err := req.Select.core(); err != nil {
-			return jobs.Spec{}, err
-		}
-		if _, err := resolveWorkload(req.Workload, req.Generator); err != nil {
-			return jobs.Spec{}, err
-		}
-		canon = req
-	case "simulate":
-		req, err := strictUnmarshal[SimulateRequest](raw)
-		if err != nil {
-			return jobs.Spec{}, err
-		}
-		if _, err := req.Select.core(); err != nil {
-			return jobs.Spec{}, err
-		}
-		if _, err := req.Machine.config(); err != nil {
-			return jobs.Spec{}, err
-		}
-		if _, err := resolveWorkload(req.Workload, req.Generator); err != nil {
-			return jobs.Spec{}, err
-		}
-		canon = req
-	case "generate":
-		req, err := strictUnmarshal[GenerateRequest](raw)
-		if err != nil {
-			return jobs.Spec{}, err
-		}
-		canon = req
-	case "experiment":
-		req, err := strictUnmarshal[ExperimentRequest](raw)
-		if err != nil {
-			return jobs.Spec{}, err
-		}
-		if err := req.validate(); err != nil {
-			return jobs.Spec{}, err
-		}
-		canon = req
-	default:
-		return jobs.Spec{}, fmt.Errorf("unknown job kind %q (want partition, simulate, generate, or experiment)", kind)
-	}
-	blob, err := json.Marshal(canon)
-	if err != nil {
-		return jobs.Spec{}, fmt.Errorf("canonicalize request: %w", err)
-	}
-	return jobs.Spec{Kind: kind, Payload: blob}, nil
+func decodeAs[T any, PT interface {
+	*T
+	request
+}](raw []byte) (request, error) {
+	v, err := strictDecode[T](bytes.NewReader(raw))
+	return PT(v), err
 }
 
-// Executors builds the job-kind registry the manager runs: each executor is
-// the transport-free core of the matching synchronous handler, so a job and
-// a direct request produce identical result bodies through the same engine
-// (and therefore the same single-flight and cache).
+// Executors builds the job-kind registry the manager runs: each executor
+// decodes its payload and runs the kind's check, then runs it on eng — a
+// sync kind through its endpoint's run, an experiment with a progress event
+// every progressInterval, which must be positive.
 func Executors(eng *grid.Engine, progressInterval time.Duration) map[string]jobs.Executor {
 	if progressInterval <= 0 {
-		progressInterval = 500 * time.Millisecond
+		panic("serve: Executors needs a positive progress interval")
 	}
-	return map[string]jobs.Executor{
-		"partition":  partitionExecutor(eng),
-		"simulate":   simulateExecutor(eng),
-		"generate":   generateExecutor(),
-		"experiment": experimentExecutor(eng, progressInterval),
+	out := make(map[string]jobs.Executor, len(kinds))
+	for kind, parse := range kinds {
+		out[kind] = func(ctx context.Context, spec jobs.Spec, emit jobs.EmitFunc) (any, error) {
+			req, err := parse(spec.Payload)
+			if err != nil {
+				return nil, fmt.Errorf("decode job payload: %w", err)
+			}
+			if err := req.check(); err != nil {
+				return nil, err
+			}
+			if exp, ok := req.(*ExperimentRequest); ok {
+				return runWithProgress(ctx, eng, *exp, progressInterval, emit)
+			}
+			return req.(syncRequest).run(ctx, eng)
+		}
 	}
+	return out
 }
 
 // JobCost estimates relative fair-queue cost per kind: an experiment sweep
@@ -185,79 +137,6 @@ func JobCost(spec jobs.Spec) float64 {
 		return 2
 	default:
 		return 1
-	}
-}
-
-func partitionExecutor(eng *grid.Engine) jobs.Executor {
-	return func(ctx context.Context, spec jobs.Spec, emit jobs.EmitFunc) (any, error) {
-		req, err := strictUnmarshal[PartitionRequest](spec.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("decode job payload: %w", err)
-		}
-		opts, err := req.Select.core()
-		if err != nil {
-			return nil, err
-		}
-		name, err := resolveWorkload(req.Workload, req.Generator)
-		if err != nil {
-			return nil, err
-		}
-		return partitionResult(ctx, eng, name, opts)
-	}
-}
-
-func simulateExecutor(eng *grid.Engine) jobs.Executor {
-	return func(ctx context.Context, spec jobs.Spec, emit jobs.EmitFunc) (any, error) {
-		req, err := strictUnmarshal[SimulateRequest](spec.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("decode job payload: %w", err)
-		}
-		opts, err := req.Select.core()
-		if err != nil {
-			return nil, err
-		}
-		cfg, err := req.Machine.config()
-		if err != nil {
-			return nil, err
-		}
-		name, err := resolveWorkload(req.Workload, req.Generator)
-		if err != nil {
-			return nil, err
-		}
-		return simulateResult(ctx, eng, grid.Job{Workload: name, Select: opts, Config: cfg})
-	}
-}
-
-func generateExecutor() jobs.Executor {
-	return func(ctx context.Context, spec jobs.Spec, emit jobs.EmitFunc) (any, error) {
-		req, err := strictUnmarshal[GenerateRequest](spec.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("decode job payload: %w", err)
-		}
-		return generateResult(req.Generator.params()), nil
-	}
-}
-
-// experimentExecutor runs a named sweep, emitting progress deltas into the
-// job's event stream at the configured cadence. The terminal result carries a
-// zero Progress block: progress is observation, not outcome, and folding live
-// counters into the result would break the byte-identity that lets
-// restarts serve the same job from its stored bytes.
-func experimentExecutor(eng *grid.Engine, interval time.Duration) jobs.Executor {
-	return func(ctx context.Context, spec jobs.Spec, emit jobs.EmitFunc) (any, error) {
-		req, err := strictUnmarshal[ExperimentRequest](spec.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("decode job payload: %w", err)
-		}
-		res, err := runWithProgress(ctx, eng, req, interval, func(p Progress) error {
-			emit("progress", p)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Progress = Progress{}
-		return res, nil
 	}
 }
 
@@ -298,19 +177,20 @@ func (s *Server) pressure() int {
 	return d
 }
 
-// handleJobSubmit accepts a job, answering 202 when this call scheduled new
-// work and 200 when an identical job already existed (queued, running, or
-// finished — the body's state says which). Submissions are rate limited per
-// tenant.
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[JobSubmitRequest](w, r, s.cfg.MaxBodyBytes)
-	if !ok {
-		return
+// submit checks req, applies the tenant's submission limit, and submits (or
+// joins) the job req names. It writes any error response itself and reports
+// ok=false.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, req request) (rec jobs.Record, created, ok bool) {
+	if err := req.check(); err != nil {
+		writeCheckError(w, err)
+		return rec, false, false
 	}
-	spec, err := canonicalJobSpec(req.Kind, req.Request)
+	// The payload is the re-marshaled typed request, so formatting
+	// differences — field order, whitespace, absent-vs-zero fields — never
+	// split identical work across distinct job IDs.
+	payload, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
+		panic(fmt.Sprintf("serve: canonicalize %s request: %v", kind, err))
 	}
 	tenant := tenantOf(r)
 	if allowed, retry := s.cfg.JobLimiter.Allow(tenant); !allowed {
@@ -318,11 +198,43 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(floor, s.pressure())))
 		writeError(w, http.StatusTooManyRequests, "rate_limited",
 			fmt.Sprintf("tenant %q exceeded its submission rate; retry later", tenant))
-		return
+		return rec, false, false
 	}
-	rec, created, err := s.cfg.Jobs.Submit(tenant, spec)
+	rec, created, err = s.cfg.Jobs.Submit(tenant, jobs.Spec{Kind: kind, Payload: payload})
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
+		return rec, false, false
+	}
+	return rec, created, true
+}
+
+// handleJobSubmit accepts a job, answering 202 when this call scheduled new
+// work and 200 when an identical job already existed (queued, running, or
+// finished — the body's state says which). Submissions are rate limited per
+// tenant.
+func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	sub, ok := decode[JobSubmitRequest](w, r, s.cfg.MaxBodyBytes)
+	if !ok {
+		return
+	}
+	if len(sub.Request) == 0 {
+		writeError(w, http.StatusBadRequest, "invalid_request",
+			fmt.Sprintf("missing request body for kind %q", sub.Kind))
+		return
+	}
+	parse, known := kinds[sub.Kind]
+	if !known {
+		writeError(w, http.StatusBadRequest, "invalid_request",
+			fmt.Sprintf("unknown job kind %q (want partition, simulate, generate, or experiment)", sub.Kind))
+		return
+	}
+	req, err := parse(sub.Request)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid_request", "decode request: "+err.Error())
+		return
+	}
+	rec, created, ok := s.submit(w, r, sub.Kind, req)
+	if !ok {
 		return
 	}
 	status := http.StatusOK
@@ -401,36 +313,44 @@ func lastEventID(r *http.Request) int64 {
 	return n
 }
 
-// handleJobEvents streams a job's event log over SSE from the client's
-// cursor: progress deltas while it runs, then the terminal result or error
-// event. Every event carries its sequence as the SSE id, so a dropped
-// connection resumes exactly — reconnect with Last-Event-ID=N and the stream
-// continues at N+1, no duplicates, no gaps. Streams on terminal jobs replay
-// the retained log and close.
+// handleJobEvents streams a job's event log from the client's cursor.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	rec, ok := s.jobFromPath(w, r)
 	if !ok {
 		return
 	}
-	sse, ok := startSSE(w)
+	s.streamEvents(w, r, rec.ID, lastEventID(r))
+}
+
+// streamEvents answers 200 text/event-stream with job id's event log after
+// the cursor: progress deltas while it runs, then the terminal result or
+// error event. Every event carries its sequence as the SSE id, so a dropped
+// connection resumes exactly — reconnect with Last-Event-ID=N and the stream
+// continues at N+1, no duplicates, no gaps. Streams on terminal jobs replay
+// the retained log and close. This is the only place serve writes an event.
+func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, id string, after int64) {
+	f, ok := w.(http.Flusher)
 	if !ok {
+		writeError(w, http.StatusInternalServerError, "internal", "response writer cannot stream")
 		return
 	}
-
-	after := lastEventID(r)
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	f.Flush() // the client learns its job (Location) even while it queues
 	for {
-		evs, more, terminal, ok := s.cfg.Jobs.EventsSince(rec.ID, after)
+		evs, more, terminal, ok := s.cfg.Jobs.EventsSince(id, after)
 		if !ok {
 			return // evicted mid-stream
 		}
 		for _, ev := range evs {
-			if err := sse.frame(ev.Seq, ev.Name, ev.Data); err != nil {
+			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Name, ev.Data); err != nil {
 				return
 			}
 			after = ev.Seq
 		}
 		if len(evs) > 0 {
-			sse.f.Flush()
+			f.Flush()
 		}
 		if terminal {
 			return
@@ -439,6 +359,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		case <-more:
 		case <-r.Context().Done():
 			return
+		case <-s.drained:
+			return // the drain must not wait on a job the shutdown requeues
 		}
 	}
 }

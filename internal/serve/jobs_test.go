@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -44,9 +45,6 @@ func newJobsServer(t *testing.T, dir string, cfg Config) (*Server, *grid.Engine,
 	cfg.Engine = eng
 	cfg.Metrics = reg
 	cfg.Jobs = mgr
-	if cfg.ProgressInterval == 0 {
-		cfg.ProgressInterval = 10 * time.Millisecond
-	}
 	return New(cfg), eng, mgr
 }
 
@@ -124,20 +122,24 @@ func TestJobValidationAndRoutes(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// Submissions answer with the sync endpoints' error codes.
 	cases := []struct {
 		body string
 		want int
+		code string
 	}{
-		{`{"kind":"nope","request":{}}`, http.StatusBadRequest},
-		{`{"kind":"simulate"}`, http.StatusBadRequest},
-		{`{"kind":"simulate","request":{"workload":"not-a-workload"}}`, http.StatusBadRequest},
-		{`{"kind":"experiment","request":{"name":"corpus","n":99999}}`, http.StatusBadRequest},
-		{`{"kind":"simulate","request":` + simBody + `,"extra":1}`, http.StatusBadRequest},
+		{`{"kind":"nope","request":{}}`, http.StatusBadRequest, "invalid_request"},
+		{`{"kind":"simulate"}`, http.StatusBadRequest, "invalid_request"},
+		{`{"kind":"simulate","request":{"workload":"not-a-workload"}}`, http.StatusBadRequest, "unknown_workload"},
+		{`{"kind":"experiment","request":{"name":"corpus","n":99999}}`, http.StatusBadRequest, "invalid_request"},
+		{`{"kind":"simulate","request":` + simBody + `,"extra":1}`, http.StatusBadRequest, "invalid_request"},
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/jobs", c.body)
-		if resp.StatusCode != c.want {
-			t.Errorf("POST %s = %d (%s), want %d", c.body, resp.StatusCode, body, c.want)
+		var eb ErrorBody
+		json.Unmarshal([]byte(body), &eb)
+		if resp.StatusCode != c.want || eb.Error.Code != c.code {
+			t.Errorf("POST %s = %d (%s), want %d %s", c.body, resp.StatusCode, body, c.want, c.code)
 		}
 	}
 
@@ -170,7 +172,7 @@ func TestJobValidationAndRoutes(t *testing.T) {
 	}
 }
 
-// jobEvent is one parsed SSE frame (with its id line, unlike serve_test's sseEvent).
+// jobEvent is one parsed SSE frame.
 type jobEvent struct {
 	id   int64
 	name string
@@ -178,11 +180,14 @@ type jobEvent struct {
 }
 
 // readSSE parses frames from r until limit events are read (0 = until EOF).
+// A frame holds only id:, event: and data: lines and ends at a blank line;
+// anything else is an error.
 func readSSE(t *testing.T, r io.Reader, limit int) []jobEvent {
 	t.Helper()
 	var (
-		out []jobEvent
-		cur jobEvent
+		out   []jobEvent
+		cur   jobEvent
+		empty = true
 	)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -190,20 +195,33 @@ func readSSE(t *testing.T, r io.Reader, limit int) []jobEvent {
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "id: "):
-			cur.id, _ = strconv.ParseInt(strings.TrimPrefix(line, "id: "), 10, 64)
-		case strings.HasPrefix(line, "event: "):
-			cur.name = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			cur.data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			if cur.name != "" {
-				out = append(out, cur)
-				cur = jobEvent{}
-				if limit > 0 && len(out) >= limit {
-					return out
-				}
+			n, err := strconv.ParseInt(strings.TrimPrefix(line, "id: "), 10, 64)
+			if err != nil {
+				t.Errorf("bad SSE id line %q", line)
 			}
+			cur.id, empty = n, false
+		case strings.HasPrefix(line, "event: "):
+			cur.name, empty = strings.TrimPrefix(line, "event: "), false
+		case strings.HasPrefix(line, "data: "):
+			cur.data, empty = strings.TrimPrefix(line, "data: "), false
+		case line == "":
+			if empty {
+				continue
+			}
+			if cur.name == "" {
+				t.Errorf("SSE frame without an event name: %+v", cur)
+			}
+			out = append(out, cur)
+			cur, empty = jobEvent{}, true
+			if limit > 0 && len(out) >= limit {
+				return out
+			}
+		default:
+			t.Errorf("unexpected SSE line %q", line)
 		}
+	}
+	if !empty {
+		t.Errorf("unterminated SSE frame at EOF: %+v", cur)
 	}
 	return out
 }
@@ -344,6 +362,13 @@ func TestRetryAfterAlwaysParseable(t *testing.T) {
 		}
 		parsePositive(resp)
 	}
+	// /v1/experiment is a submission too: past the full admission gate, the
+	// same tenant's limit answers it.
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/experiment", `{"name":"fig5","workloads":["fpppp"]}`)
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(body, "rate_limited") {
+		t.Fatalf("limited experiment status %d body %s, want 429 rate_limited", resp.StatusCode, body)
+	}
+	parsePositive(resp)
 
 	// Distinct tenants get distinct buckets.
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs",
@@ -478,5 +503,43 @@ func TestJobSurvivesRestart(t *testing.T) {
 	}
 	if calls.Load() != simsBefore {
 		t.Fatalf("restart re-ran %d sims, want 0", calls.Load()-simsBefore)
+	}
+}
+
+// TestShutdownEndsEventStreams: a drain does not wait on open job streams.
+// Their jobs belong to the manager, which requeues them when it stops, so a
+// stream would otherwise hold Shutdown until its deadline.
+func TestShutdownEndsEventStreams(t *testing.T) {
+	release, calls := gateSim(t)
+	srv, _, _ := newJobsServer(t, "", Config{})
+	defer close(release) // before the manager's cleanup, which waits for the runner
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+
+	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/experiment", "application/json",
+		strings.NewReader(`{"name":"fig5","workloads":["fpppp"],"pus":[2]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+	waitFor(t, "sweep to reach the simulator", func() bool { return calls.Load() > 0 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with an open event stream: %v", err)
+	}
+	if _, err := io.ReadAll(resp.Body); err != nil {
+		t.Fatalf("stream did not end cleanly: %v", err)
+	}
+	if err := <-serveErr; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
 	}
 }

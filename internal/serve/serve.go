@@ -2,19 +2,22 @@
 // service: POST /v1/partition (task selection + static verification),
 // POST /v1/simulate (one grid job), POST /v1/generate (a property-based
 // program from a seed and shape parameters, named for reuse by the other
-// endpoints), POST /v1/experiment (named figure/table/corpus sweep with
-// Server-Sent-Events progress), GET /healthz, and GET /metrics (Prometheus
-// text exposition).
+// endpoints), GET /healthz, and GET /metrics (Prometheus text exposition).
+// With a job manager it also mounts the async job API under /v1/jobs and
+// POST /v1/experiment, which submits (or joins) a named figure/table/corpus
+// sweep as a job and streams that job's event log over Server-Sent Events.
 //
 // Every request executes through one shared grid.Engine, so identical
 // concurrent requests coalesce into a single simulation and warm-cache
-// requests never touch a worker. Robustness is structural rather than
-// best-effort: requests are strictly decoded (unknown fields are errors) and
-// validated before any work starts, a bounded admission gate sheds excess
-// load with 429 + Retry-After, per-request deadlines propagate as a
-// context.Context into the engine (queued jobs cancel cleanly), panics
-// convert to 500s, and Shutdown drains gracefully — the listener closes,
-// in-flight requests finish, then control returns to the caller.
+// requests never touch a worker. Each request kind has one check, shared by
+// its sync endpoint, job submission and the job executor. Robustness is
+// structural rather than best-effort: requests are strictly decoded (unknown
+// fields are errors) and validated before any work starts, a bounded
+// admission gate sheds excess synchronous load with 429 + Retry-After,
+// per-request deadlines propagate as a context.Context into the engine
+// (queued jobs cancel cleanly), panics convert to 500s, and Shutdown drains
+// gracefully — the listener closes, in-flight requests finish, then control
+// returns to the caller.
 package serve
 
 import (
@@ -27,7 +30,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"multiscalar/internal/grid"
@@ -50,9 +53,6 @@ type Config struct {
 	// RequestTimeout is the per-request deadline propagated into the engine
 	// (0 = 2 minutes).
 	RequestTimeout time.Duration
-	// ProgressInterval is the SSE progress cadence for /v1/experiment
-	// (0 = 500ms).
-	ProgressInterval time.Duration
 	// MaxBodyBytes caps request bodies (0 = 1 MiB).
 	MaxBodyBytes int64
 	// Cache, when non-nil, backs GET/PUT /v1/cache/{key} so peers — remote
@@ -60,9 +60,8 @@ type Config struct {
 	// artifacts by content address. Wire the same cache the engine uses, or
 	// the peers' view diverges from local compute. Nil answers 404.
 	Cache grid.Cache
-	// Backend, when non-nil, contributes cache-tier reachability and dist
-	// worker counts to GET /healthz. It must be cheap — it runs on every
-	// health probe.
+	// Backend, when non-nil, contributes cache-tier reachability to
+	// GET /healthz. It must be cheap — it runs on every health probe.
 	Backend func(ctx context.Context) BackendStatus
 	// Logger receives structured access lines and internal errors (nil =
 	// discard). Handing it a JSON handler makes every line machine-parseable;
@@ -75,9 +74,10 @@ type Config struct {
 	Tracer *span.Tracer
 	// Jobs, when non-nil, mounts the async job API (POST/GET /v1/jobs,
 	// GET /v1/jobs/{id}, GET /v1/jobs/{id}/events, DELETE /v1/jobs/{id}) and
-	// adds the jobs block to /healthz. The manager must be built with this
-	// package's Executors over the same Engine, or job results diverge from
-	// synchronous ones. Nil answers 404 on the job routes.
+	// POST /v1/experiment, and adds the jobs block to /healthz. The manager
+	// must be built with this package's Executors over the same Engine, or
+	// job results diverge from synchronous ones. Nil answers 404 on the job
+	// routes and /v1/experiment.
 	Jobs *jobs.Manager
 	// JobLimiter rate-limits job submissions per tenant (X-Api-Key header).
 	// Nil admits every submission.
@@ -100,7 +100,8 @@ type Server struct {
 	tracer   *span.Tracer
 	admit    chan struct{}
 	hs       *http.Server
-	draining atomic.Bool
+	drained  chan struct{} // closed once Shutdown begins
+	drainOne sync.Once
 	m        serveMetrics
 }
 
@@ -119,9 +120,6 @@ func New(cfg Config) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Minute
 	}
-	if cfg.ProgressInterval <= 0 {
-		cfg.ProgressInterval = 500 * time.Millisecond
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
@@ -129,12 +127,13 @@ func New(cfg Config) *Server {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s := &Server{
-		cfg:    cfg,
-		eng:    cfg.Engine,
-		reg:    cfg.Metrics,
-		log:    cfg.Logger,
-		tracer: cfg.Tracer,
-		admit:  make(chan struct{}, cfg.MaxInFlight),
+		cfg:     cfg,
+		eng:     cfg.Engine,
+		reg:     cfg.Metrics,
+		log:     cfg.Logger,
+		tracer:  cfg.Tracer,
+		admit:   make(chan struct{}, cfg.MaxInFlight),
+		drained: make(chan struct{}),
 	}
 	r := cfg.Metrics
 	s.m = serveMetrics{
@@ -149,20 +148,21 @@ func New(cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("POST /v1/partition", s.admitted(s.handlePartition))
-	mux.Handle("POST /v1/simulate", s.admitted(s.handleSimulate))
-	mux.Handle("POST /v1/generate", s.admitted(s.handleGenerate))
-	mux.Handle("POST /v1/experiment", s.admitted(s.handleExperiment))
+	mux.Handle("POST /v1/partition", s.admitted(handleSync[PartitionRequest](s)))
+	mux.Handle("POST /v1/simulate", s.admitted(handleSync[SimulateRequest](s)))
+	mux.Handle("POST /v1/generate", s.admitted(handleSync[GenerateRequest](s)))
 	// Cache endpoints skip the admission gate: they are cheap key-value
 	// probes serving other machines' hot paths, and shedding them only
 	// converts a remote hit into a redundant local simulation.
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
-	// Job endpoints also skip the gate: submission is an enqueue (bounded by
-	// the per-tenant limiter, executed by the manager's own runner pool), and
-	// polls are table reads. Holding an admission slot for a job's lifetime
-	// would let slow sweeps starve the synchronous API.
+	// Job endpoints also skip the gate and the request deadline: submission
+	// is an enqueue (bounded by the per-tenant limiter, executed by the
+	// manager's own runner pool), polls are table reads, and /v1/experiment
+	// is a submission that streams its job. Holding an admission slot for a
+	// job's lifetime would let slow sweeps starve the synchronous API.
 	if cfg.Jobs != nil {
+		mux.HandleFunc("POST /v1/experiment", s.handleExperiment)
 		mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 		mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 		mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -176,12 +176,14 @@ func New(cfg Config) *Server {
 	// with the wrong method (a method mismatch falls through to this
 	// handler because the "/" pattern still matches the path).
 	methods := map[string]string{
-		"/v1/partition":  http.MethodPost,
-		"/v1/simulate":   http.MethodPost,
-		"/v1/generate":   http.MethodPost,
-		"/v1/experiment": http.MethodPost,
-		"/healthz":       http.MethodGet,
-		"/metrics":       http.MethodGet,
+		"/v1/partition": http.MethodPost,
+		"/v1/simulate":  http.MethodPost,
+		"/v1/generate":  http.MethodPost,
+		"/healthz":      http.MethodGet,
+		"/metrics":      http.MethodGet,
+	}
+	if cfg.Jobs != nil {
+		methods["/v1/experiment"] = http.MethodPost
 	}
 	if s.tracer != nil {
 		methods["/debug/traces"] = http.MethodGet
@@ -224,10 +226,12 @@ func (s *Server) Handler() http.Handler { return s.hs.Handler }
 func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
 
 // Shutdown drains gracefully: the listener stops accepting, /healthz flips
-// to "draining", in-flight requests run to completion, and Shutdown returns
-// when the last one finishes (or ctx expires, whichever is first).
+// to "draining", open event streams end (their jobs belong to the manager,
+// which requeues them when it stops), other in-flight requests run to
+// completion, and Shutdown returns when the last one finishes (or ctx
+// expires, whichever is first).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+	s.drainOne.Do(func() { close(s.drained) })
 	return s.hs.Shutdown(ctx)
 }
 

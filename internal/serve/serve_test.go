@@ -54,9 +54,6 @@ func newTestServer(t *testing.T, engOpts grid.Options, cfg Config) (*Server, *gr
 	eng := grid.New(engOpts)
 	cfg.Engine = eng
 	cfg.Metrics = reg
-	if cfg.ProgressInterval == 0 {
-		cfg.ProgressInterval = 10 * time.Millisecond
-	}
 	return New(cfg), eng
 }
 
@@ -267,62 +264,60 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// sseEvent is one parsed Server-Sent Event.
-type sseEvent struct {
-	name string
-	data string
-}
-
-func parseSSE(t *testing.T, body string) []sseEvent {
+// lastProgress decodes the progress event just before the terminal one.
+func lastProgress(t *testing.T, events []jobEvent) Progress {
 	t.Helper()
-	var out []sseEvent
-	for _, chunk := range strings.Split(body, "\n\n") {
-		chunk = strings.TrimSpace(chunk)
-		if chunk == "" {
-			continue
-		}
-		var ev sseEvent
-		for _, line := range strings.Split(chunk, "\n") {
-			switch {
-			case strings.HasPrefix(line, "event: "):
-				ev.name = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				ev.data = strings.TrimPrefix(line, "data: ")
-			default:
-				t.Errorf("unexpected SSE line %q", line)
-			}
-		}
-		out = append(out, ev)
+	var p Progress
+	if len(events) < 2 || events[len(events)-2].name != "progress" {
+		t.Fatalf("no progress event before the terminal one: %+v", events)
 	}
-	return out
+	if err := json.Unmarshal([]byte(events[len(events)-2].data), &p); err != nil {
+		t.Fatalf("progress data %q: %v", events[len(events)-2].data, err)
+	}
+	return p
 }
 
-// TestExperimentSSE proves the stream shape: at least one progress event,
-// then a terminal result event carrying the experiment rows.
+// TestExperimentSSE proves the stream shape: POST /v1/experiment names its
+// job in Location and streams numbered progress events, then a terminal
+// result event carrying the experiment rows. The stream is the job's event
+// log — a later replay serves the same bytes — and an identical POST joins
+// the finished job without simulating again.
 func TestExperimentSSE(t *testing.T) {
-	fastSim(t)
-	srv, _ := newTestServer(t, grid.Options{Workers: 2}, Config{})
+	calls := fastSim(t)
+	srv, _, _ := newJobsServer(t, "", Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/experiment",
-		`{"name":"fig5","workloads":["fpppp"],"pus":[2]}`)
+	const req = `{"name":"fig5","workloads":["fpppp"],"pus":[2]}`
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/experiment", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d body %s", resp.StatusCode, body)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	events := parseSSE(t, body)
+	loc := resp.Header.Get("Location")
+	if !strings.HasPrefix(loc, "/v1/jobs/") {
+		t.Fatalf("Location = %q, want the job", loc)
+	}
+	events := readSSE(t, strings.NewReader(body), 0)
 	if len(events) < 2 {
 		t.Fatalf("got %d events, want at least progress + result:\n%s", len(events), body)
 	}
-	if events[0].name != "progress" {
-		t.Errorf("first event %q, want progress", events[0].name)
-	}
-	var prog Progress
-	if err := json.Unmarshal([]byte(events[0].data), &prog); err != nil {
-		t.Errorf("progress data %q: %v", events[0].data, err)
+	for i, ev := range events {
+		if ev.id != int64(i)+1 {
+			t.Errorf("event %d has id %d, want numbered from 1", i, ev.id)
+		}
+		if i == len(events)-1 {
+			break
+		}
+		if ev.name != "progress" {
+			t.Errorf("mid-stream event %q, want progress", ev.name)
+		}
+		var prog Progress
+		if err := json.Unmarshal([]byte(ev.data), &prog); err != nil {
+			t.Errorf("progress data %q: %v", ev.data, err)
+		}
 	}
 	last := events[len(events)-1]
 	if last.name != "result" {
@@ -341,13 +336,54 @@ func TestExperimentSSE(t *testing.T) {
 			t.Errorf("cell %+v missing stubbed IPC", c)
 		}
 	}
-	if res.Progress.JobsDone == 0 || res.Progress.Sims == 0 {
-		t.Errorf("terminal progress shows no work: %+v", res.Progress)
+	if p := lastProgress(t, events); p.JobsDone == 0 || p.Sims == 0 {
+		t.Errorf("last progress event shows no work: %+v", p)
 	}
-	for _, ev := range events[1 : len(events)-1] {
-		if ev.name != "progress" {
-			t.Errorf("mid-stream event %q, want progress", ev.name)
+
+	if _, replay := getBody(t, ts.Client(), ts.URL+loc+"/events"); replay != body {
+		t.Errorf("replay of %s differs from the POST stream:\n%s\nvs\n%s", loc, replay, body)
+	}
+	sims := calls.Load()
+	resp, again := postJSON(t, ts.Client(), ts.URL+"/v1/experiment", req)
+	if resp.Header.Get("Location") != loc || again != body {
+		t.Errorf("identical POST: Location %q stream\n%s\nwant %q and the stored log", resp.Header.Get("Location"), again, loc)
+	}
+	if n := calls.Load() - sims; n != 0 {
+		t.Errorf("identical POST ran %d new sims, want 0", n)
+	}
+}
+
+// TestExperimentStreamHoldsNoSlot: a streaming sweep is a job, so it holds
+// no admission slot — with one slot and a gated sweep on the wire, a
+// synchronous request is still admitted.
+func TestExperimentStreamHoldsNoSlot(t *testing.T) {
+	release, calls := gateSim(t)
+	srv, _, _ := newJobsServer(t, "", Config{MaxInFlight: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer close(release) // before ts.Close, which waits for the stream
+
+	started := make(chan int, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/experiment", "application/json",
+			strings.NewReader(`{"name":"fig5","workloads":["fpppp"],"pus":[2]}`))
+		if err != nil {
+			t.Error(err)
+			started <- 0
+			return
 		}
+		started <- resp.StatusCode
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	if status := <-started; status != http.StatusOK {
+		t.Fatalf("experiment stream status %d, want 200", status)
+	}
+	waitFor(t, "sweep to reach the simulator", func() bool { return calls.Load() > 0 })
+
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/generate", `{"generator":{"seed":1}}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("generate during a streaming sweep: %d %s, want 200", resp.StatusCode, body)
 	}
 }
 
@@ -355,7 +391,7 @@ func TestExperimentSSE(t *testing.T) {
 // validation, and the structured error shape.
 func TestBadRequests(t *testing.T) {
 	fastSim(t)
-	srv, eng := newTestServer(t, grid.Options{Workers: 1}, Config{})
+	srv, eng, _ := newJobsServer(t, "", Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -422,6 +458,28 @@ func TestBadRequests(t *testing.T) {
 		`{"workload":"`+strings.Repeat("x", 200)+`"}`)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(body, "body_too_large") {
 		t.Errorf("oversized body: %d %s", resp.StatusCode, body)
+	}
+
+	// /v1/experiment is a job route: 405 on the wrong method with a job
+	// manager, 404 on any method without one.
+	for _, c := range []struct {
+		url    string
+		method string
+		want   int
+	}{
+		{ts.URL, http.MethodGet, http.StatusMethodNotAllowed},
+		{ts2.URL, http.MethodGet, http.StatusNotFound},
+		{ts2.URL, http.MethodPost, http.StatusNotFound},
+	} {
+		req, _ := http.NewRequest(c.method, c.url+"/v1/experiment", strings.NewReader(`{"name":"fig5"}`))
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s /v1/experiment = %d, want %d", c.method, resp.StatusCode, c.want)
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/experiment"
 	"multiscalar/internal/gen"
+	"multiscalar/internal/grid"
 	"multiscalar/internal/sim"
 	"multiscalar/internal/verify"
 	"multiscalar/internal/workloads"
@@ -180,6 +182,9 @@ type PartitionRequest struct {
 	Workload  string         `json:"workload,omitempty"`
 	Generator *GeneratorSpec `json:"generator,omitempty"`
 	Select    SelectOptions  `json:"select"`
+
+	name string       // resolved by check
+	opts core.Options // resolved by check
 }
 
 // FindingBody is the wire form of one verify.Finding.
@@ -231,6 +236,8 @@ type SimulateRequest struct {
 	Generator *GeneratorSpec `json:"generator,omitempty"`
 	Select    SelectOptions  `json:"select"`
 	Machine   MachineConfig  `json:"machine"`
+
+	job grid.Job // resolved by check
 }
 
 // GenerateRequest asks POST /v1/generate for a property-based program.
@@ -278,41 +285,9 @@ type ExperimentRequest struct {
 	Policies []string `json:"policies,omitempty"`
 }
 
-// maxCorpusN bounds the corpus size a single request may ask for, the same
-// way maxPUs bounds machine size.
-const maxCorpusN = 1000
-
-func (r ExperimentRequest) validate() error {
-	switch r.Name {
-	case "fig5", "table1", "summary":
-	case "corpus":
-		if r.N < 0 || r.N > maxCorpusN {
-			return fmt.Errorf("corpus n %d out of range [0,%d]", r.N, maxCorpusN)
-		}
-		for _, p := range r.Policies {
-			if err := validatePolicy(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q (want fig5, table1, summary, or corpus)", r.Name)
-	}
-	for _, n := range r.Workloads {
-		if err := validateWorkload(n); err != nil {
-			return err
-		}
-	}
-	for _, n := range r.PUs {
-		if n < 1 || n > maxPUs {
-			return fmt.Errorf("pus %d out of range [1,%d]", n, maxPUs)
-		}
-	}
-	return nil
-}
-
-// Progress is one SSE progress datum: engine activity attributable to this
-// request (deltas against the engine counters at request start).
+// Progress is the body of an experiment job's `progress` event: engine
+// activity attributable to the job (deltas against the engine counters at
+// its start).
 type Progress struct {
 	JobsDone  int64 `json:"jobs_done"`
 	Sims      int64 `json:"sims"`
@@ -321,15 +296,15 @@ type Progress struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
-// ExperimentResult is the terminal SSE event body: exactly one of Cells,
-// Rows, Summaries, or Corpus is set, matching the requested experiment.
+// ExperimentResult is an experiment job's result, the body of its terminal
+// `result` event: exactly one of Cells, Rows, Summaries, or Corpus is set,
+// matching the requested experiment.
 type ExperimentResult struct {
 	Name      string                    `json:"name"`
 	Cells     []experiment.Fig5Cell     `json:"cells,omitempty"`
 	Rows      []experiment.T1Row        `json:"rows,omitempty"`
 	Summaries []experiment.SuiteSummary `json:"summaries,omitempty"`
 	Corpus    []experiment.CorpusRow    `json:"corpus,omitempty"`
-	Progress  Progress                  `json:"progress"`
 }
 
 // HealthResponse is the GET /healthz body.
@@ -338,21 +313,18 @@ type HealthResponse struct {
 	Status   string `json:"status"`
 	Inflight int    `json:"inflight"`
 	Workers  int    `json:"workers"`
-	// Backend reports storage and fleet state when the server was wired
-	// with a Config.Backend probe (mssrv always wires one).
+	// Backend reports cache-tier state when the server was wired with a
+	// Config.Backend probe (mssrv wires one whenever it has a cache).
 	Backend *BackendStatus `json:"backend,omitempty"`
 	// Jobs reports the async job subsystem when Config.Jobs is wired.
 	Jobs *JobsStatus `json:"jobs,omitempty"`
 }
 
-// BackendStatus describes the server's cache and fleet backends inside
-// HealthResponse, so operators see more than the drain state: which cache
-// tiers are reachable and how many distributed workers are registered.
+// BackendStatus describes the server's cache backend inside HealthResponse,
+// so operators see more than the drain state: which cache tiers are
+// reachable.
 type BackendStatus struct {
 	CacheTiers []CacheTierStatus `json:"cache_tiers,omitempty"`
-	// DistWorkers counts registered remote workers (-1 = this server is not
-	// a dist leader, so there is no fleet to count).
-	DistWorkers int `json:"dist_workers"`
 }
 
 // CacheTierStatus is one cache tier's reachability snapshot. It mirrors
@@ -377,18 +349,29 @@ type ErrorDetail struct {
 	Message string `json:"message"`
 }
 
+// requestError is a check failure that carries its wire error code; a check
+// failure without one is an invalid_request.
+type requestError struct {
+	code string
+	error
+}
+
 // resolveWorkload turns a request's workload/generator pair into the one
 // workload name the engine runs: a generator spec compiles to its canonical
 // gen: name (which workloads.ByName resolves back to the same program), a
 // plain name is validated against the benchmark suite and the gen: grammar.
+// Its failures are unknown_workload.
 func resolveWorkload(name string, g *GeneratorSpec) (string, error) {
 	if g != nil {
 		if name != "" {
-			return "", fmt.Errorf("set either workload or generator, not both")
+			return "", &requestError{"unknown_workload", errors.New("set either workload or generator, not both")}
 		}
 		return g.params().Key(), nil
 	}
-	return name, validateWorkload(name)
+	if err := validateWorkload(name); err != nil {
+		return "", &requestError{"unknown_workload", err}
+	}
+	return name, nil
 }
 
 // validateWorkload rejects unknown workload names, listing the known ones.
