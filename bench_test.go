@@ -202,6 +202,7 @@ func BenchmarkSimulator(b *testing.B) {
 		b.Fatal(err)
 	}
 	var instrs uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(part, sim.DefaultConfig(8))

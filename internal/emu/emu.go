@@ -14,6 +14,7 @@ package emu
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"multiscalar/internal/ir"
 )
@@ -59,11 +60,11 @@ func (m *Memory) LoadImage(p *ir.Program) {
 func (m *Memory) Checksum() uint64 {
 	var sum uint64 = 14695981039346656037 // FNV offset basis
 	// Iterate in address order for determinism.
-	var addrs []uint64
+	addrs := make([]uint64, 0, len(m.words))
 	for a := range m.words {
 		addrs = append(addrs, a)
 	}
-	sortUint64(addrs)
+	slices.Sort(addrs)
 	for _, a := range addrs {
 		v := m.words[a]
 		if v == 0 {
@@ -86,16 +87,6 @@ func (m *Memory) Words() int {
 		}
 	}
 	return n
-}
-
-func sortUint64(s []uint64) {
-	// Insertion sort is fine for the sizes we see and avoids importing sort
-	// into the hot path; memory images are a few thousand words.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // EdgeKey identifies a dynamic control-flow edge within a function.

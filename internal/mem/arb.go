@@ -1,5 +1,7 @@
 package mem
 
+import "slices"
+
 // ARB models the Address Resolution Buffer: the structure that buffers
 // speculative memory state per task stage and detects memory dependence
 // violations (a later task loaded a word an earlier task then stored).
@@ -9,16 +11,23 @@ package mem
 // to the same word and at what cycle, so the caller can either synchronize
 // or flag a violation when the store's cycle is after the load's. Stores of
 // retired tasks leave the ARB as their words commit.
+//
+// Each live task owns a stage listing the words it touched and the words it
+// stored, so retiring or squashing a task costs what that task did, not what
+// the ARB holds. Stages are recycled, so a steady run allocates nothing.
 type ARB struct {
 	entriesPerPU int
 	hitLat       int
 
-	// stores[addr] = per-word store record list in task order.
+	// stores[addr] = per-word store record list in the order recorded (task
+	// order, as the simulator drives it). A list its stores have all left
+	// stays in the map, so the word's next store reuses its capacity.
 	stores map[uint64][]storeRec
 
-	// perTask tracks the distinct speculative words each active task holds,
-	// for capacity (overflow stall) modeling.
-	perTask map[int]map[uint64]bool
+	// stages holds the live tasks' stages in task order; free lists the
+	// retired and squashed ones for reuse.
+	stages []*stage
+	free   *stage
 
 	// Violations and Overflows count events for reporting.
 	Violations, Overflows uint64
@@ -27,6 +36,23 @@ type ARB struct {
 type storeRec struct {
 	task  int
 	cycle int64
+}
+
+// stage is one task's ARB state.
+type stage struct {
+	task int
+	// words holds the distinct words the task touched, for capacity
+	// (overflow stall) modeling; true once the task stored to the word.
+	words map[uint64]bool
+	// stored lists the words the task stored to, each once.
+	stored []uint64
+	// next links the free list.
+	next *stage
+}
+
+func (st *stage) touched(w uint64) bool {
+	_, ok := st.words[w]
+	return ok
 }
 
 // NewARB builds an ARB with the paper's parameters: 32 entries per PU,
@@ -39,7 +65,6 @@ func NewARB(entriesPerPU int) *ARB {
 		entriesPerPU: entriesPerPU,
 		hitLat:       2,
 		stores:       make(map[uint64][]storeRec),
-		perTask:      make(map[int]map[uint64]bool),
 	}
 }
 
@@ -48,26 +73,54 @@ func (a *ARB) HitLatency() int { return a.hitLat }
 
 func word(addr uint64) uint64 { return addr &^ 7 }
 
+// find returns the index of task's stage in a.stages, or -1 when the task
+// holds no state. The search starts at the newest task, the usual caller.
+func (a *ARB) find(task int) int {
+	for i := len(a.stages) - 1; i >= 0 && a.stages[i].task >= task; i-- {
+		if a.stages[i].task == task {
+			return i
+		}
+	}
+	return -1
+}
+
+// open returns task's stage, opening one in task order if it has none.
+func (a *ARB) open(task int) *stage {
+	if i := a.find(task); i >= 0 {
+		return a.stages[i]
+	}
+	st := a.free
+	if st != nil {
+		a.free = st.next
+	} else {
+		st = &stage{words: make(map[uint64]bool)}
+	}
+	st.task = task
+	i := len(a.stages)
+	for i > 0 && a.stages[i-1].task > task {
+		i--
+	}
+	a.stages = slices.Insert(a.stages, i, st)
+	return st
+}
+
 // RecordStore registers a speculative store by task seq at the given cycle.
 func (a *ARB) RecordStore(task int, addr uint64, cycle int64) {
 	w := word(addr)
 	a.stores[w] = append(a.stores[w], storeRec{task: task, cycle: cycle})
-	a.touch(task, w)
+	if st := a.open(task); !st.words[w] {
+		st.words[w] = true
+		st.stored = append(st.stored, w)
+	}
 }
 
 // RecordLoad registers a speculative load (loads occupy ARB entries too, so
 // violations can be detected).
 func (a *ARB) RecordLoad(task int, addr uint64) {
-	a.touch(task, word(addr))
-}
-
-func (a *ARB) touch(task int, w uint64) {
-	m := a.perTask[task]
-	if m == nil {
-		m = make(map[uint64]bool)
-		a.perTask[task] = m
+	st := a.open(task)
+	if w := word(addr); !st.touched(w) {
+		st.words[w] = false
 	}
-	m[w] = true
 }
 
 // LastStoreBefore returns the cycle at which the latest store to addr by a
@@ -91,7 +144,12 @@ func (a *ARB) NoteViolation() { a.Violations++ }
 
 // Words returns how many distinct speculative words task holds; the caller
 // stalls the task's memory operations when this exceeds Capacity.
-func (a *ARB) Words(task int) int { return len(a.perTask[task]) }
+func (a *ARB) Words(task int) int {
+	if i := a.find(task); i >= 0 {
+		return len(a.stages[i].words)
+	}
+	return 0
+}
 
 // Capacity returns the per-PU entry budget.
 func (a *ARB) Capacity() int { return a.entriesPerPU }
@@ -99,13 +157,13 @@ func (a *ARB) Capacity() int { return a.entriesPerPU }
 // WouldOverflow reports whether adding addr for task would exceed its ARB
 // stage capacity, counting the event when it does.
 func (a *ARB) WouldOverflow(task int, addr uint64) bool {
-	m := a.perTask[task]
-	if m != nil && m[word(addr)] {
-		return false
-	}
 	n := 0
-	if m != nil {
-		n = len(m)
+	if i := a.find(task); i >= 0 {
+		st := a.stages[i]
+		if st.touched(word(addr)) {
+			return false
+		}
+		n = len(st.words)
 	}
 	if n >= a.entriesPerPU {
 		a.Overflows++
@@ -117,43 +175,31 @@ func (a *ARB) WouldOverflow(task int, addr uint64) bool {
 // Retire drops all state belonging to tasks with sequence <= task (their
 // speculative words have committed to architectural memory).
 func (a *ARB) Retire(task int) {
-	for t := range a.perTask {
-		if t <= task {
-			delete(a.perTask, t)
-		}
+	n := 0
+	for ; n < len(a.stages) && a.stages[n].task <= task; n++ {
+		a.recycle(a.stages[n], func(r storeRec) bool { return r.task <= task })
 	}
-	for w, recs := range a.stores {
-		keep := recs[:0]
-		for _, r := range recs {
-			if r.task > task {
-				keep = append(keep, r)
-			}
-		}
-		if len(keep) == 0 {
-			delete(a.stores, w)
-		} else {
-			a.stores[w] = keep
-		}
-	}
+	a.stages = slices.Delete(a.stages, 0, n)
 }
 
 // SquashTask removes the speculative state of one squashed task (it will
 // re-execute and re-insert).
 func (a *ARB) SquashTask(task int) {
-	delete(a.perTask, task)
-	for w, recs := range a.stores {
-		keep := recs[:0]
-		for _, r := range recs {
-			if r.task != task {
-				keep = append(keep, r)
-			}
-		}
-		if len(keep) == 0 {
-			delete(a.stores, w)
-		} else {
-			a.stores[w] = keep
-		}
+	if i := a.find(task); i >= 0 {
+		a.recycle(a.stages[i], func(r storeRec) bool { return r.task == task })
+		a.stages = slices.Delete(a.stages, i, i+1)
 	}
+}
+
+// recycle deletes the records gone reports from every word st stored to,
+// and returns st to the free list.
+func (a *ARB) recycle(st *stage, gone func(storeRec) bool) {
+	for _, w := range st.stored {
+		a.stores[w] = slices.DeleteFunc(a.stores[w], gone)
+	}
+	clear(st.words)
+	st.stored = st.stored[:0]
+	st.next, a.free = a.free, st
 }
 
 // SyncTable is the 256-entry memory dependence synchronization table: loads

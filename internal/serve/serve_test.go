@@ -408,6 +408,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad heuristic", "/v1/simulate", `{"workload":"fpppp","select":{"heuristic":"zz"}}`, 400, "invalid_request"},
 		{"bad pus", "/v1/simulate", `{"workload":"fpppp","machine":{"pus":-3}}`, 400, "invalid_request"},
 		{"huge pus", "/v1/simulate", `{"workload":"fpppp","machine":{"pus":4096}}`, 400, "invalid_request"},
+		{"huge l1d_banks", "/v1/simulate", `{"workload":"fpppp","machine":{"l1d_banks":1000000000}}`, 400, "invalid_request"},
 		{"partition unknown workload", "/v1/partition", `{"workload":"nope"}`, 400, "unknown_workload"},
 		{"partition bad heuristic", "/v1/partition", `{"workload":"fpppp","select":{"heuristic":"xx"}}`, 400, "invalid_request"},
 		{"unknown experiment", "/v1/experiment", `{"name":"fig9"}`, 400, "invalid_request"},

@@ -99,13 +99,18 @@ type MachineConfig struct {
 	RingBW int `json:"ring_bw,omitempty"`
 	// MaxTargets overrides the hardware target limit (0 = 4).
 	MaxTargets int `json:"max_targets,omitempty"`
-	// L1DBanks overrides the data-cache bank count (0 = one per PU).
+	// L1DBanks overrides the data-cache bank count (0 = one per PU, at most
+	// 64).
 	L1DBanks int `json:"l1d_banks,omitempty"`
 }
 
 // maxPUs bounds accepted machine sizes: a request is rejected up front
 // rather than tying a worker to an absurd simulation.
 const maxPUs = 64
+
+// maxL1DBanks bounds the data-cache bank count the same way; the simulator
+// keeps one bank structure per bank.
+const maxL1DBanks = 64
 
 func (m MachineConfig) config() (sim.Config, error) {
 	pus := m.PUs
@@ -117,6 +122,9 @@ func (m MachineConfig) config() (sim.Config, error) {
 	}
 	if m.RingBW < 0 || m.MaxTargets < 0 || m.L1DBanks < 0 {
 		return sim.Config{}, fmt.Errorf("machine overrides must be non-negative")
+	}
+	if m.L1DBanks > maxL1DBanks {
+		return sim.Config{}, fmt.Errorf("l1d_banks %d above the maximum %d", m.L1DBanks, maxL1DBanks)
 	}
 	cfg := sim.DefaultConfig(pus)
 	cfg.InOrder = m.InOrder

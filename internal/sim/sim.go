@@ -2,8 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/dataflow"
 	"multiscalar/internal/ir"
 	"multiscalar/internal/mem"
 	"multiscalar/internal/obs"
@@ -135,6 +138,20 @@ type simulator struct {
 	regFwd     [ir.NumRegs]forwardRec
 	banks      *bankSched
 
+	// Per-attempt timing scratch, allocated once per run: the PU's
+	// functional units, the ring's sends per cycle, and the rolling ROB and
+	// issue-list windows (a window slot is read only after the attempt in
+	// progress wrote it, so they need no reset).
+	fus       *fuPool
+	ring      []ringSlot
+	retireWin []int64
+	issueWin  []int64
+	// regReady and fwdTime hold, per register, its ready cycle and its ring
+	// send cycle in the attempt in progress. An attempt reads them only for
+	// registers it wrote or sent, so they need no reset either.
+	regReady [ir.NumRegs]int64
+	fwdTime  [ir.NumRegs]int64
+
 	// tracer is the one instrumentation hook (nil on unobserved runs; every
 	// emission is guarded so tracing costs nothing when detached and never
 	// perturbs timing when attached).
@@ -182,12 +199,19 @@ func RunObserved(part *core.Partition, cfg Config, t obs.Tracer) (*Result, error
 		s.cfg.L1DBanks = cfg.NumPUs
 	}
 	s.banks = newBankSched(cfg.L1DBanks)
+	s.fus = newFUPool(cfg)
+	s.retireWin = make([]int64, cfg.ROBSize)
+	s.issueWin = make([]int64, cfg.IssueQSize)
 	for i := range s.regFwd {
 		s.regFwd[i] = forwardRec{task: -1}
 	}
 	if err := s.run(); err != nil {
 		return nil, err
 	}
+	// The Result pins s for as long as a caller (or a memo) keeps it, so drop
+	// the per-run scratch. The hierarchy and the predictors stay referenced.
+	s.m, s.arb, s.banks = nil, nil, nil
+	s.fus, s.ring, s.retireWin, s.issueWin = nil, nil, nil, nil
 	return &s.res, nil
 }
 
@@ -333,8 +357,8 @@ func encodeEntry(k core.EntryKey) uint64 {
 func (s *simulator) timeTask(tr *taskTrace, seq int, start int64) int64 {
 	restarts := 0
 	for {
-		complete, viol := s.timeAttempt(tr, seq, start)
-		if viol == nil {
+		complete, viol, squashed := s.timeAttempt(tr, seq, start)
+		if !squashed {
 			return complete
 		}
 		if s.tracer != nil {
@@ -377,6 +401,14 @@ func newFUPool(cfg Config) *fuPool {
 	}
 }
 
+// reset frees every unit for a new timing attempt.
+func (f *fuPool) reset() {
+	clear(f.intFree)
+	clear(f.fpFree)
+	clear(f.memFree)
+	clear(f.brFree)
+}
+
 // schedule returns the issue cycle for an op of the given class not earlier
 // than t. All units are fully pipelined (one issue slot per cycle); long
 // operations like divides run on iterative side logic without blocking the
@@ -407,46 +439,58 @@ func (f *fuPool) schedule(class ir.Class, t int64) int64 {
 	return issue
 }
 
+// ringSlot counts the register values an attempt sends on the ring in one
+// cycle.
+type ringSlot struct {
+	cycle int64
+	sent  int
+}
+
+// sendOnRing returns the first cycle >= t with ring bandwidth left in this
+// attempt, and claims a send in it. An attempt sends at most one value per
+// created register, so a linear scan is enough.
+func (s *simulator) sendOnRing(t int64) int64 {
+	for {
+		i := slices.IndexFunc(s.ring, func(r ringSlot) bool { return r.cycle == t })
+		switch {
+		case i < 0:
+			s.ring = append(s.ring, ringSlot{cycle: t, sent: 1})
+			return t
+		case s.ring[i].sent < s.cfg.RingBW:
+			s.ring[i].sent++
+			return t
+		}
+		t++
+	}
+}
+
 // timeAttempt is one timing pass over the trace. It returns the completion
-// cycle, or the first memory dependence violation encountered.
-func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (int64, *violation) {
+// cycle, or squashed and the first memory dependence violation encountered.
+func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (complete int64, viol violation, squashed bool) {
 	cfg := s.cfg
 	task := tr.task
 
-	var regReady [ir.NumRegs]int64
-	var regLocal [ir.NumRegs]bool
-	for r := 0; r < ir.NumRegs; r++ {
-		regReady[r] = s.recvTime(seq, ir.Reg(r), start)
-	}
+	// written is the set of registers this attempt wrote, with their ready
+	// cycles in s.regReady; any other register arrives from an earlier task
+	// at recvTime, which cannot change during the attempt. fwd is the set of
+	// registers sent on the ring, with their send cycles in s.fwdTime.
+	var written, fwd dataflow.RegSet
 
-	fus := newFUPool(cfg)
-	ringUse := make(map[int64]int)
-	fwdTime := make(map[ir.Reg]int64)
-
-	sendOnRing := func(t int64) int64 {
-		for ringUse[t] >= cfg.RingBW {
-			t++
-		}
-		ringUse[t]++
-		return t
-	}
+	s.fus.reset()
+	s.ring = s.ring[:0]
 
 	fetchCycle := start + int64(cfg.TaskStartOverhead)
 	fetched := 0
 	var lastIssue int64 = -1 << 62
 	issuedInCycle := 0
 
-	// Rolling windows for the out-of-order ROB / issue list.
-	retireWin := make([]int64, cfg.ROBSize)
-	issueWin := make([]int64, cfg.IssueQSize)
 	var prevRetire int64
-
-	var complete int64 = start
+	complete = start
 
 	for i := range tr.ops {
 		op := &tr.ops[i]
 		if op.newBlock {
-			if lat := s.hier.InstrFetch(op.blockAddr); lat > 1 {
+			if lat := s.hier.InstrFetch(op.pc); lat > 1 {
 				fetchCycle += int64(lat - 1)
 				fetched = 0
 			}
@@ -461,11 +505,17 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (int64, *vi
 		// Operand readiness with stall attribution.
 		ready := fetch
 		interTask := false
-		for k := 0; k < op.nsrc; k++ {
+		for k := 0; k < int(op.nsrc); k++ {
 			r := op.srcs[k]
-			if regReady[r] > ready {
-				ready = regReady[r]
-				interTask = !regLocal[r]
+			var rt int64
+			if written.Has(r) {
+				rt = s.regReady[r]
+			} else {
+				rt = s.recvTime(seq, r, start)
+			}
+			if rt > ready {
+				ready = rt
+				interTask = !written.Has(r)
 			}
 		}
 		if ready > fetch {
@@ -488,10 +538,10 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (int64, *vi
 			}
 		} else {
 			dispatch := fetch
-			if w := retireWin[i%cfg.ROBSize]; i >= cfg.ROBSize && w+1 > dispatch {
+			if w := s.retireWin[i%cfg.ROBSize]; i >= cfg.ROBSize && w+1 > dispatch {
 				dispatch = w + 1
 			}
-			if w := issueWin[i%cfg.IssueQSize]; i >= cfg.IssueQSize && w > dispatch {
+			if w := s.issueWin[i%cfg.IssueQSize]; i >= cfg.IssueQSize && w > dispatch {
 				dispatch = w
 			}
 			issueMin = ready
@@ -500,7 +550,7 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (int64, *vi
 			}
 		}
 
-		issue := fus.schedule(op.class, issueMin)
+		issue := s.fus.schedule(op.class, issueMin)
 		done := issue + int64(op.lat)
 
 		if op.isLoad || op.isStore {
@@ -549,7 +599,7 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (int64, *vi
 				s.arb.RecordLoad(seq, op.addr)
 				if sc, ok := s.arb.LastStoreBefore(seq, op.addr); ok && sc > access {
 					// An earlier task stores this word after we loaded it.
-					return 0, &violation{time: sc, pc: op.pc}
+					return 0, violation{time: sc, pc: op.pc}, true
 				}
 			} else {
 				access := issue + int64(s.arb.HitLatency())
@@ -581,15 +631,16 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (int64, *vi
 				r = prevRetire
 			}
 			prevRetire = r
-			retireWin[i%cfg.ROBSize] = r
-			issueWin[i%cfg.IssueQSize] = issue
+			s.retireWin[i%cfg.ROBSize] = r
+			s.issueWin[i%cfg.IssueQSize] = issue
 		}
 
 		if op.hasDst {
-			regReady[op.dst] = done
-			regLocal[op.dst] = true
+			s.regReady[op.dst] = done
+			written = written.Add(op.dst)
 			if op.forwards && task.CreateMask.Has(op.dst) {
-				fwdTime[op.dst] = sendOnRing(done)
+				s.fwdTime[op.dst] = s.sendOnRing(done)
+				fwd = fwd.Add(op.dst)
 			}
 		}
 		if done > complete {
@@ -597,42 +648,28 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (int64, *vi
 		}
 	}
 
-	// Release every created register not already forwarded, then publish the
-	// forward times for downstream tasks. Only this success path is observed:
-	// a violating attempt returns before reaching it, so forward/release
-	// events are never emitted for squashed work.
-	var released map[ir.Reg]bool
-	if s.tracer != nil {
-		released = make(map[ir.Reg]bool)
+	// Release every created register not already forwarded, in ascending
+	// register order, then publish the forward times for downstream tasks.
+	// Only this success path is observed: a violating attempt returns before
+	// reaching it, so forward/release events are never emitted for squashed
+	// work.
+	released := task.CreateMask.Minus(fwd)
+	for rs := uint64(released); rs != 0; rs &= rs - 1 {
+		s.fwdTime[bits.TrailingZeros64(rs)] = s.sendOnRing(complete)
 	}
-	for _, r := range task.CreateMask.Regs() {
-		if _, ok := fwdTime[r]; !ok {
-			fwdTime[r] = sendOnRing(complete)
-			if released != nil {
-				released[r] = true
-			}
-		}
-	}
-	for r, t := range fwdTime {
-		s.regFwd[r] = forwardRec{task: seq, time: t}
-	}
-	if s.tracer != nil {
-		// Emit in ascending register order (fwdTime is a map) so observed
-		// streams are deterministic.
-		pu := seq % cfg.NumPUs
-		for r := 0; r < ir.NumRegs; r++ {
-			t, ok := fwdTime[ir.Reg(r)]
-			if !ok {
-				continue
-			}
+	fwd = fwd.Union(released)
+	for rs := uint64(fwd); rs != 0; rs &= rs - 1 {
+		r := bits.TrailingZeros64(rs)
+		s.regFwd[r] = forwardRec{task: seq, time: s.fwdTime[r]}
+		if s.tracer != nil {
 			kind := obs.EvRegForward
-			if released[ir.Reg(r)] {
+			if released.Has(ir.Reg(r)) {
 				kind = obs.EvRegRelease
 			}
-			s.tracer.Emit(obs.Event{Kind: kind, Cycle: t, PU: pu, Seq: seq, Task: task.ID, Arg: int64(r)})
+			s.tracer.Emit(obs.Event{Kind: kind, Cycle: s.fwdTime[r], PU: seq % cfg.NumPUs, Seq: seq, Task: task.ID, Arg: int64(r)})
 		}
 	}
-	return complete, nil
+	return complete, violation{}, false
 }
 
 // recvTime computes when register r's value reaches the PU running task seq.

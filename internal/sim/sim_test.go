@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"multiscalar/internal/core"
@@ -261,5 +263,57 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	part := partition(t, vecSum(t, 10), core.BasicBlock)
 	if _, err := Run(part, Config{}); err == nil {
 		t.Error("Run accepted zero-PU config")
+	}
+}
+
+// countedLoop builds a loop of trips iterations over an 8-word array, so its
+// memory footprint stays fixed while its dynamic length grows with trips.
+func countedLoop(t testing.TB, trips int64) *ir.Program {
+	t.Helper()
+	b := ir.NewBuilder("counted")
+	arr := b.Zeros(8)
+	f := b.Func("main")
+	f.Block("entry").MovI(ir.R(3), 0).MovI(ir.R(8), int64(arr)).Goto("head")
+	f.Block("head").SltI(ir.R(5), ir.R(3), trips).Br(ir.R(5), "body", "exit")
+	f.Block("body").
+		AndI(ir.R(6), ir.R(3), 7).
+		ShlI(ir.R(6), ir.R(6), 3).
+		Add(ir.R(6), ir.R(6), ir.R(8)).
+		Load(ir.R(7), ir.R(6), 0).
+		Add(ir.R(7), ir.R(7), ir.R(3)).
+		Store(ir.R(7), ir.R(6), 0).
+		AddI(ir.R(3), ir.R(3), 1).
+		Goto("head")
+	f.Block("exit").Halt()
+	f.End()
+	return b.Build()
+}
+
+// Once a run has warmed up, the simulator's per-task path allocates
+// nothing: allocations per Run follow the program's static size and memory
+// footprint, never its dynamic length. Counting allocations does not depend
+// on host speed, so this holds where wall-time benchmarks drift.
+//
+// Two things outside the simulator would vary the count from run to run, so
+// the test rules them out. A collector cycle that lands inside a run can add
+// a few runtime allocations, so the collector is off while counting. And a
+// map of more than 8 entries allocates overflow buckets according to its
+// random hash seed under the bucket maps of Go releases before 1.24, so the
+// footprint stays at 8 words: the emulator's memory and the ARB's store map
+// then never outgrow one bucket.
+func TestRunAllocsIndependentOfLength(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, h := range []core.Heuristic{core.BasicBlock, core.ControlFlow} {
+		var want float64
+		for i, trips := range []int64{100, 1_000, 10_000} {
+			part := partition(t, countedLoop(t, trips), h)
+			runtime.GC()
+			allocs := testing.AllocsPerRun(3, func() { runSim(t, part, DefaultConfig(4)) })
+			if i == 0 {
+				want = allocs
+			} else if allocs != want {
+				t.Errorf("%v: %d trips took %v allocations per run, 100 trips %v", h, trips, allocs, want)
+			}
+		}
 	}
 }

@@ -27,22 +27,24 @@ import (
 )
 
 // traceOp is one dynamic instruction of a task instance, annotated with
-// everything the timing model needs.
+// everything the timing model needs. Only addr, taken and forwards vary
+// between executions of the same static instruction; the rest comes from the
+// block's decoded template. The fields pack into 32 bytes, since every task
+// copies its ops from the templates.
 type traceOp struct {
-	srcs    [2]ir.Reg
-	nsrc    int
-	dst     ir.Reg
-	hasDst  bool
-	class   ir.Class
-	lat     int
 	pc      uint64 // instruction address (gshare index, sync-table identity)
+	addr    uint64 // effective address for loads/stores
+	lat     int32
+	srcs    [2]ir.Reg
+	nsrc    uint8
+	dst     ir.Reg
+	class   ir.Class
+	hasDst  bool
 	isLoad  bool
 	isStore bool
-	addr    uint64 // effective address for loads/stores
-	// newBlock is set on the first op of each basic block; blockAddr is the
+	// newBlock is set on the first op of each basic block, whose pc is the
 	// block's code address (I-cache access granularity).
-	newBlock  bool
-	blockAddr uint64
+	newBlock bool
 	// branch terminator info
 	isBranch bool
 	taken    bool
@@ -78,7 +80,18 @@ type machine struct {
 	blk   ir.BlockID
 	stack []retAddr
 	count uint64
+
+	// tr is the trace runTask fills; one per run, its ops buffer reused by
+	// every task instance.
+	tr taskTrace
+	// spans[fn][blk] locates a block's op templates in tmpl. A block is
+	// decoded on its first execution; end == 0 marks one not yet decoded
+	// (every block has at least its terminator).
+	spans [][]opSpan
+	tmpl  []traceOp
 }
+
+type opSpan struct{ start, end int32 }
 
 type retAddr struct {
 	fn  ir.FnID
@@ -89,57 +102,73 @@ func newMachine(p *ir.Program) *machine {
 	m := &machine{prog: p, mem: emu.NewMemory(), fn: p.Main, blk: p.Fn(p.Main).Entry}
 	m.mem.LoadImage(p)
 	m.regs[ir.RegSP] = ir.StackBase
+	m.spans = make([][]opSpan, len(p.Fns))
+	for i, f := range p.Fns {
+		m.spans[i] = make([]opSpan, len(f.Blocks))
+	}
 	return m
 }
 
-// runTask executes one dynamic instance of the task the machine is parked at
-// and returns its annotated trace. The machine advances to the successor
-// task's entry.
-func (m *machine) runTask(part *core.Partition, t *core.Task, budget uint64) (*taskTrace, error) {
-	inst := core.NewInstance(t)
-	tr := &taskTrace{task: t, exitIdx: -1}
-	for {
-		f := m.prog.Fn(m.fn)
-		b := f.Block(m.blk)
-		base := b.Addr
+// decode returns the op templates of b, the block the machine is parked at,
+// terminator last, building them on the block's first execution.
+func (m *machine) decode(b *ir.Block) []traceOp {
+	sp := &m.spans[m.fn][m.blk]
+	if sp.end == 0 {
+		sp.start = int32(len(m.tmpl))
 		for idx, in := range b.Instrs {
 			op := traceOp{
-				class: in.Op.FUClass(),
-				lat:   in.Op.Latency(),
-				pc:    base + uint64(idx*ir.InstrBytes),
+				class:   in.Op.FUClass(),
+				lat:     int32(in.Op.Latency()),
+				pc:      b.Addr + uint64(idx*ir.InstrBytes),
+				isLoad:  in.Op == ir.OpLoad,
+				isStore: in.Op == ir.OpStore,
 			}
-			op.nsrc = len(in.Uses(op.srcs[:0]))
+			op.nsrc = uint8(len(in.Uses(op.srcs[:0])))
 			if d, ok := in.Def(); ok {
 				op.dst, op.hasDst = d, true
 			}
-			if idx == 0 {
-				op.newBlock, op.blockAddr = true, base
-			}
-			switch in.Op {
-			case ir.OpLoad:
-				op.isLoad = true
-				op.addr = uint64(int64(m.regs[in.Src1]) + in.Imm)
-			case ir.OpStore:
-				op.isStore = true
+			m.tmpl = append(m.tmpl, op)
+		}
+		// Terminator: occupies the branch unit for one cycle.
+		term := traceOp{
+			class: ir.ClassBranch,
+			lat:   1,
+			pc:    b.Addr + uint64(len(b.Instrs)*ir.InstrBytes),
+		}
+		if b.Term.Kind == ir.TermBr {
+			term.isBranch = true
+			term.srcs[0] = b.Term.Cond
+			term.nsrc = 1
+		}
+		m.tmpl = append(m.tmpl, term)
+		m.tmpl[sp.start].newBlock = true
+		sp.end = int32(len(m.tmpl))
+	}
+	return m.tmpl[sp.start:sp.end]
+}
+
+// runTask executes one dynamic instance of the task the machine is parked at
+// and returns its annotated trace, which is valid until the next call. The
+// machine advances to the successor task's entry.
+func (m *machine) runTask(part *core.Partition, t *core.Task, budget uint64) (*taskTrace, error) {
+	inst := core.NewInstance(t)
+	tr := &m.tr
+	*tr = taskTrace{task: t, ops: tr.ops[:0], exitIdx: -1}
+	for {
+		b := m.prog.Fn(m.fn).Block(m.blk)
+		n := len(tr.ops)
+		tr.ops = append(tr.ops, m.decode(b)...)
+		ops := tr.ops[n:]
+		for idx, in := range b.Instrs {
+			if op := &ops[idx]; op.isLoad || op.isStore {
 				op.addr = uint64(int64(m.regs[in.Src1]) + in.Imm)
 			}
 			// Forward points are set by markForwards after the whole trace
 			// is known (per-path release, as the Multiscalar compiler's
 			// register communication scheduling produces).
 			emu.ExecOn(in, &m.regs, m.mem.Load, m.mem.Store)
-			m.count++
-			tr.ops = append(tr.ops, op)
 		}
-		// Terminator: occupies the branch unit for one cycle.
-		term := traceOp{
-			class: ir.ClassBranch,
-			lat:   1,
-			pc:    base + uint64(len(b.Instrs)*ir.InstrBytes),
-		}
-		if len(b.Instrs) == 0 {
-			term.newBlock, term.blockAddr = true, base
-		}
-		m.count++
+		m.count += uint64(len(ops))
 		// Evaluate the terminator: advance machine position and compute the
 		// dynamic successor block Instance.Step needs.
 		var nextBlk ir.BlockID
@@ -149,11 +178,8 @@ func (m *machine) runTask(part *core.Partition, t *core.Task, budget uint64) (*t
 			nextBlk = b.Term.Taken
 			m.blk = nextBlk
 		case ir.TermBr:
-			term.isBranch = true
-			term.srcs[0] = b.Term.Cond
-			term.nsrc = 1
 			if m.regs[b.Term.Cond] != 0 {
-				term.taken = true
+				ops[len(b.Instrs)].taken = true
 				nextBlk = b.Term.Taken
 			} else {
 				nextBlk = b.Term.Fall
@@ -176,7 +202,6 @@ func (m *machine) runTask(part *core.Partition, t *core.Task, budget uint64) (*t
 		case ir.TermHalt:
 			done = true
 		}
-		tr.ops = append(tr.ops, term)
 		if b.Term.IsCT() {
 			tr.ctInstrs++
 		}
