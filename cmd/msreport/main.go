@@ -7,10 +7,11 @@
 // leader of a distributed grid, listening on the given address for mssrv
 // -worker peers. Cache-missing jobs go to one leased FIFO queue; the
 // leader's own cores participate through a local worker loop, remote
-// workers pull over HTTP, and results flow back through reports and the
-// shared cache. Output stays byte-identical to a serial run — collection is
-// by index, not arrival order. -remote-cache chains a peer's cache behind
-// the local tiers for single-process runs too; -lru adds an in-memory tier.
+// workers pull over HTTP, and each remote result comes back in the worker's
+// report; the leader's engine stores it in the leader's own cache tiers.
+// Output stays byte-identical to a serial run — collection is by index, not
+// arrival order. -remote-cache chains an mssrv -cache-dir peer behind the
+// disk tier, with or without -workers.
 //
 // Usage:
 //
@@ -79,8 +80,7 @@ func main() {
 		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory (default: no cache)")
 		noCache    = flag.Bool("no-cache", false, "ignore -cache-dir and recompute everything")
 		distAddr   = flag.String("workers", "", "lead a distributed run: listen on this host:port for mssrv -worker peers")
-		remoteAddr = flag.String("remote-cache", "", "base URL of a peer cache (an mssrv or another leader) chained behind the local tiers")
-		lruSize    = flag.Int("lru", 0, "in-memory cache tier entry budget (0 = no memory tier; a leader with no other tier defaults to 4096)")
+		remoteAddr = flag.String("remote-cache", "", "base URL of a peer cache (an mssrv -cache-dir), probed after the disk tier")
 		lease      = flag.Duration("lease", 0, "distributed job lease before reassignment to another worker (0 = 2m)")
 		progress   = flag.Bool("progress", false, "print a progress/ETA line to stderr")
 		timeout    = flag.Duration("timeout", 0, "overall deadline for the run; queued jobs cancel cleanly when it expires (0 = none)")
@@ -165,15 +165,7 @@ func main() {
 		return
 	}
 
-	lru := *lruSize
-	if *distAddr != "" && lru == 0 && dir == "" && *remoteAddr == "" {
-		// A leader serves GET/PUT /v1/cache/{key} to its workers; give it a
-		// memory tier when nothing else is configured so worker publications
-		// have somewhere to land.
-		lru = 4096
-	}
 	cache, remoteTier := dist.BuildCache(dist.CacheConfig{
-		LRUSize:       lru,
 		Dir:           dir,
 		Remote:        *remoteAddr,
 		RemoteOptions: dist.RemoteOptions{Metrics: reg},
@@ -186,7 +178,7 @@ func main() {
 	var d *distRun
 	if *distAddr != "" {
 		var err error
-		d, err = startLeader(ctx, *distAddr, *lease, cache, reg, tracer)
+		d, err = startLeader(*distAddr, *lease, reg, tracer)
 		if err != nil {
 			fatal(err)
 		}
@@ -468,13 +460,12 @@ type distRun struct {
 	addr  net.Addr
 }
 
-// startLeader listens for workers and mounts the scheduler + shared cache
-// on HTTP. The leader is up before any job is submitted, so workers can
-// register while the first experiment is still partitioning.
-func startLeader(ctx context.Context, addr string, lease time.Duration, cache grid.Cache, reg *obs.Registry, tracer *span.Tracer) (*distRun, error) {
+// startLeader listens for workers and mounts the scheduler on HTTP. The
+// leader is up before any job is submitted, so workers can register while
+// the first experiment is still partitioning.
+func startLeader(addr string, lease time.Duration, reg *obs.Registry, tracer *span.Tracer) (*distRun, error) {
 	sched := dist.NewScheduler(dist.SchedOptions{Lease: lease, Metrics: reg, Tracer: tracer})
 	leader := dist.NewLeader(sched, dist.LeaderOptions{
-		Cache:  cache,
 		Logger: log.New(os.Stderr, "msreport ", log.LstdFlags),
 		Tracer: tracer,
 	})

@@ -1,10 +1,10 @@
 // Command mssrv serves the Multiscalar pipeline over HTTP: task selection
 // (POST /v1/partition), simulation (POST /v1/simulate), property-based
 // workload generation (POST /v1/generate), a shared result cache
-// (GET/PUT /v1/cache/{key}), plus /healthz and a Prometheus /metrics
-// scrape. All requests share one grid engine, so identical concurrent
-// requests coalesce into a single simulation and warm results are served
-// from the cache tiers without touching a worker.
+// (GET/PUT /v1/cache/{key}, the one server of that protocol), plus /healthz
+// and a Prometheus /metrics scrape. All requests share one grid engine, so
+// identical concurrent requests coalesce into a single simulation and warm
+// results are served from the cache tiers without touching a worker.
 //
 // The paper's experiment grids and the generated-corpus sweep run as jobs
 // on the durable job surface (POST /v1/jobs, GET /v1/jobs/{id}, SSE at
@@ -14,20 +14,19 @@
 // fair queueing under optional token-bucket submission limits.
 // -jobs-runners 0 turns the job surface, /v1/experiment included, off.
 //
-// The cache is tiered: -lru puts a bounded in-memory tier in front, -cache-dir
-// adds the content-addressed disk store, and -remote-cache chains another
-// mssrv (or a msreport leader) behind both — remote hits are promoted to the
-// local tiers, local results are published back, and every remote failure
-// fails open to local compute.
+// The cache is tiered: -cache-dir is the content-addressed disk store, and
+// -remote-cache chains another mssrv -cache-dir behind it — remote hits are
+// promoted to disk, local results are published back, and every remote
+// failure fails open to local compute.
 //
 // With -worker the process joins a distributed run instead of serving: it
 // registers with the msreport leader at -leader, pulls simulation jobs from
-// the leader's queue, executes them on the local engine, and publishes
-// results through the cache tiers (the remote tier defaults to the leader).
+// the leader's queue, executes them on the local engine, and reports each
+// result back to the leader.
 //
 // Usage:
 //
-//	mssrv -addr :8080 -j 8 -cache-dir ~/.cache/msgrid -lru 1024
+//	mssrv -addr :8080 -j 8 -cache-dir ~/.cache/msgrid
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v1/simulate \
 //	  -d '{"workload":"compress","select":{"heuristic":"cf"},"machine":{"pus":4}}'
@@ -72,8 +71,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		workers      = flag.Int("j", 0, "max concurrent partition/simulation jobs (default GOMAXPROCS)")
 		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache directory shared with msreport/mssim (default: no disk tier)")
-		lruSize      = flag.Int("lru", 0, "in-memory cache tier entry budget (0 = no memory tier; workers default to 1024)")
-		remoteCache  = flag.String("remote-cache", "", "base URL of a peer cache (another mssrv or a msreport leader) chained behind the local tiers")
+		remoteCache  = flag.String("remote-cache", "", "base URL of a peer cache (another mssrv -cache-dir), probed after the disk tier")
 		workerMode   = flag.Bool("worker", false, "run as a distributed worker instead of serving HTTP (requires -leader)")
 		leaderURL    = flag.String("leader", "", "msreport leader base URL for -worker mode")
 		maxInflight  = flag.Int("max-inflight", 0, "admitted /v1 requests before shedding with 429 (default 4x workers)")
@@ -109,26 +107,12 @@ func main() {
 		tracer = span.New(span.Options{Process: "mssrv", Ring: *traceRing, Metrics: reg})
 	}
 
-	remote := *remoteCache
-	lru := *lruSize
-	if *workerMode {
-		if *leaderURL == "" {
-			fatal(errors.New("-worker requires -leader"))
-		}
-		// A worker's natural remote tier is its leader: results publish to
-		// the fleet and peers' results are reused. A small memory tier keeps
-		// repeated partition-sharing jobs off the wire.
-		if remote == "" {
-			remote = *leaderURL
-		}
-		if lru == 0 {
-			lru = 1024
-		}
+	if *workerMode && *leaderURL == "" {
+		fatal(errors.New("-worker requires -leader"))
 	}
 	cache, remoteTier := dist.BuildCache(dist.CacheConfig{
-		LRUSize:       lru,
 		Dir:           *cacheDir,
-		Remote:        remote,
+		Remote:        *remoteCache,
 		RemoteOptions: dist.RemoteOptions{Metrics: reg, Logger: bridge},
 	})
 	opts := grid.Options{Workers: *workers, Metrics: reg}
@@ -197,7 +181,7 @@ func main() {
 		fatal(err)
 	}
 	logger.Info("listening", "addr", ln.Addr().String(), "workers", eng.Workers(),
-		"cache", *cacheDir, "lru", lru, "remote", remote, "tracing", tracer != nil,
+		"cache", *cacheDir, "remote", *remoteCache, "tracing", tracer != nil,
 		"jobs", mgr != nil)
 
 	serveErr := make(chan error, 1)

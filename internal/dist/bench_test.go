@@ -36,8 +36,8 @@ func benchJobs(n int) []grid.Job {
 const simCost = 5 * time.Millisecond
 
 // BenchmarkFleet measures end-to-end distributed throughput through the
-// real wire protocol — leader HTTP surface, worker pulls, cache publication
-// — with a fixed-cost fake simulation. The workers=0 case is the
+// real wire protocol — leader HTTP surface, worker pulls and reports — with
+// a fixed-cost fake simulation. The workers=0 case is the
 // single-process baseline; the ratio of jobs/s against it is the
 // distributed speedup (protocol overhead included), which CI records next
 // to the grid benchmarks.
@@ -78,12 +78,11 @@ func benchOneRun(b *testing.B, jobs []grid.Job, workers int) {
 	}
 
 	sched := NewScheduler(SchedOptions{})
-	cache := NewTiered(NewLRU(256))
-	leader := NewLeader(sched, LeaderOptions{Cache: cache, PollWait: 20 * time.Millisecond})
+	leader := NewLeader(sched, LeaderOptions{PollWait: 20 * time.Millisecond})
 	ts := httptest.NewServer(leader.Handler())
 	defer ts.Close()
 
-	eng := grid.New(grid.Options{Workers: 2, Cache: cache, Dispatcher: sched})
+	eng := grid.New(grid.Options{Workers: 2, Dispatcher: sched})
 	var localDone sync.WaitGroup
 	localDone.Add(1)
 	go func() {
@@ -92,13 +91,9 @@ func benchOneRun(b *testing.B, jobs []grid.Job, workers int) {
 	}()
 	workerErrs := make(chan error, workers)
 	for i := 0; i < workers; i++ {
-		weng := grid.New(grid.Options{
-			Workers: 2,
-			Cache:   NewTiered(NewLRU(256), NewRemoteCache(ts.URL, RemoteOptions{Backoff: time.Millisecond})),
-		})
 		w, err := NewWorker(WorkerOptions{
 			Leader:       ts.URL,
-			Engine:       weng,
+			Engine:       grid.New(grid.Options{Workers: 2}),
 			Concurrency:  2,
 			PollInterval: time.Millisecond,
 			Logger:       log.New(io.Discard, "", 0),

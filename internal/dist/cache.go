@@ -1,12 +1,10 @@
 package dist
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"os"
 	"strconv"
-	"sync"
 
 	"multiscalar/internal/grid"
 	"multiscalar/internal/obs/span"
@@ -17,7 +15,7 @@ import (
 // tiered cache (and /healthz) can report per-tier status.
 type Tier interface {
 	grid.Cache
-	// Name labels the tier in health reports and metrics ("lru", "disk",
+	// Name labels the tier in health reports and spans ("disk" or
 	// "remote").
 	Name() string
 	// Ping reports whether the tier's backend is reachable right now. It
@@ -30,76 +28,6 @@ type TierHealth struct {
 	Tier string `json:"tier"`
 	OK   bool   `json:"ok"`
 	Err  string `json:"err,omitempty"`
-}
-
-// LRU is the in-memory tier: a bounded, mutex-guarded map with
-// least-recently-used eviction. Results are stored by pointer and must be
-// treated as read-only by callers — the same convention every engine memo
-// already follows.
-type LRU struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List
-	items map[string]*list.Element
-}
-
-type lruEntry struct {
-	key string
-	res *sim.Result
-}
-
-// NewLRU returns an in-memory tier holding at most max results (max <= 0
-// defaults to 1024).
-func NewLRU(max int) *LRU {
-	if max <= 0 {
-		max = 1024
-	}
-	return &LRU{max: max, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-// Name implements Tier.
-func (c *LRU) Name() string { return "lru" }
-
-// Ping implements Tier: memory is always reachable.
-func (c *LRU) Ping(context.Context) error { return nil }
-
-// Load implements grid.Cache.
-func (c *LRU) Load(_ context.Context, key string, _ grid.Job) (*sim.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).res, true
-}
-
-// Store implements grid.Cache.
-func (c *LRU) Store(_ context.Context, key string, _ grid.Job, res *sim.Result) {
-	if res == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).res = res
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, res: res})
-	for c.ll.Len() > c.max {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*lruEntry).key)
-	}
-}
-
-// Len reports the resident entry count.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // DiskTier adapts grid.DiskCache to the Tier interface.
@@ -122,11 +50,10 @@ func (t DiskTier) Ping(context.Context) error {
 }
 
 // Tiered is a grid.Cache over an ordered tier list, fastest first. Load
-// probes in order and promotes a lower-tier hit into every tier above it
-// (a disk hit becomes an LRU entry; a remote hit lands on local disk), so
-// repeated reads settle into the fastest tier that fits. Store writes
-// through every tier, which is how a worker publishes results to the fleet:
-// its remote tier PUTs to the shared cache.
+// probes in order and promotes a lower-tier hit into every tier above it (a
+// remote hit lands on local disk), so repeated reads settle into the
+// fastest tier. Store writes through every tier: a result computed next to
+// a remote tier is also published to that peer.
 type Tiered struct {
 	tiers []Tier
 }
@@ -193,11 +120,10 @@ func (t *Tiered) Health(ctx context.Context) []TierHealth {
 // Tiers exposes the composed tier list (for stats reporting).
 func (t *Tiered) Tiers() []Tier { return t.tiers }
 
-// CacheConfig names the tier stack the CLIs build from flags: an in-memory
-// LRU in front of a disk store in front of a remote peer, each optional.
+// CacheConfig names the tier stack the CLIs build from flags: a disk store
+// in front of a remote peer, each optional. The engine's memo already holds
+// every result the process has seen, so there is no in-memory tier.
 type CacheConfig struct {
-	// LRUSize is the memory tier's entry budget (0 = no memory tier).
-	LRUSize int
 	// Dir is the disk tier root ("" = no disk tier).
 	Dir string
 	// Remote is the remote peer's base URL ("" = no remote tier).
@@ -211,9 +137,6 @@ type CacheConfig struct {
 // empty); the Tiered is nil when no tier at all is configured.
 func BuildCache(cfg CacheConfig) (*Tiered, *RemoteCache) {
 	var tiers []Tier
-	if cfg.LRUSize > 0 {
-		tiers = append(tiers, NewLRU(cfg.LRUSize))
-	}
 	if cfg.Dir != "" {
 		tiers = append(tiers, NewDiskTier(cfg.Dir))
 	}

@@ -3,8 +3,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"multiscalar/internal/grid"
@@ -20,89 +18,73 @@ func testResult(ipc float64) *sim.Result {
 	return &sim.Result{IPC: ipc, Cycles: 100, Instrs: uint64(100 * ipc)}
 }
 
-func TestLRUEviction(t *testing.T) {
-	ctx := context.Background()
-	c := NewLRU(2)
-	c.Store(ctx, testKey(0), grid.Job{}, testResult(1))
-	c.Store(ctx, testKey(1), grid.Job{}, testResult(2))
-	// Touch key 0 so key 1 becomes the eviction victim.
-	if _, ok := c.Load(ctx, testKey(0), grid.Job{}); !ok {
-		t.Fatal("key 0 missing before eviction")
-	}
-	c.Store(ctx, testKey(2), grid.Job{}, testResult(3))
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	if _, ok := c.Load(ctx, testKey(1), grid.Job{}); ok {
-		t.Error("least-recently-used key 1 survived eviction")
-	}
-	for _, i := range []int{0, 2} {
-		if _, ok := c.Load(ctx, testKey(i), grid.Job{}); !ok {
-			t.Errorf("key %d evicted, want resident", i)
-		}
-	}
-}
-
-// TestTieredPromotion is the disk→LRU half of the fallthrough contract: a
-// miss in the memory tier that hits disk is promoted, so the next load is
-// served from memory even if the disk copy disappears.
+// TestTieredPromotion is the fallthrough contract: a disk miss that hits the
+// remote peer is promoted to disk, so the next load is served from disk
+// without asking the peer again.
 func TestTieredPromotion(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	lru := NewLRU(8)
-	disk := NewDiskTier(dir)
-	tiered := NewTiered(lru, disk)
+	srv := newArtifactServer(t)
+	disk := NewDiskTier(t.TempDir())
+	tiered := NewTiered(disk, fastRemote(srv.ts.URL))
 
 	key := testKey(0)
-	disk.Store(ctx, key, grid.Job{}, testResult(2))
-	if lru.Len() != 0 {
-		t.Fatal("LRU populated before any load")
+	srv.put(key, grid.Artifact{Schema: grid.SchemaVersion, Result: testResult(2)})
+	if _, ok := disk.Load(ctx, key, grid.Job{}); ok {
+		t.Fatal("disk populated before any load")
 	}
 	res, ok := tiered.Load(ctx, key, grid.Job{})
 	if !ok || res.IPC != 2 {
-		t.Fatalf("tiered load = (%v, %v), want disk hit with IPC 2", res, ok)
+		t.Fatalf("tiered load = (%v, %v), want remote hit with IPC 2", res, ok)
 	}
-	if lru.Len() != 1 {
-		t.Fatalf("LRU len = %d after disk hit, want 1 (promotion)", lru.Len())
+	if res, ok := disk.Load(ctx, key, grid.Job{}); !ok || res.IPC != 2 {
+		t.Fatalf("disk load after remote hit = (%v, %v), want the promoted copy", res, ok)
 	}
-	// Remove the disk artifact: a second load must be served by the
-	// promoted in-memory copy.
-	if err := os.Remove(filepath.Join(dir, key+".json")); err != nil {
-		t.Fatal(err)
-	}
+	gets := srv.gets.Load()
 	if res, ok = tiered.Load(ctx, key, grid.Job{}); !ok || res.IPC != 2 {
-		t.Fatalf("post-promotion load = (%v, %v), want LRU hit", res, ok)
+		t.Fatalf("post-promotion load = (%v, %v), want disk hit", res, ok)
+	}
+	if n := srv.gets.Load() - gets; n != 0 {
+		t.Errorf("post-promotion load sent %d GETs to the peer, want 0", n)
 	}
 }
 
 func TestTieredWriteThrough(t *testing.T) {
 	ctx := context.Background()
-	lru := NewLRU(8)
+	srv := newArtifactServer(t)
 	disk := NewDiskTier(t.TempDir())
-	tiered := NewTiered(lru, disk)
+	remote := fastRemote(srv.ts.URL)
+	tiered := NewTiered(disk, remote)
 
 	job := grid.Job{Workload: "compress", Config: sim.DefaultConfig(4)}
 	tiered.Store(ctx, testKey(0), job, testResult(3))
-	if _, ok := lru.Load(ctx, testKey(0), grid.Job{}); !ok {
-		t.Error("store did not reach the LRU tier")
-	}
 	if _, ok := disk.Load(ctx, testKey(0), grid.Job{}); !ok {
 		t.Error("store did not reach the disk tier")
+	}
+	if n := srv.puts.Load(); n != 1 {
+		t.Errorf("remote tier received %d PUTs, want 1", n)
+	}
+	if res, ok := remote.Load(ctx, testKey(0), grid.Job{}); !ok || res.IPC != 3 {
+		t.Errorf("remote load = (%v, %v), want the stored IPC 3", res, ok)
 	}
 }
 
 func TestTieredMissIsMiss(t *testing.T) {
-	tiered := NewTiered(NewLRU(8), NewDiskTier(t.TempDir()))
+	srv := newArtifactServer(t)
+	tiered := NewTiered(NewDiskTier(t.TempDir()), fastRemote(srv.ts.URL))
 	if _, ok := tiered.Load(context.Background(), testKey(9), grid.Job{}); ok {
 		t.Fatal("empty tiers reported a hit")
+	}
+	if n := srv.gets.Load(); n != 1 {
+		t.Errorf("a disk miss sent %d GETs to the peer, want 1", n)
 	}
 }
 
 func TestTieredHealth(t *testing.T) {
-	tiered := NewTiered(NewLRU(8), NewDiskTier(t.TempDir()))
+	srv := newArtifactServer(t)
+	tiered := NewTiered(NewDiskTier(t.TempDir()), fastRemote(srv.ts.URL))
 	hs := tiered.Health(context.Background())
-	if len(hs) != 2 || hs[0].Tier != "lru" || hs[1].Tier != "disk" {
-		t.Fatalf("health = %+v, want [lru disk]", hs)
+	if len(hs) != 2 || hs[0].Tier != "disk" || hs[1].Tier != "remote" {
+		t.Fatalf("health = %+v, want [disk remote]", hs)
 	}
 	for _, h := range hs {
 		if !h.OK {
@@ -115,14 +97,14 @@ func TestBuildCache(t *testing.T) {
 	if c, r := BuildCache(CacheConfig{}); c != nil || r != nil {
 		t.Fatalf("empty config built %v/%v, want nil/nil", c, r)
 	}
-	c, r := BuildCache(CacheConfig{LRUSize: 4, Dir: t.TempDir(), Remote: "http://127.0.0.1:1"})
+	c, r := BuildCache(CacheConfig{Dir: t.TempDir(), Remote: "http://127.0.0.1:1"})
 	if c == nil || r == nil {
 		t.Fatal("full config built nil cache or remote")
 	}
-	if n := len(c.Tiers()); n != 3 {
-		t.Fatalf("tier count = %d, want 3", n)
+	if n := len(c.Tiers()); n != 2 {
+		t.Fatalf("tier count = %d, want 2", n)
 	}
-	for i, want := range []string{"lru", "disk", "remote"} {
+	for i, want := range []string{"disk", "remote"} {
 		if got := c.Tiers()[i].Name(); got != want {
 			t.Errorf("tier %d = %s, want %s (fastest first)", i, got, want)
 		}

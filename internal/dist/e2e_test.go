@@ -8,11 +8,14 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/experiment"
 	"multiscalar/internal/grid"
 	"multiscalar/internal/sim"
 )
@@ -84,17 +87,13 @@ func sameResults(t *testing.T, got, serial []*sim.Result) {
 	}
 }
 
-// startWorker runs one HTTP worker whose cache tiers point back at the
-// leader; its Run error lands on errs.
+// startWorker runs one HTTP worker with no cache tier; its Run error lands
+// on errs.
 func startWorker(ctx context.Context, t *testing.T, leaderURL string, errs chan<- error) {
 	t.Helper()
-	weng := grid.New(grid.Options{
-		Workers: 2,
-		Cache:   NewTiered(NewLRU(256), NewRemoteCache(leaderURL, RemoteOptions{Backoff: time.Millisecond})),
-	})
 	w, err := NewWorker(WorkerOptions{
 		Leader:       leaderURL,
-		Engine:       weng,
+		Engine:       grid.New(grid.Options{Workers: 2}),
 		Concurrency:  2,
 		PollInterval: 5 * time.Millisecond,
 		Logger:       log.New(io.Discard, "", 0),
@@ -106,10 +105,10 @@ func startWorker(ctx context.Context, t *testing.T, leaderURL string, errs chan<
 }
 
 // TestDistributedEndToEnd drives the whole stack in-process: a leader
-// (scheduler + HTTP surface + local loop) and two HTTP workers whose cache
-// tiers point back at the leader, running a small job grid. The distributed
-// results must equal a serial engine's results index for index, and the
-// remote workers must have actually participated.
+// (scheduler + HTTP surface + local loop) and two HTTP workers, running a
+// small job grid. The distributed results must equal a serial engine's
+// results index for index, and the remote workers must have actually
+// participated.
 func TestDistributedEndToEnd(t *testing.T) {
 	fleetSim(t)
 	jobs := fleetJobs()
@@ -119,12 +118,11 @@ func TestDistributedEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sched := NewScheduler(SchedOptions{})
-	cache := NewTiered(NewLRU(256))
-	leader := NewLeader(sched, LeaderOptions{Cache: cache, PollWait: 50 * time.Millisecond})
+	leader := NewLeader(sched, LeaderOptions{PollWait: 50 * time.Millisecond})
 	ts := httptest.NewServer(leader.Handler())
 	defer ts.Close()
 
-	eng := grid.New(grid.Options{Workers: 2, Cache: cache, Dispatcher: sched})
+	eng := grid.New(grid.Options{Workers: 2, Dispatcher: sched})
 	var localDone sync.WaitGroup
 	localDone.Add(1)
 	go func() {
@@ -169,6 +167,93 @@ func TestDistributedEndToEnd(t *testing.T) {
 	}
 }
 
+// routeCounter counts the requests a handler serves by route; every
+// /v1/cache/{key} request counts under "/v1/cache/".
+type routeCounter struct {
+	h  http.Handler
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *routeCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	route := r.URL.Path
+	if strings.HasPrefix(route, "/v1/cache/") {
+		route = "/v1/cache/"
+	}
+	c.mu.Lock()
+	c.n[route]++
+	c.mu.Unlock()
+	c.h.ServeHTTP(w, r)
+}
+
+func (c *routeCounter) count(route string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[route]
+}
+
+// TestFleetReportsEachResultOnce runs Figure 5 on the real simulator through
+// a leader with no local loop and two HTTP workers with no cache tier. The
+// printed figure equals a serial engine's, every remote result comes back
+// in exactly one report and no cache request, and the leader's engine
+// stores each reported result in its own disk tier.
+func TestFleetReportsEachResultOnce(t *testing.T) {
+	wls, pus := []string{"compress", "tomcatv"}, []int{4, 8}
+	serial, err := experiment.Figure5(experiment.NewRunnerOn(grid.New(grid.Options{Workers: 2})), pus, wls)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sched := NewScheduler(SchedOptions{})
+	routes := &routeCounter{
+		h: NewLeader(sched, LeaderOptions{PollWait: 20 * time.Millisecond}).Handler(),
+		n: map[string]int{},
+	}
+	ts := httptest.NewServer(routes)
+	defer ts.Close()
+	workerErrs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		startWorker(ctx, t, ts.URL, workerErrs)
+	}
+
+	dir := t.TempDir()
+	eng := grid.New(grid.Options{Workers: 2, Cache: NewDiskTier(dir), Dispatcher: sched})
+	cells, err := experiment.Figure5(experiment.NewRunnerOn(eng).WithContext(ctx), pus, wls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := experiment.FormatFigure5(cells), experiment.FormatFigure5(serial); got != want {
+		t.Errorf("distributed Figure 5 differs from serial:\n%s\nwant:\n%s", got, want)
+	}
+
+	sched.Close()
+	for i := 0; i < 2; i++ {
+		if err := <-workerErrs; err != nil {
+			t.Errorf("worker %d exited with %v, want clean close", i, err)
+		}
+	}
+	st := sched.Stats()
+	if st.Submitted != 32 || st.Completed != st.Submitted {
+		t.Errorf("submitted %d, completed %d; want all 32 Figure 5 sims dispatched and completed",
+			st.Submitted, st.Completed)
+	}
+	if n := routes.count("/v1/cache/"); n != 0 {
+		t.Errorf("leader saw %d /v1/cache/ requests, want 0", n)
+	}
+	if n := routes.count("/v1/dist/report"); n != int(st.Submitted) {
+		t.Errorf("leader saw %d reports for %d jobs, want exactly one each", n, st.Submitted)
+	}
+	artifacts, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(artifacts) != int(st.Submitted) {
+		t.Errorf("leader disk tier holds %d artifacts, want one per job (%d)", len(artifacts), st.Submitted)
+	}
+}
+
 // postProtocol sends one worker-protocol request the way a bare client
 // would and decodes the leader's answer.
 func postProtocol(t *testing.T, url string, body, out any) {
@@ -204,11 +289,10 @@ func TestWorkerDiesOverHTTP(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sched := NewScheduler(SchedOptions{Lease: 100 * time.Millisecond})
-	cache := NewTiered(NewLRU(256))
-	leader := NewLeader(sched, LeaderOptions{Cache: cache, PollWait: 20 * time.Millisecond})
+	leader := NewLeader(sched, LeaderOptions{PollWait: 20 * time.Millisecond})
 	ts := httptest.NewServer(leader.Handler())
 	defer ts.Close()
-	eng := grid.New(grid.Options{Workers: 2, Cache: cache, Dispatcher: sched})
+	eng := grid.New(grid.Options{Workers: 2, Dispatcher: sched})
 
 	type outcome struct {
 		res []*sim.Result

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -47,7 +46,9 @@ type PullResponse struct {
 }
 
 // ReportRequest delivers one finished job, plus any trace spans the worker
-// recorded while executing it (empty when either side is untraced).
+// recorded while executing it (empty when either side is untraced). It is
+// the only way a remote result reaches the leader: the leader's engine
+// stores it in the leader's own cache tiers.
 type ReportRequest struct {
 	Worker string          `json:"worker"`
 	Key    string          `json:"key"`
@@ -58,10 +59,6 @@ type ReportRequest struct {
 
 // LeaderOptions configures a Leader.
 type LeaderOptions struct {
-	// Cache backs GET/PUT /v1/cache/{key} — normally the same (tiered)
-	// cache the leader's engine uses, so worker publications land where
-	// leader probes look. Nil disables the cache endpoints (404).
-	Cache grid.Cache
 	// PollWait bounds how long /v1/dist/pull holds an empty request open
 	// waiting for work before answering "none" (0 = 500ms). Long-polling
 	// keeps idle workers off the network without delaying fresh jobs.
@@ -74,13 +71,12 @@ type LeaderOptions struct {
 	Tracer *span.Tracer
 }
 
-// Leader mounts a Scheduler and a shared cache on HTTP for remote workers:
-// POST /v1/dist/register, /v1/dist/pull (long-poll), /v1/dist/report,
-// GET/PUT /v1/cache/{key}, and GET /healthz reporting worker and queue
-// state. Mount Handler on any listener; msreport does so on -workers.
+// Leader mounts a Scheduler on HTTP for remote workers: POST
+// /v1/dist/register, /v1/dist/pull (long-poll), /v1/dist/report, and
+// GET /healthz reporting worker and queue state. Mount Handler on any
+// listener; msreport does so on -workers.
 type Leader struct {
 	sched    *Scheduler
-	cache    grid.Cache
 	pollWait time.Duration
 	log      *log.Logger
 	tracer   *span.Tracer
@@ -97,7 +93,6 @@ func NewLeader(s *Scheduler, opts LeaderOptions) *Leader {
 	}
 	l := &Leader{
 		sched:    s,
-		cache:    opts.Cache,
 		pollWait: opts.PollWait,
 		log:      opts.Logger,
 		tracer:   opts.Tracer,
@@ -106,8 +101,6 @@ func NewLeader(s *Scheduler, opts LeaderOptions) *Leader {
 	l.mux.HandleFunc("POST /v1/dist/register", l.handleRegister)
 	l.mux.HandleFunc("POST /v1/dist/pull", l.handlePull)
 	l.mux.HandleFunc("POST /v1/dist/report", l.handleReport)
-	l.mux.HandleFunc("GET /v1/cache/{key}", l.handleCacheGet)
-	l.mux.HandleFunc("PUT /v1/cache/{key}", l.handleCachePut)
 	l.mux.HandleFunc("GET /healthz", l.handleHealthz)
 	if l.tracer != nil {
 		span.RegisterDebug(l.mux, l.tracer)
@@ -206,48 +199,6 @@ func (l *Leader) handleReport(w http.ResponseWriter, r *http.Request) {
 	// — the worker's spans must already be merged by then.
 	l.tracer.Ingest(req.Spans)
 	l.sched.Report(req.Worker, req.Key, req.Result, req.Error)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (l *Leader) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if err := grid.ValidateKey(key); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if l.cache == nil {
-		http.Error(w, "no cache configured", http.StatusNotFound)
-		return
-	}
-	res, ok := l.cache.Load(r.Context(), key, grid.Job{})
-	if !ok {
-		http.Error(w, "not cached", http.StatusNotFound)
-		return
-	}
-	l.writeJSON(w, http.StatusOK, grid.Artifact{Schema: grid.SchemaVersion, Result: res})
-}
-
-func (l *Leader) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if err := grid.ValidateKey(key); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if l.cache == nil {
-		http.Error(w, "no cache configured", http.StatusNotFound)
-		return
-	}
-	a, ok := decodeBody[grid.Artifact](w, r)
-	if !ok {
-		return
-	}
-	if a.Schema != grid.SchemaVersion || a.Result == nil {
-		http.Error(w, fmt.Sprintf("artifact schema %d (want %d) or missing result",
-			a.Schema, grid.SchemaVersion), http.StatusBadRequest)
-		return
-	}
-	job := grid.Job{Workload: a.Workload, Select: a.Select, Config: a.Config}
-	l.cache.Store(r.Context(), key, job, a.Result)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -51,11 +51,11 @@ type RemoteStats struct {
 }
 
 // RemoteCache is the network tier: a grid.Cache over GET/PUT /v1/cache/{key}
-// against an mssrv peer or a dist leader. It is strictly fail-open — every
-// failure mode (timeout, refused connection, 5xx, corrupt body, stale
-// schema) degrades to a cache miss and the caller computes locally — and
-// bounded: each attempt carries its own deadline and transport failures
-// retry at most Retries times with doubling backoff.
+// against an mssrv peer (serve is the one server of that protocol). It is
+// strictly fail-open — every failure mode (timeout, refused connection, 5xx,
+// corrupt body, stale schema) degrades to a cache miss and the caller
+// computes locally — and bounded: each attempt carries its own deadline and
+// transport failures retry at most Retries times with doubling backoff.
 type RemoteCache struct {
 	base    string
 	hc      *http.Client
@@ -212,7 +212,7 @@ func (c *RemoteCache) Load(ctx context.Context, key string, _ grid.Job) (*sim.Re
 // Store implements grid.Cache: best-effort PUT of the full artifact. The
 // publication rides a context detached from the caller's cancellation (but
 // still deadline-bounded per attempt): a result computed just before the
-// leader canceled is still worth sharing with the fleet.
+// caller canceled is still worth sharing with the peer.
 func (c *RemoteCache) Store(ctx context.Context, key string, job grid.Job, res *sim.Result) {
 	blob, err := json.Marshal(grid.Artifact{
 		Schema:   grid.SchemaVersion,

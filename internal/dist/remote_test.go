@@ -13,9 +13,43 @@ import (
 	"time"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/experiment"
 	"multiscalar/internal/grid"
+	"multiscalar/internal/serve"
 	"multiscalar/internal/sim"
 )
+
+// TestRemoteCacheAgainstServe runs the remote tier against the real serve
+// cache handlers: a disk cache warmed by a serial Figure 5 sweep, served by
+// serve.New, answers every job of a second sweep whose engine has no other
+// tier, so nothing is simulated and the figure prints the same bytes.
+func TestRemoteCacheAgainstServe(t *testing.T) {
+	wls, pus := []string{"compress", "tomcatv"}, []int{4, 8}
+	disk := grid.NewDiskCache(t.TempDir())
+	warm, err := experiment.Figure5(experiment.NewRunnerOn(grid.New(grid.Options{Workers: 1, Cache: disk})), pus, wls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{Engine: grid.New(grid.Options{Workers: 1}), Cache: disk})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	remote := fastRemote(ts.URL)
+	eng := grid.New(grid.Options{Workers: 2, Cache: remote})
+	cells, err := experiment.Figure5(experiment.NewRunnerOn(eng), pus, wls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := experiment.FormatFigure5(cells), experiment.FormatFigure5(warm); got != want {
+		t.Errorf("Figure 5 through the remote tier differs:\n%s\nwant:\n%s", got, want)
+	}
+	if s := eng.Stats(); s.Sims != 0 {
+		t.Errorf("engine simulated %d jobs, want 0 (every job a remote hit)", s.Sims)
+	}
+	if st := remote.Stats(); st.Hits != 32 || st.Errors != 0 {
+		t.Errorf("remote stats = %+v, want 32 hits and 0 errors", st)
+	}
+}
 
 // artifactServer serves one artifact under /v1/cache/{key}, counting GETs
 // and recording PUTs.

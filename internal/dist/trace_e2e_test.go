@@ -23,22 +23,15 @@ func traceHarness(t *testing.T, nWorkers int) (*span.Tracer, *grid.Engine, func(
 	ctx, cancel := context.WithCancel(context.Background())
 	tr := span.New(span.Options{Process: "leader", MaxSpansPerTrace: 4096})
 	sched := NewScheduler(SchedOptions{Tracer: tr})
-	cache := NewTiered(NewLRU(256))
-	leader := NewLeader(sched, LeaderOptions{
-		Cache: cache, PollWait: 50 * time.Millisecond, Tracer: tr,
-	})
+	leader := NewLeader(sched, LeaderOptions{PollWait: 50 * time.Millisecond, Tracer: tr})
 	ts := httptest.NewServer(leader.Handler())
-	eng := grid.New(grid.Options{Workers: 2, Cache: cache, Dispatcher: sched})
+	eng := grid.New(grid.Options{Workers: 2, Dispatcher: sched})
 
 	workerErrs := make(chan error, nWorkers)
 	for i := 0; i < nWorkers; i++ {
-		weng := grid.New(grid.Options{
-			Workers: 2,
-			Cache:   NewTiered(NewLRU(256), NewRemoteCache(ts.URL, RemoteOptions{Backoff: time.Millisecond})),
-		})
 		w, err := NewWorker(WorkerOptions{
 			Leader:       ts.URL,
-			Engine:       weng,
+			Engine:       grid.New(grid.Options{Workers: 2}),
 			Concurrency:  2,
 			PollInterval: 2 * time.Millisecond,
 			Logger:       log.New(io.Discard, "", 0),

@@ -21,10 +21,9 @@ import (
 type WorkerOptions struct {
 	// Leader is the leader's base URL (scheme://host:port). Required.
 	Leader string
-	// Engine executes pulled jobs. Required. Give it a Tiered cache whose
-	// remote tier points back at the leader so the worker publishes every
-	// result to the fleet and reuses results other workers already
-	// published.
+	// Engine executes pulled jobs. Required. It needs no cache tier: the
+	// leader dispatches only jobs its own cache missed, and each result
+	// goes back to the leader in the job's report.
 	Engine *grid.Engine
 	// Client issues protocol requests (nil = private client; pulls and
 	// reports carry their own deadlines).
@@ -58,8 +57,8 @@ type WorkerStats struct {
 
 // Worker is one fleet member: it registers with a leader, pulls jobs from
 // the leader's queue, executes them through its own engine — the
-// partition→simulate dependency resolves locally; results publish through
-// the engine's cache tiers — and reports completions. Run returns when the
+// partition→simulate dependency resolves locally — and reports each
+// result back. Run returns when the
 // leader declares the run over, the context ends, or the leader stays
 // unreachable past the retry budget.
 type Worker struct {
@@ -216,9 +215,9 @@ func (w *Worker) loop(ctx context.Context) error {
 			}
 		}
 		if err := w.report(ctx, pull.Key, res, errMsg, w.tracer.Collect(sc.TraceID)); err != nil {
-			// The lease will expire and the job will be reassigned; the
-			// result is already published through the cache tiers, so the
-			// retry is cheap.
+			// The lease expires and the leader hands the job to the next
+			// puller. This worker's engine memo answers it at once if it
+			// comes back here; any other worker simulates it again.
 			w.log.Printf("level=warn msg=report_failed worker=%s key=%s err=%v", w.name, pull.Key, err)
 		}
 	}

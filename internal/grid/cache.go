@@ -30,8 +30,9 @@ type Cache interface {
 }
 
 // Artifact is the persisted and wire form of one cached result, shared by
-// the disk store, the remote cache protocol (GET/PUT /v1/cache/{key}), and
-// the dist worker report. Workload, Select, and Config are stored alongside
+// the disk store and the remote cache protocol (GET/PUT /v1/cache/{key}).
+// The dist worker report is not an Artifact: it carries a bare *sim.Result
+// under the job's key. Workload, Select, and Config are stored alongside
 // the result for human inspection and so a receiver can reconstruct the
 // Job; correctness rests on the key alone.
 type Artifact struct {

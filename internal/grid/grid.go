@@ -38,8 +38,8 @@ type Options struct {
 	// ("" = disabled). The directory is created on first store.
 	CacheDir string
 	// Cache overrides CacheDir with an explicit result store — typically a
-	// tiered cache (internal/dist: in-memory LRU → disk → remote HTTP) so
-	// one engine participates in a multi-process grid.
+	// tiered cache (internal/dist: disk → remote HTTP) that shares results
+	// with an mssrv peer.
 	Cache Cache
 	// Dispatcher, when non-nil, is offered every cache-missing simulation
 	// job before local execution — the hook the distributed job queue

@@ -115,7 +115,7 @@ func TestCacheEndpointsWithoutCache(t *testing.T) {
 func TestHealthzBackend(t *testing.T) {
 	backend := BackendStatus{
 		CacheTiers: []CacheTierStatus{
-			{Tier: "lru", OK: true},
+			{Tier: "disk", OK: true},
 			{Tier: "remote", OK: false, Err: "connection refused"},
 		},
 	}

@@ -55,10 +55,11 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies (0 = 1 MiB).
 	MaxBodyBytes int64
-	// Cache, when non-nil, backs GET/PUT /v1/cache/{key} so peers — remote
-	// cache tiers on workers, other mssrv instances — can probe and publish
-	// artifacts by content address. Wire the same cache the engine uses, or
-	// the peers' view diverges from local compute. Nil answers 404.
+	// Cache, when non-nil, backs GET/PUT /v1/cache/{key} so peers — the
+	// remote tier (-remote-cache) of another mssrv or an msreport — can
+	// probe and publish artifacts by content address. Wire the same cache
+	// the engine uses, or the peers' view diverges from local compute. Nil
+	// answers 404.
 	Cache grid.Cache
 	// Backend, when non-nil, contributes cache-tier reachability to
 	// GET /healthz. It must be cheap — it runs on every health probe.

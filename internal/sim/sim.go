@@ -160,6 +160,32 @@ type simulator struct {
 	res Result
 }
 
+// validate rejects a machine the timing pass cannot run. A zero functional
+// unit count or a zero out-of-order window would otherwise panic inside the
+// run, a zero issue width would silently run as width one, and a dist worker
+// runs whatever Config it pulls off the wire.
+func (cfg Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+		used bool
+	}{
+		{"NumPUs", cfg.NumPUs, true},
+		{"IssueWidth", cfg.IssueWidth, true},
+		{"IntUnits", cfg.IntUnits, true},
+		{"FPUnits", cfg.FPUnits, true},
+		{"MemUnits", cfg.MemUnits, true},
+		{"BranchUnits", cfg.BranchUnits, true},
+		{"ROBSize", cfg.ROBSize, !cfg.InOrder},
+		{"IssueQSize", cfg.IssueQSize, !cfg.InOrder},
+	} {
+		if f.used && f.v < 1 {
+			return fmt.Errorf("sim: %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Run simulates the partitioned program on the configured machine.
 func Run(part *core.Partition, cfg Config) (*Result, error) {
 	return RunObserved(part, cfg, nil)
@@ -175,8 +201,8 @@ func Run(part *core.Partition, cfg Config) (*Result, error) {
 // state, so an observed run produces a Result identical to an unobserved one
 // (asserted by TestRunObservedMatchesRun).
 func RunObserved(part *core.Partition, cfg Config, t obs.Tracer) (*Result, error) {
-	if cfg.NumPUs <= 0 {
-		return nil, fmt.Errorf("sim: NumPUs must be positive, got %d", cfg.NumPUs)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Mem.NumPUs == 0 {
 		cfg.Mem.NumPUs = cfg.NumPUs

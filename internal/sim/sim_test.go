@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"multiscalar/internal/core"
@@ -259,10 +260,44 @@ func TestBreakdownNonNegative(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadConfig: a machine the timing pass cannot run is an error
+// naming the field, never a panic. ROBSize and IssueQSize size the
+// out-of-order windows only, so an in-order machine may leave them zero.
 func TestRunRejectsBadConfig(t *testing.T) {
 	part := partition(t, vecSum(t, 10), core.BasicBlock)
-	if _, err := Run(part, Config{}); err == nil {
-		t.Error("Run accepted zero-PU config")
+	with := func(edit func(*Config)) Config {
+		cfg := DefaultConfig(4)
+		edit(&cfg)
+		return cfg
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		field string // "" = valid
+	}{
+		{"zero", Config{}, "NumPUs"},
+		{"only PUs", Config{NumPUs: 4, MaxInstrs: 2e8}, "IssueWidth"},
+		{"no issue width", with(func(c *Config) { c.IssueWidth = 0 }), "IssueWidth"},
+		{"no int units", with(func(c *Config) { c.IntUnits = 0 }), "IntUnits"},
+		{"no fp units", with(func(c *Config) { c.FPUnits = 0 }), "FPUnits"},
+		{"no mem units", with(func(c *Config) { c.MemUnits = 0 }), "MemUnits"},
+		{"negative branch units", with(func(c *Config) { c.BranchUnits = -1 }), "BranchUnits"},
+		{"no rob", with(func(c *Config) { c.ROBSize = 0 }), "ROBSize"},
+		{"no issue queue", with(func(c *Config) { c.IssueQSize = 0 }), "IssueQSize"},
+		{"in-order, no windows", with(func(c *Config) { c.InOrder, c.ROBSize, c.IssueQSize = true, 0, 0 }), ""},
+		{"in-order, no int units", with(func(c *Config) { c.InOrder, c.IntUnits = true, 0 }), "IntUnits"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(part, tc.cfg)
+			switch {
+			case tc.field == "" && err != nil:
+				t.Fatalf("Run rejected a valid config: %v", err)
+			case tc.field == "" && res.Instrs == 0:
+				t.Fatal("valid config simulated nothing")
+			case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field)):
+				t.Fatalf("Run error = %v, want one naming %s", err, tc.field)
+			}
+		})
 	}
 }
 
