@@ -403,41 +403,11 @@ func printTable1(ctx context.Context, r *experiment.Runner, names []string) {
 }
 
 func printAblations(ctx context.Context, r *experiment.Runner, names []string) {
-	if len(names) == 0 {
-		// Defaults chosen for sensitivity: perl/vortex expose the target
-		// limit, wave5 exercises the ARB and synchronization table, compress
-		// and tomcatv show the ring bandwidth.
-		names = []string{"compress", "perl", "vortex", "wave5", "tomcatv"}
-	}
-	targets, err := experiment.AblationTargets(r, names, nil)
+	out, err := experiment.Ablations(r, names)
 	if err != nil {
 		fatalRun(ctx, err)
 	}
-	fmt.Print(experiment.FormatAblation("hardware target limit N", targets))
-	fmt.Println()
-	syncRows, err := experiment.AblationSync(r, names)
-	if err != nil {
-		fatalRun(ctx, err)
-	}
-	fmt.Print(experiment.FormatAblation("memory dependence synchronization", syncRows))
-	fmt.Println()
-	ring, err := experiment.AblationRing(r, names, nil)
-	if err != nil {
-		fatalRun(ctx, err)
-	}
-	fmt.Print(experiment.FormatAblation("register ring bandwidth", ring))
-	fmt.Println()
-	banks, err := experiment.AblationBanks(r, names, nil)
-	if err != nil {
-		fatalRun(ctx, err)
-	}
-	fmt.Print(experiment.FormatAblation("L1 D-cache banks", banks))
-	fmt.Println()
-	greedy, err := experiment.AblationGreedy(r, names)
-	if err != nil {
-		fatalRun(ctx, err)
-	}
-	fmt.Print(experiment.FormatAblation("greedy vs first-fit task growth", greedy))
+	fmt.Print(out)
 }
 
 func splitList(s string) []string {

@@ -168,12 +168,6 @@ func main() {
 			cfg.JobLimiter = jobs.NewLimiter(*tenantRPS, *tenantBurst)
 		}
 	}
-	if cache != nil {
-		cfg.Cache = cache
-		cfg.Backend = func(ctx context.Context) serve.BackendStatus {
-			return serve.BackendStatus{CacheTiers: tierStatus(cache.Health(ctx))}
-		}
-	}
 	srv := serve.New(cfg)
 
 	ln, err := net.Listen("tcp", *addr)
@@ -283,15 +277,6 @@ func parseWeights(s string) (map[string]float64, error) {
 		out[name] = w
 	}
 	return out, nil
-}
-
-// tierStatus converts dist tier health into the serve wire shape.
-func tierStatus(hs []dist.TierHealth) []serve.CacheTierStatus {
-	out := make([]serve.CacheTierStatus, len(hs))
-	for i, h := range hs {
-		out[i] = serve.CacheTierStatus{Tier: h.Tier, OK: h.OK, Err: h.Err}
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -6,13 +6,15 @@ import (
 	"go/types"
 )
 
-// Obsguard enforces the observability layer's nil contract: obs.Tracer and
-// *obs.Registry fields are optional everywhere — a nil tracer means "tracing
-// off", a nil registry means "metrics off" — so every call through one must
-// be dominated by a nil check. The hot simulation loop relies on this (the
-// guard is the zero-cost path); an unguarded call is a latent panic that only
-// fires in the untraced configuration, which is exactly the configuration the
-// tests exercise least.
+// Obsguard enforces the observability layer's nil contract: an obs.Tracer
+// is optional — a nil tracer means "tracing off" — and an *obs.Registry
+// handed to a constructor may be nil until the constructor's default
+// (`if r == nil { r = obs.NewRegistry() }`) replaces it, so every call
+// through one must be dominated by a nil check or that default. The hot
+// simulation loop relies on this (the guard is the zero-cost path); an
+// unguarded call is a latent panic that only fires in the untraced
+// configuration, which is exactly the configuration the tests exercise
+// least.
 //
 // The analyzer runs a forward walk over each function body carrying a set of
 // receiver chains ("s.tracer", "reg") currently known non-nil. Knowledge is

@@ -23,13 +23,6 @@ type Tier interface {
 	Ping(ctx context.Context) error
 }
 
-// TierHealth is one tier's reachability snapshot.
-type TierHealth struct {
-	Tier string `json:"tier"`
-	OK   bool   `json:"ok"`
-	Err  string `json:"err,omitempty"`
-}
-
 // DiskTier adapts grid.DiskCache to the Tier interface.
 type DiskTier struct {
 	*grid.DiskCache
@@ -105,10 +98,10 @@ func (t *Tiered) Store(ctx context.Context, key string, job grid.Job, res *sim.R
 }
 
 // Health pings every tier in order.
-func (t *Tiered) Health(ctx context.Context) []TierHealth {
-	out := make([]TierHealth, len(t.tiers))
+func (t *Tiered) Health(ctx context.Context) []grid.TierHealth {
+	out := make([]grid.TierHealth, len(t.tiers))
 	for i, tier := range t.tiers {
-		out[i] = TierHealth{Tier: tier.Name(), OK: true}
+		out[i] = grid.TierHealth{Tier: tier.Name(), OK: true}
 		if err := tier.Ping(ctx); err != nil {
 			out[i].OK = false
 			out[i].Err = err.Error()
@@ -116,9 +109,6 @@ func (t *Tiered) Health(ctx context.Context) []TierHealth {
 	}
 	return out
 }
-
-// Tiers exposes the composed tier list (for stats reporting).
-func (t *Tiered) Tiers() []Tier { return t.tiers }
 
 // CacheConfig names the tier stack the CLIs build from flags: a disk store
 // in front of a remote peer, each optional. The engine's memo already holds

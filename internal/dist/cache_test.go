@@ -101,11 +101,12 @@ func TestBuildCache(t *testing.T) {
 	if c == nil || r == nil {
 		t.Fatal("full config built nil cache or remote")
 	}
-	if n := len(c.Tiers()); n != 2 {
-		t.Fatalf("tier count = %d, want 2", n)
+	hs := c.Health(context.Background())
+	if len(hs) != 2 {
+		t.Fatalf("tier count = %d, want 2", len(hs))
 	}
 	for i, want := range []string{"disk", "remote"} {
-		if got := c.Tiers()[i].Name(); got != want {
+		if got := hs[i].Tier; got != want {
 			t.Errorf("tier %d = %s, want %s (fastest first)", i, got, want)
 		}
 	}

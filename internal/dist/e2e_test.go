@@ -17,6 +17,7 @@ import (
 	"multiscalar/internal/core"
 	"multiscalar/internal/experiment"
 	"multiscalar/internal/grid"
+	"multiscalar/internal/obs"
 	"multiscalar/internal/sim"
 )
 
@@ -344,5 +345,39 @@ func TestWorkerDiesOverHTTP(t *testing.T) {
 	localDone.Wait()
 	if err := <-workerErr; err != nil {
 		t.Errorf("worker exited with %v, want clean close", err)
+	}
+}
+
+// TestPullRejectsUnassignedNames: a pull re-admits its worker and names a
+// jobs metric after it, so the leader refuses names Register never hands
+// out, and no metric appears for them. A well-formed name is re-admitted
+// even if this leader never assigned it.
+func TestPullRejectsUnassignedNames(t *testing.T) {
+	reg := obs.NewRegistry()
+	leader := NewLeader(NewScheduler(SchedOptions{Metrics: reg}), LeaderOptions{PollWait: time.Millisecond})
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+	for name, want := range map[string]int{
+		"":                 http.StatusBadRequest,
+		"local":            http.StatusBadRequest,
+		"w":                http.StatusBadRequest,
+		"w1 x":             http.StatusBadRequest,
+		"w1\nevil_total 1": http.StatusBadRequest,
+		"w7":               http.StatusOK,
+	} {
+		blob, _ := json.Marshal(PullRequest{Worker: name})
+		resp, err := http.Post(ts.URL+"/v1/dist/pull", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("pull as %q = %d, want %d", name, resp.StatusCode, want)
+		}
+	}
+	for _, m := range reg.Snapshot().Metrics {
+		if strings.HasPrefix(m.Name, "dist_worker_") && m.Name != "dist_worker_w7_jobs_total" {
+			t.Errorf("pull minted metric %q", m.Name)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"strings"
 	"time"
 
 	"multiscalar/internal/grid"
@@ -146,8 +147,8 @@ func (l *Leader) handlePull(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if req.Worker == "" {
-		http.Error(w, "missing worker name", http.StatusBadRequest)
+	if !remoteWorkerName(req.Worker) {
+		http.Error(w, "worker name must be one the leader assigns (w<n>)", http.StatusBadRequest)
 		return
 	}
 	// Long-poll: retry the scheduler at a short cadence until work appears,
@@ -179,6 +180,22 @@ func (l *Leader) handlePull(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// remoteWorkerName reports whether name has the shape Register gives a
+// remote worker: "w" and a number. A pull re-admits its worker and names a
+// metric after it, so a pull must not be able to mint any other name.
+func remoteWorkerName(name string) bool {
+	n, ok := strings.CutPrefix(name, "w")
+	if !ok || n == "" {
+		return false
+	}
+	for _, c := range n {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 func (l *Leader) handleReport(w http.ResponseWriter, r *http.Request) {

@@ -8,7 +8,7 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"multiscalar/internal/grid"
@@ -24,18 +24,21 @@ type RemoteOptions struct {
 	Client *http.Client
 	// Timeout bounds each attempt (0 = 5s).
 	Timeout time.Duration
-	// Retries is how many times a transport-level failure is retried
-	// (negative = 0; default 2). Definitive answers — a hit, a 404 miss, a
-	// corrupt artifact — are never retried.
+	// Retries is how many times a transport failure or a 5xx answer is
+	// retried (negative = 0; default 2). Definitive answers — a hit, a
+	// not_cached miss, a corrupt artifact, a 4xx refusal — are never
+	// retried.
 	Retries int
 	// Backoff is the first retry delay, doubling per attempt (0 = 50ms).
 	Backoff time.Duration
-	// Metrics, when non-nil, receives dist_remote_* counters and the RTT
-	// histogram.
+	// Metrics is the registry the tier counts into: the dist_remote_*
+	// counters, which Stats reads, and the RTT histogram. Nil gives the
+	// tier a private registry.
 	Metrics *obs.Registry
-	// Logger receives one warning per abandoned request — the fail-open
-	// path — naming the key, attempt count, and last error, so silent
-	// degradation to local compute is diagnosable (nil = discard).
+	// Logger receives one warning per failed request — abandoned or
+	// refused, the fail-open path — naming the key, attempt count, and last
+	// error, so silent degradation to local compute is diagnosable (nil =
+	// discard).
 	Logger *log.Logger
 }
 
@@ -44,7 +47,9 @@ type RemoteStats struct {
 	// Hits and Misses count Load probes by outcome (a corrupt or
 	// stale-schema artifact counts as a miss).
 	Hits, Misses int64
-	// Errors counts probes and puts abandoned after exhausting retries.
+	// Errors counts probes and puts that failed: abandoned after
+	// exhausting retries, or refused with a 4xx other than a not_cached
+	// miss (a peer that serves no cache answers every request that way).
 	Errors int64
 	// Puts counts successful publications.
 	Puts int64
@@ -53,9 +58,11 @@ type RemoteStats struct {
 // RemoteCache is the network tier: a grid.Cache over GET/PUT /v1/cache/{key}
 // against an mssrv peer (serve is the one server of that protocol). It is
 // strictly fail-open — every failure mode (timeout, refused connection, 5xx,
-// corrupt body, stale schema) degrades to a cache miss and the caller
-// computes locally — and bounded: each attempt carries its own deadline and
-// transport failures retry at most Retries times with doubling backoff.
+// 4xx refusal, corrupt body, stale schema) degrades to a cache miss and the
+// caller computes locally — and bounded: each attempt carries its own
+// deadline and transport failures retry at most Retries times with doubling
+// backoff. Only a 404 with the not_cached code is a plain miss; a failure
+// counts as an error and logs one remote_cache_failopen line.
 type RemoteCache struct {
 	base    string
 	hc      *http.Client
@@ -64,11 +71,6 @@ type RemoteCache struct {
 	backoff time.Duration
 	log     *log.Logger
 
-	hits, misses, errs, puts atomic.Int64
-	m                        *remoteMetrics
-}
-
-type remoteMetrics struct {
 	hits, misses, errs, puts *obs.Counter
 	rtt                      *obs.Histogram
 }
@@ -93,25 +95,24 @@ func NewRemoteCache(base string, opts RemoteOptions) *RemoteCache {
 	if opts.Logger == nil {
 		opts.Logger = log.New(io.Discard, "", 0)
 	}
-	c := &RemoteCache{
+	r := opts.Metrics
+	if r == nil {
+		r = obs.NewRegistry()
+	}
+	return &RemoteCache{
 		base:    trimSlash(base),
 		hc:      opts.Client,
 		timeout: opts.Timeout,
 		retries: opts.Retries,
 		backoff: opts.Backoff,
 		log:     opts.Logger,
+		hits:    r.Counter("dist_remote_hits_total", "probes", "remote cache probes that hit"),
+		misses:  r.Counter("dist_remote_misses_total", "probes", "remote cache probes that missed"),
+		errs:    r.Counter("dist_remote_errors_total", "requests", "remote cache requests abandoned after retries"),
+		puts:    r.Counter("dist_remote_puts_total", "artifacts", "results published to the remote cache"),
+		rtt: r.Histogram("dist_remote_rtt_us", "us",
+			"round-trip time of one remote cache request", obs.ExpBuckets(10, 4, 12)),
 	}
-	if r := opts.Metrics; r != nil {
-		c.m = &remoteMetrics{
-			hits:   r.Counter("dist_remote_hits_total", "probes", "remote cache probes that hit"),
-			misses: r.Counter("dist_remote_misses_total", "probes", "remote cache probes that missed"),
-			errs:   r.Counter("dist_remote_errors_total", "requests", "remote cache requests abandoned after retries"),
-			puts:   r.Counter("dist_remote_puts_total", "artifacts", "results published to the remote cache"),
-			rtt: r.Histogram("dist_remote_rtt_us", "us",
-				"round-trip time of one remote cache request", obs.ExpBuckets(10, 4, 12)),
-		}
-	}
-	return c
 }
 
 func trimSlash(s string) string {
@@ -127,18 +128,22 @@ func (c *RemoteCache) Name() string { return "remote" }
 // Stats snapshots the tier's counters.
 func (c *RemoteCache) Stats() RemoteStats {
 	return RemoteStats{
-		Hits: c.hits.Load(), Misses: c.misses.Load(),
-		Errors: c.errs.Load(), Puts: c.puts.Load(),
+		Hits: c.hits.Value(), Misses: c.misses.Value(),
+		Errors: c.errs.Value(), Puts: c.puts.Value(),
 	}
 }
 
-// Ping implements Tier: the peer is reachable if GET /healthz returns any
-// HTTP response at all (a draining peer answers 503 but can still serve its
-// cache).
+// pingKey is a well-formed key that Ping probes.
+var pingKey = strings.Repeat("0", 64)
+
+// Ping implements Tier: the peer must answer a probe of its cache route
+// with a hit or a not_cached miss. A peer that serves no cache (an mssrv
+// without -cache-dir, an msreport leader) fails; a draining mssrv still
+// serves its cache and passes.
 func (c *RemoteCache) Ping(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.keyURL(pingKey), nil)
 	if err != nil {
 		return err
 	}
@@ -146,30 +151,27 @@ func (c *RemoteCache) Ping(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("remote cache %s: %w", c.base, err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return nil
+	defer discard(resp)
+	if resp.StatusCode == http.StatusOK {
+		return nil
+	}
+	return missOrRefusal(resp)
 }
 
 // Load implements grid.Cache: GET the artifact, validate its schema, fail
 // open to a miss on any error.
 func (c *RemoteCache) Load(ctx context.Context, key string, _ grid.Job) (*sim.Result, bool) {
 	var res *sim.Result
-	var lastErr error
-	ok := c.retry(ctx, func(actx context.Context) (done bool) {
+	attempts, err := c.retry(ctx, func(actx context.Context) (again bool, err error) {
 		req, err := http.NewRequestWithContext(actx, http.MethodGet, c.keyURL(key), nil)
 		if err != nil {
-			return true // malformed request: no retry will fix it
+			return false, err // malformed request: no retry will fix it
 		}
 		resp, err := c.do(req)
 		if err != nil {
-			lastErr = err
-			return false
+			return true, err
 		}
-		defer func() {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}()
+		defer discard(resp)
 		switch {
 		case resp.StatusCode == http.StatusOK:
 			var a grid.Artifact
@@ -179,33 +181,19 @@ func (c *RemoteCache) Load(ctx context.Context, key string, _ grid.Job) (*sim.Re
 				a.Schema == grid.SchemaVersion && a.Result != nil {
 				res = a.Result
 			}
-			return true
+			return false, nil
 		case resp.StatusCode >= 500:
-			lastErr = fmt.Errorf("remote cache: %s", resp.Status)
-			return false // transient server trouble: retry
+			return true, fmt.Errorf("remote cache: %s", resp.Status) // transient: retry
 		default:
-			return true // 404 and friends: definitive miss
+			return false, missOrRefusal(resp)
 		}
 	})
-	if !ok {
-		c.errs.Add(1)
-		if c.m != nil {
-			c.m.errs.Inc()
-		}
-		c.log.Printf("level=warn msg=remote_cache_failopen op=load key=%s attempts=%d err=%v",
-			key, c.retries+1, lastErr)
-	}
+	c.failOpen("load", key, attempts, err)
 	if res == nil {
-		c.misses.Add(1)
-		if c.m != nil {
-			c.m.misses.Inc()
-		}
+		c.misses.Inc()
 		return nil, false
 	}
-	c.hits.Add(1)
-	if c.m != nil {
-		c.m.hits.Inc()
-	}
+	c.hits.Inc()
 	return res, true
 }
 
@@ -224,78 +212,106 @@ func (c *RemoteCache) Store(ctx context.Context, key string, job grid.Job, res *
 	if err != nil {
 		return
 	}
-	var lastErr error
-	ok := c.retry(context.WithoutCancel(ctx), func(actx context.Context) (done bool) {
+	attempts, err := c.retry(context.WithoutCancel(ctx), func(actx context.Context) (again bool, err error) {
 		req, err := http.NewRequestWithContext(actx, http.MethodPut, c.keyURL(key), bytes.NewReader(blob))
 		if err != nil {
-			return true
+			return false, err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := c.do(req)
 		if err != nil {
-			lastErr = err
-			return false
+			return true, err
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode >= 500 {
-			lastErr = fmt.Errorf("remote cache: %s", resp.Status)
-			return false
+		defer discard(resp)
+		switch {
+		case resp.StatusCode < 300:
+			c.puts.Inc()
+			return false, nil
+		case resp.StatusCode >= 500:
+			return true, fmt.Errorf("remote cache: %s", resp.Status)
+		default:
+			_, err := refusal(resp)
+			return false, err
 		}
-		if resp.StatusCode < 300 {
-			c.puts.Add(1)
-			if c.m != nil {
-				c.m.puts.Inc()
-			}
-		}
-		return true
 	})
-	if !ok {
-		c.errs.Add(1)
-		if c.m != nil {
-			c.m.errs.Inc()
-		}
-		c.log.Printf("level=warn msg=remote_cache_failopen op=put key=%s attempts=%d err=%v",
-			key, c.retries+1, lastErr)
+	c.failOpen("put", key, attempts, err)
+}
+
+// failOpen counts and logs a request that ended in err (nil = it did not).
+func (c *RemoteCache) failOpen(op, key string, attempts int, err error) {
+	if err == nil {
+		return
 	}
+	c.errs.Inc()
+	c.log.Printf("level=warn msg=remote_cache_failopen op=%s key=%s attempts=%d err=%v",
+		op, key, attempts, err)
+}
+
+// missOrRefusal reads a non-200 answer to a GET: nil for the one plain
+// miss, a 404 whose error code is not_cached (serve's answer for an absent
+// key), or else the refusal.
+func missOrRefusal(resp *http.Response) error {
+	code, err := refusal(resp)
+	if resp.StatusCode == http.StatusNotFound && code == "not_cached" {
+		return nil
+	}
+	return err
+}
+
+// refusal reads the error code of an answer that is neither a hit nor a
+// stored artifact (serve's {"error":{"code"}} body; "" for any other body)
+// and describes the answer as an error.
+func refusal(resp *http.Response) (code string, err error) {
+	var body struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	// A body of any other shape, or none, leaves the code empty.
+	_ = json.NewDecoder(io.LimitReader(resp.Body, 4<<10)).Decode(&body)
+	if code = body.Error.Code; code == "" {
+		return "", fmt.Errorf("remote cache: %s", resp.Status)
+	}
+	return code, fmt.Errorf("remote cache: %s (%s)", resp.Status, code)
+}
+
+// discard drains and closes a response body so the connection is reused.
+func discard(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }
 
 func (c *RemoteCache) keyURL(key string) string {
 	return c.base + "/v1/cache/" + key
 }
 
-// do issues one attempt, observing RTT when metrics are attached.
+// do issues one attempt, observing its RTT.
 func (c *RemoteCache) do(req *http.Request) (*http.Response, error) {
-	if c.m == nil {
-		return c.hc.Do(req)
-	}
 	t0 := time.Now()
 	resp, err := c.hc.Do(req)
-	c.m.rtt.Observe(time.Since(t0).Microseconds())
+	c.rtt.Observe(time.Since(t0).Microseconds())
 	return resp, err
 }
 
-// retry runs attempt with a per-attempt deadline until it reports done,
-// retries are exhausted, or ctx ends. It reports whether the sequence
-// reached a definitive answer (false = abandoned on transport errors).
-func (c *RemoteCache) retry(ctx context.Context, attempt func(context.Context) bool) bool {
+// retry runs attempt with a per-attempt deadline until it gives a
+// definitive answer (again=false), retries are exhausted, or ctx ends. It
+// returns the attempts made and the error that ended the sequence (nil =
+// a definitive answer that is not a failure).
+func (c *RemoteCache) retry(ctx context.Context, attempt func(context.Context) (again bool, err error)) (int, error) {
 	delay := c.backoff
-	for try := 0; ; try++ {
+	for try := 1; ; try++ {
 		actx, cancel := context.WithTimeout(ctx, c.timeout)
-		done := attempt(actx)
+		again, err := attempt(actx)
 		cancel()
-		if done {
-			return true
-		}
-		if try >= c.retries || ctx.Err() != nil {
-			return false
+		if !again || try > c.retries || ctx.Err() != nil {
+			return try, err
 		}
 		t := time.NewTimer(delay)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return false
+			return try, err
 		}
 		delay *= 2
 	}

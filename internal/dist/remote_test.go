@@ -30,11 +30,14 @@ func TestRemoteCacheAgainstServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := serve.New(serve.Config{Engine: grid.New(grid.Options{Workers: 1}), Cache: disk})
+	srv := serve.New(serve.Config{Engine: grid.New(grid.Options{Workers: 1, Cache: disk})})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	remote := fastRemote(ts.URL)
+	if err := remote.Ping(context.Background()); err != nil {
+		t.Errorf("ping a serve with a cache: %v", err)
+	}
 	eng := grid.New(grid.Options{Workers: 2, Cache: remote})
 	cells, err := experiment.Figure5(experiment.NewRunnerOn(eng), pus, wls)
 	if err != nil {
@@ -52,7 +55,8 @@ func TestRemoteCacheAgainstServe(t *testing.T) {
 }
 
 // artifactServer serves one artifact under /v1/cache/{key}, counting GETs
-// and recording PUTs.
+// and recording PUTs. An absent key answers as serve does: 404 with the
+// not_cached code.
 type artifactServer struct {
 	ts   *httptest.Server
 	gets atomic.Int64
@@ -76,7 +80,8 @@ func newArtifactServer(t *testing.T) *artifactServer {
 		}
 		blob, ok := s.stored[key]
 		if !ok {
-			http.Error(w, "not cached", http.StatusNotFound)
+			w.WriteHeader(http.StatusNotFound)
+			w.Write([]byte(`{"error":{"code":"not_cached","message":"no artifact"}}`))
 			return
 		}
 		w.Write(blob)
@@ -91,9 +96,6 @@ func newArtifactServer(t *testing.T) *artifactServer {
 		enc, _ := json.Marshal(a)
 		s.stored[r.PathValue("key")] = enc
 		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"status":"ok"}`))
 	})
 	s.ts = httptest.NewServer(mux)
 	t.Cleanup(s.ts.Close)
@@ -318,5 +320,60 @@ func TestRemoteFailOpenWarningNamesKey(t *testing.T) {
 		if !strings.Contains(line, want) {
 			t.Errorf("put warning %q missing %q", line, want)
 		}
+	}
+}
+
+// TestRemoteAgainstPeerWithoutCache points the remote tier at peers that
+// serve no cache: a real serve.New whose engine has none, which answers the
+// cache route with 404 no_cache, and an msreport leader, which has no cache
+// route at all. Ping must fail, and every Load and Store must count an
+// error after one attempt and log one fail-open line, instead of passing
+// for a miss and a publication.
+func TestRemoteAgainstPeerWithoutCache(t *testing.T) {
+	peers := map[string]http.Handler{
+		"serve":  serve.New(serve.Config{Engine: grid.New(grid.Options{Workers: 1})}).Handler(),
+		"leader": NewLeader(NewScheduler(SchedOptions{}), LeaderOptions{}).Handler(),
+	}
+	for name, h := range peers {
+		t.Run(name, func(t *testing.T) {
+			var requests atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				requests.Add(1)
+				h.ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+			var buf bytes.Buffer
+			rc := NewRemoteCache(ts.URL, RemoteOptions{Backoff: time.Millisecond, Logger: log.New(&buf, "", 0)})
+			ctx := context.Background()
+
+			if err := rc.Ping(ctx); err == nil || !strings.Contains(err.Error(), "404") {
+				t.Errorf("Ping = %v, want a 404 error", err)
+			}
+			key := testKey(0)
+			if _, ok := rc.Load(ctx, key, grid.Job{}); ok {
+				t.Fatal("Load reported a hit")
+			}
+			rc.Store(ctx, key, testJob(4), testResult(1))
+			if st := rc.Stats(); st != (RemoteStats{Misses: 1, Errors: 2}) {
+				t.Errorf("stats = %+v, want 1 miss, 2 errors and no put", st)
+			}
+			if n := requests.Load(); n != 3 {
+				t.Errorf("peer saw %d requests, want 3 (ping, load, put; a refusal is not retried)", n)
+			}
+			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+			if len(lines) != 2 {
+				t.Fatalf("log = %q, want one fail-open line per request", buf.String())
+			}
+			for i, op := range []string{"op=load", "op=put"} {
+				for _, want := range []string{"msg=remote_cache_failopen", op, "key=" + key, "attempts=1", "404"} {
+					if !strings.Contains(lines[i], want) {
+						t.Errorf("log line %q missing %q", lines[i], want)
+					}
+				}
+			}
+			if name == "serve" && !strings.Contains(lines[0], "no_cache") {
+				t.Errorf("load line %q does not name serve's no_cache code", lines[0])
+			}
+		})
 	}
 }

@@ -21,8 +21,9 @@ type SchedOptions struct {
 	// after a false-positive reap is harmless — the simulator is
 	// deterministic and the first report wins.
 	Lease time.Duration
-	// Metrics, when non-nil, receives dist_* scheduler counters plus one
-	// jobs counter per registered worker.
+	// Metrics is the registry the scheduler counts into: dist_* scheduler
+	// counters plus one jobs counter per worker name, which Stats and
+	// WorkerJobs read. Nil gives the scheduler a private registry.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, stitches the local loop's executions into the
 	// dispatching request's trace as worker.exec spans (remote workers carry
@@ -75,8 +76,7 @@ type workerInfo struct {
 	remote   bool
 	lastSeen time.Time
 	leased   map[string]*task
-	jobs     *obs.Counter // nil without metrics
-	nJobs    int64
+	jobs     *obs.Counter // looked up by name, so it outlives a reap
 }
 
 type schedMetrics struct {
@@ -93,18 +93,15 @@ type schedMetrics struct {
 type Scheduler struct {
 	lease time.Duration
 
-	mu        sync.Mutex
-	queue     []*task // queued tasks, FIFO; reaped leases rejoin at the head
-	tasks     map[string]*task
-	workers   map[string]*workerInfo
-	seq       int
-	closed    bool
-	submitted int64
-	completed int64
-	reassigns int64
+	mu      sync.Mutex
+	queue   []*task // queued tasks, FIFO; reaped leases rejoin at the head
+	tasks   map[string]*task
+	workers map[string]*workerInfo
+	seq     int
+	closed  bool
 
 	reg    *obs.Registry
-	m      *schedMetrics
+	m      schedMetrics
 	tracer *span.Tracer
 }
 
@@ -113,23 +110,24 @@ func NewScheduler(opts SchedOptions) *Scheduler {
 	if opts.Lease <= 0 {
 		opts.Lease = 2 * time.Minute
 	}
-	s := &Scheduler{
+	r := opts.Metrics
+	if r == nil {
+		r = obs.NewRegistry()
+	}
+	return &Scheduler{
 		lease:   opts.Lease,
 		tasks:   make(map[string]*task),
 		workers: make(map[string]*workerInfo),
-		reg:     opts.Metrics,
+		reg:     r,
 		tracer:  opts.Tracer,
-	}
-	if r := opts.Metrics; r != nil {
-		s.m = &schedMetrics{
+		m: schedMetrics{
 			submitted:  r.Counter("dist_submitted_total", "jobs", "jobs submitted to the scheduler"),
 			completed:  r.Counter("dist_completed_total", "jobs", "jobs completed by any worker"),
 			reassigned: r.Counter("dist_reassigned_total", "jobs", "jobs requeued after a lease expired"),
 			workers:    r.Gauge("dist_workers", "workers", "live registered workers (incl. the local loop)"),
 			queued:     r.Gauge("dist_queued", "jobs", "jobs waiting for a worker"),
-		}
+		},
 	}
-	return s
 }
 
 // Dispatch implements grid.Dispatcher: enqueue the job (or join an
@@ -155,10 +153,7 @@ func (s *Scheduler) Dispatch(ctx context.Context, key string, job grid.Job) (res
 		}
 		s.tasks[key] = t
 		s.queue = append(s.queue, t)
-		s.submitted++
-		if s.m != nil {
-			s.m.submitted.Inc()
-		}
+		s.m.submitted.Inc()
 		s.gaugeQueuedLocked()
 	}
 	s.mu.Unlock()
@@ -181,20 +176,23 @@ func (s *Scheduler) Register(remote bool) (name string, lease time.Duration) {
 	if !remote {
 		name = "local"
 	}
+	s.admitLocked(name, remote, time.Now())
+	return name, s.lease
+}
+
+// admitLocked adds a live worker. Its jobs counter is looked up by name, so
+// a worker re-admitted after a reap keeps counting where it left off.
+func (s *Scheduler) admitLocked(name string, remote bool, now time.Time) *workerInfo {
 	w := &workerInfo{
 		remote:   remote,
-		lastSeen: time.Now(),
+		lastSeen: now,
 		leased:   make(map[string]*task),
-	}
-	if s.reg != nil {
-		w.jobs = s.reg.Counter("dist_worker_"+name+"_jobs_total", "jobs",
-			"jobs completed by worker "+name)
+		jobs: s.reg.Counter("dist_worker_"+name+"_jobs_total", "jobs",
+			"jobs completed by worker "+name),
 	}
 	s.workers[name] = w
-	if s.m != nil {
-		s.m.workers.Set(int64(len(s.workers)))
-	}
-	return name, s.lease
+	s.m.workers.Set(int64(len(s.workers)))
+	return w
 }
 
 // Pull leases worker the job at the head of the queue, whichever worker
@@ -211,9 +209,7 @@ func (s *Scheduler) Pull(worker string) (key string, job grid.Job, sc span.SpanC
 		// its listener.
 		if _, ok := s.workers[worker]; ok {
 			delete(s.workers, worker)
-			if s.m != nil {
-				s.m.workers.Set(int64(len(s.workers)))
-			}
+			s.m.workers.Set(int64(len(s.workers)))
 		}
 		return "", grid.Job{}, span.SpanContext{}, false, true
 	}
@@ -223,11 +219,7 @@ func (s *Scheduler) Pull(worker string) (key string, job grid.Job, sc span.SpanC
 	if w == nil {
 		// Reaped as dead (or never registered): re-admit so a slow-but-alive
 		// worker keeps working after a false-positive reap.
-		w = &workerInfo{remote: worker != "local", lastSeen: now, leased: make(map[string]*task)}
-		s.workers[worker] = w
-		if s.m != nil {
-			s.m.workers.Set(int64(len(s.workers)))
-		}
+		w = s.admitLocked(worker, worker != "local", now)
 	}
 	w.lastSeen = now
 
@@ -260,9 +252,7 @@ func (s *Scheduler) popLocked() *task {
 // gaugeQueuedLocked re-derives the queued gauge from the queue, so
 // discarded duplicates can never make it drift.
 func (s *Scheduler) gaugeQueuedLocked() {
-	if s.m != nil {
-		s.m.queued.Set(int64(s.queuedLocked()))
-	}
+	s.m.queued.Set(int64(s.queuedLocked()))
 }
 
 // queuedLocked counts the queue's live entries.
@@ -298,15 +288,9 @@ func (s *Scheduler) Report(worker, key string, res *sim.Result, errMsg string) {
 	} else if res == nil {
 		t.err = errors.New("dist: worker reported neither result nor error")
 	}
-	s.completed++
-	if s.m != nil {
-		s.m.completed.Inc()
-	}
+	s.m.completed.Inc()
 	if w := s.workers[worker]; w != nil {
-		w.nJobs++
-		if w.jobs != nil {
-			w.jobs.Inc()
-		}
+		w.jobs.Inc()
 	}
 	close(t.done)
 }
@@ -320,19 +304,14 @@ func (s *Scheduler) reapLocked(now time.Time) {
 			if t.state == taskLeased && now.After(t.lease) {
 				t.state = taskQueued
 				s.queue = append([]*task{t}, s.queue...)
-				s.reassigns++
-				if s.m != nil {
-					s.m.reassigned.Inc()
-				}
+				s.m.reassigned.Inc()
 				t.sp.Event("dist.lease-reassign", "worker", name)
 				delete(w.leased, key)
 			}
 		}
 		if len(w.leased) == 0 && now.Sub(w.lastSeen) > 3*s.lease {
 			delete(s.workers, name)
-			if s.m != nil {
-				s.m.workers.Set(int64(len(s.workers)))
-			}
+			s.m.workers.Set(int64(len(s.workers)))
 		}
 	}
 }
@@ -355,9 +334,7 @@ func (s *Scheduler) Close() {
 		}
 	}
 	s.queue = nil
-	if s.m != nil {
-		s.m.queued.Set(0)
-	}
+	s.m.queued.Set(0)
 }
 
 // Stats snapshots the scheduler.
@@ -366,7 +343,8 @@ func (s *Scheduler) Stats() SchedStats {
 	defer s.mu.Unlock()
 	st := SchedStats{
 		Queued:    s.queuedLocked(),
-		Submitted: s.submitted, Completed: s.completed, Reassigned: s.reassigns,
+		Submitted: s.m.submitted.Value(), Completed: s.m.completed.Value(),
+		Reassigned: s.m.reassigned.Value(),
 	}
 	for _, w := range s.workers {
 		st.Workers++
@@ -398,7 +376,7 @@ func (s *Scheduler) WorkerJobs() map[string]int64 {
 	defer s.mu.Unlock()
 	out := make(map[string]int64, len(s.workers))
 	for name, w := range s.workers {
-		out[name] = w.nJobs
+		out[name] = w.jobs.Value()
 	}
 	return out
 }

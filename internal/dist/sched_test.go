@@ -9,6 +9,7 @@ import (
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/grid"
+	"multiscalar/internal/obs"
 	"multiscalar/internal/sim"
 )
 
@@ -296,4 +297,52 @@ func waitForCond(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestReadmittedWorkerKeepsItsJobCount: a worker reaped as silent and then
+// re-admitted by its next pull keeps counting, in WorkerJobs and in its
+// dist_worker_<name>_jobs_total metric, the jobs it completed before the
+// reap as well as after it.
+func TestReadmittedWorkerKeepsItsJobCount(t *testing.T) {
+	const lease = 20 * time.Millisecond
+	reg := obs.NewRegistry()
+	s := NewScheduler(SchedOptions{Lease: lease, Metrics: reg})
+	w, _ := s.Register(true)
+	other, _ := s.Register(true)
+
+	complete := func(i int) {
+		t.Helper()
+		key := testKey(i)
+		done := dispatchAsync(context.Background(), s, key, testJob(4))
+		waitForCond(t, "job queued", func() bool { return s.Stats().Queued == 1 })
+		if k, _, _, ok, _ := s.Pull(w); !ok || k != key {
+			t.Fatalf("%s pulled (%q, %v), want %q", w, k, ok, key)
+		}
+		s.Report(w, key, testResult(1), "")
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	complete(0)
+	// w goes silent past three leases; the other worker's pull reaps it.
+	time.Sleep(3*lease + 20*time.Millisecond)
+	s.Pull(other)
+	if _, ok := s.WorkerJobs()[w]; ok {
+		t.Fatalf("%s still registered after going silent", w)
+	}
+	complete(1)
+
+	if got := s.WorkerJobs()[w]; got != 2 {
+		t.Errorf("WorkerJobs()[%s] = %d, want 2 (one job before the reap, one after)", w, got)
+	}
+	metric := "dist_worker_" + w + "_jobs_total"
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == metric {
+			if *m.Value != 2 {
+				t.Errorf("%s = %d, want 2", metric, *m.Value)
+			}
+			return
+		}
+	}
+	t.Errorf("%s missing from the registry", metric)
 }

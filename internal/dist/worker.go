@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"multiscalar/internal/grid"
@@ -37,8 +36,9 @@ type WorkerOptions struct {
 	PollInterval time.Duration
 	// Timeout bounds each protocol request (0 = 10s).
 	Timeout time.Duration
-	// Metrics, when non-nil, receives dist_pull_rtt_us and worker-side job
-	// counters.
+	// Metrics is the registry the worker counts into: dist_pull_rtt_us and
+	// the worker-side job counters, which Stats reads. Nil gives the worker
+	// a private registry.
 	Metrics *obs.Registry
 	// Logger receives lifecycle lines (nil = discard).
 	Logger *log.Logger
@@ -62,21 +62,18 @@ type WorkerStats struct {
 // leader declares the run over, the context ends, or the leader stays
 // unreachable past the retry budget.
 type Worker struct {
-	leader   string
-	eng      *grid.Engine
-	hc       *http.Client
-	conc     int
-	poll     time.Duration
-	timeout  time.Duration
-	log      *log.Logger
-	tracer   *span.Tracer
-	name     string
-	jobs     atomic.Int64
-	failures atomic.Int64
+	leader  string
+	eng     *grid.Engine
+	hc      *http.Client
+	conc    int
+	poll    time.Duration
+	timeout time.Duration
+	log     *log.Logger
+	tracer  *span.Tracer
+	name    string
 
-	rtt     *obs.Histogram // nil without metrics
-	mJobs   *obs.Counter
-	mErrors *obs.Counter
+	rtt          *obs.Histogram
+	jobs, failed *obs.Counter
 }
 
 // NewWorker validates opts and returns an unstarted worker.
@@ -102,7 +99,11 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = opts.Engine.Workers()
 	}
-	w := &Worker{
+	r := opts.Metrics
+	if r == nil {
+		r = obs.NewRegistry()
+	}
+	return &Worker{
 		leader:  trimSlash(opts.Leader),
 		eng:     opts.Engine,
 		hc:      opts.Client,
@@ -111,14 +112,11 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		timeout: opts.Timeout,
 		log:     opts.Logger,
 		tracer:  opts.Tracer,
-	}
-	if r := opts.Metrics; r != nil {
-		w.rtt = r.Histogram("dist_pull_rtt_us", "us",
-			"round-trip time of one pull against the leader", obs.ExpBuckets(10, 4, 12))
-		w.mJobs = r.Counter("dist_jobs_executed_total", "jobs", "jobs this worker executed")
-		w.mErrors = r.Counter("dist_job_errors_total", "jobs", "executed jobs that returned an error")
-	}
-	return w, nil
+		rtt: r.Histogram("dist_pull_rtt_us", "us",
+			"round-trip time of one pull against the leader", obs.ExpBuckets(10, 4, 12)),
+		jobs:   r.Counter("dist_jobs_executed_total", "jobs", "jobs this worker executed"),
+		failed: r.Counter("dist_job_errors_total", "jobs", "executed jobs that returned an error"),
+	}, nil
 }
 
 // Name reports the leader-assigned worker name ("" before registration).
@@ -126,7 +124,7 @@ func (w *Worker) Name() string { return w.name }
 
 // Stats snapshots the worker's counters.
 func (w *Worker) Stats() WorkerStats {
-	return WorkerStats{Jobs: w.jobs.Load(), Failures: w.failures.Load()}
+	return WorkerStats{Jobs: w.jobs.Value(), Failures: w.failed.Value()}
 }
 
 // maxConsecutiveFailures bounds how many protocol round trips may fail in a
@@ -156,7 +154,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 	}
 	if first == nil {
-		w.log.Printf("level=info msg=worker_done worker=%s jobs=%d", w.name, w.jobs.Load())
+		w.log.Printf("level=info msg=worker_done worker=%s jobs=%d", w.name, w.jobs.Value())
 	}
 	return first
 }
@@ -202,17 +200,11 @@ func (w *Worker) loop(ctx context.Context) error {
 		if runErr != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		w.jobs.Add(1)
-		if w.mJobs != nil {
-			w.mJobs.Inc()
-		}
+		w.jobs.Inc()
 		errMsg := ""
 		if runErr != nil {
 			errMsg = runErr.Error()
-			w.failures.Add(1)
-			if w.mErrors != nil {
-				w.mErrors.Inc()
-			}
+			w.failed.Inc()
 		}
 		if err := w.report(ctx, pull.Key, res, errMsg, w.tracer.Collect(sc.TraceID)); err != nil {
 			// The lease expires and the leader hands the job to the next
@@ -264,9 +256,7 @@ func (w *Worker) pull(ctx context.Context) (PullResponse, time.Duration, error) 
 	t0 := time.Now()
 	err := w.post(ctx, "/v1/dist/pull", PullRequest{Worker: w.name}, &resp)
 	rtt := time.Since(t0)
-	if w.rtt != nil {
-		w.rtt.Observe(rtt.Microseconds())
-	}
+	w.rtt.Observe(rtt.Microseconds())
 	return resp, rtt, err
 }
 

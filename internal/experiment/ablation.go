@@ -126,17 +126,17 @@ func AblationBanks(r *Runner, names []string, banks []int) ([]AblationRow, error
 func AblationGreedy(r *Runner, names []string) ([]AblationRow, error) {
 	return sweep(r.context(), len(names)*2, func(i int) (AblationRow, error) {
 		name, noGreedy := names[i/2], i%2 == 1
-		res, err := r.Engine().Run(grid.Job{
+		label := "greedy"
+		if noGreedy {
+			label = "first-fit"
+		}
+		res, err := r.runJob(label, grid.Job{
 			Workload: name,
 			Select:   core.Options{Heuristic: core.ControlFlow, NoGreedy: noGreedy},
 			Config:   sim.DefaultConfig(8),
 		})
 		if err != nil {
 			return AblationRow{}, err
-		}
-		label := "greedy"
-		if noGreedy {
-			label = "first-fit"
 		}
 		return AblationRow{
 			Workload: name,
@@ -156,7 +156,8 @@ func AblationThresh(r *Runner, names []string, threshes []int) ([]AblationRow, e
 	}
 	return sweep(r.context(), len(names)*len(threshes), func(i int) (AblationRow, error) {
 		name, th := names[i/len(threshes)], threshes[i%len(threshes)]
-		res, err := r.Engine().Run(grid.Job{
+		label := fmt.Sprintf("thresh=%d", th)
+		res, err := r.runJob(label, grid.Job{
 			Workload: name,
 			Select: core.Options{
 				Heuristic:  core.DataDependence,
@@ -171,11 +172,47 @@ func AblationThresh(r *Runner, names []string, threshes []int) ([]AblationRow, e
 		}
 		return AblationRow{
 			Workload: name,
-			Label:    fmt.Sprintf("thresh=%d", th),
+			Label:    label,
 			IPC:      res.IPC,
 			Extra:    fmt.Sprintf("size=%.1f", res.AvgTaskSize),
 		}, nil
 	})
+}
+
+// ablationWorkloads are the ablations' default workloads, chosen for
+// sensitivity: perl/vortex expose the target limit, wave5 exercises the ARB
+// and synchronization table, compress and tomcatv show the ring bandwidth.
+var ablationWorkloads = []string{"compress", "perl", "vortex", "wave5", "tomcatv"}
+
+// Ablations runs the report's five ablation tables over names (nil =
+// ablationWorkloads) and renders them in order, titled and separated by
+// blank lines, as `msreport -experiment ablations` prints them.
+func Ablations(r *Runner, names []string) (string, error) {
+	if len(names) == 0 {
+		names = ablationWorkloads
+	}
+	tables := []struct {
+		title string
+		run   func() ([]AblationRow, error)
+	}{
+		{"hardware target limit N", func() ([]AblationRow, error) { return AblationTargets(r, names, nil) }},
+		{"memory dependence synchronization", func() ([]AblationRow, error) { return AblationSync(r, names) }},
+		{"register ring bandwidth", func() ([]AblationRow, error) { return AblationRing(r, names, nil) }},
+		{"L1 D-cache banks", func() ([]AblationRow, error) { return AblationBanks(r, names, nil) }},
+		{"greedy vs first-fit task growth", func() ([]AblationRow, error) { return AblationGreedy(r, names) }},
+	}
+	var sb strings.Builder
+	for i, tb := range tables {
+		rows, err := tb.run()
+		if err != nil {
+			return "", err
+		}
+		if i > 0 {
+			sb.WriteString("\n")
+		}
+		sb.WriteString(FormatAblation(tb.title, rows))
+	}
+	return sb.String(), nil
 }
 
 // FormatAblation renders ablation rows grouped by workload.

@@ -154,9 +154,15 @@ func (mc SimConfig) job(name string, v Variant) grid.Job {
 // Run simulates one workload/variant on one machine point, caching results.
 // Safe for concurrent use; identical concurrent calls simulate once.
 func (r *Runner) Run(name string, v Variant, mc SimConfig) (*sim.Result, error) {
-	res, err := r.eng.RunCtx(r.context(), mc.job(name, v))
+	return r.runJob(v.String(), mc.job(name, v))
+}
+
+// runJob runs one grid job on the runner's context; label names the
+// setting in the error, after the workload.
+func (r *Runner) runJob(label string, job grid.Job) (*sim.Result, error) {
+	res, err := r.eng.RunCtx(r.context(), job)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: %s/%v: %w", name, v, err)
+		return nil, fmt.Errorf("experiment: %s/%s: %w", job.Workload, label, err)
 	}
 	return res, nil
 }

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestFullGrid computes the whole Figure 5 and Table 1 grid and pins its
-// printed form to the committed report_full.txt, the stdout of
-// `msreport -experiment all`: that report opens with the Figure 5 tables and
-// the summary, then a blank line, then Table 1 and another blank line.
+// TestFullGrid computes the whole Figure 5 and Table 1 grid and the
+// ablations, and pins their printed form to the committed report_full.txt,
+// the stdout of `msreport -experiment all`: that report opens with the
+// Figure 5 tables and the summary, then a blank line, then Table 1, another
+// blank line, and the five ablation tables.
 func TestFullGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid is slow")
@@ -39,7 +40,15 @@ func TestFullGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	table1 := FormatTable1(rows)
-	if !strings.HasPrefix("Table 1:"+tail, table1+"\n") {
-		t.Errorf("Table 1 differs from report_full.txt:\n%s", table1)
+	ablations, ok := strings.CutPrefix("Table 1:"+tail, table1+"\n")
+	if !ok {
+		t.Fatalf("Table 1 differs from report_full.txt:\n%s", table1)
+	}
+	got, err := Ablations(r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != ablations {
+		t.Errorf("ablations differ from report_full.txt:\n%s", got)
 	}
 }

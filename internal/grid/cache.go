@@ -29,6 +29,15 @@ type Cache interface {
 	Store(ctx context.Context, key string, job Job, res *sim.Result)
 }
 
+// TierHealth is one cache tier's reachability snapshot. A Cache made of
+// tiers reports them through a Health(context.Context) []TierHealth method,
+// which mssrv's /healthz shows as its backend block.
+type TierHealth struct {
+	Tier string `json:"tier"`
+	OK   bool   `json:"ok"`
+	Err  string `json:"err,omitempty"`
+}
+
 // Artifact is the persisted and wire form of one cached result, shared by
 // the disk store and the remote cache protocol (GET/PUT /v1/cache/{key}).
 // The dist worker report is not an Artifact: it carries a bare *sim.Result

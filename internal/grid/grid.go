@@ -48,11 +48,11 @@ type Options struct {
 	// drained or unreachable fleet degrades to single-process execution
 	// rather than failing the sweep.
 	Dispatcher Dispatcher
-	// Metrics, when non-nil, receives the engine's per-job metrics: job and
-	// simulation counters, cache hit/miss counters, queue-wait and
-	// execution wall-time histograms, and worker occupancy over time (see
-	// newEngMetrics for the catalog). Nil keeps the engine metric-free with
-	// no timing calls on the hot path.
+	// Metrics is the registry the engine counts into: job and simulation
+	// counters, cache hit/miss counters, queue-wait and execution wall-time
+	// histograms, and worker occupancy over time (see newEngMetrics for the
+	// catalog). Stats reads the same counters, so engines that share a
+	// registry share their counts. Nil gives the engine a private registry.
 	Metrics *obs.Registry
 }
 
@@ -114,16 +114,15 @@ var ErrDispatch = errors.New("grid: dispatcher unavailable")
 // usable.
 type Engine struct {
 	sem      chan struct{}
-	cache    Cache       // nil = no result cache
-	dispatch Dispatcher  // nil = always compute in-process
-	m        *engMetrics // nil unless Options.Metrics was set
+	cache    Cache      // nil = no result cache
+	dispatch Dispatcher // nil = always compute in-process
+	m        engMetrics
 
 	mu    sync.Mutex
 	parts map[string]*call[*core.Partition]
 	sims  map[string]*call[*sim.Result]
 
-	jobs, done, nParts, nSims      atomic.Int64
-	cacheHits, cacheMisses, dedups atomic.Int64
+	done atomic.Int64 // finished jobs; the one count with no metric
 }
 
 // engMetrics holds the engine's registry handles, resolved once at New so
@@ -138,11 +137,11 @@ type engMetrics struct {
 	occupancy            *obs.Histogram
 }
 
-func newEngMetrics(r *obs.Registry) *engMetrics {
+func newEngMetrics(r *obs.Registry) engMetrics {
 	if r == nil {
-		return nil
+		r = obs.NewRegistry()
 	}
-	return &engMetrics{
+	return engMetrics{
 		jobs:      r.Counter("grid_jobs_total", "jobs", "unique simulation jobs entered"),
 		parts:     r.Counter("grid_partitions_total", "partitions", "core.Select executions"),
 		sims:      r.Counter("grid_sims_total", "sims", "sim.Run executions"),
@@ -201,13 +200,16 @@ func New(opts Options) *Engine {
 // Workers reports the worker-pool bound.
 func (e *Engine) Workers() int { return cap(e.sem) }
 
+// Cache returns the result cache the engine reads and writes (nil = none).
+func (e *Engine) Cache() Cache { return e.cache }
+
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Jobs: e.jobs.Load(), Done: e.done.Load(),
-		Partitions: e.nParts.Load(), Sims: e.nSims.Load(),
-		CacheHits: e.cacheHits.Load(), CacheMisses: e.cacheMisses.Load(),
-		Deduped: e.dedups.Load(),
+		Jobs: e.m.jobs.Value(), Done: e.done.Load(),
+		Partitions: e.m.parts.Value(), Sims: e.m.sims.Value(),
+		CacheHits: e.m.cacheHits.Value(), CacheMisses: e.m.cacheMiss.Value(),
+		Deduped: e.m.dedups.Value(),
 	}
 }
 
@@ -241,10 +243,7 @@ func flight[T any](ctx context.Context, e *Engine, m map[string]*call[T], key st
 			select {
 			case <-c.done:
 			default:
-				e.dedups.Add(1)
-				if e.m != nil {
-					e.m.dedups.Inc()
-				}
+				e.m.dedups.Inc()
 				if err := waitFlight(ctx, c.done); err != nil {
 					return zero, err
 				}
@@ -289,8 +288,13 @@ func waitFlight(ctx context.Context, done <-chan struct{}) (err error) {
 }
 
 // acquire takes a worker slot, or gives up when ctx ends first — this is
-// what lets a queued job cancel cleanly without ever running.
-func (e *Engine) acquire(ctx context.Context) error {
+// what lets a queued job cancel cleanly without ever running. It records
+// the queue wait and the occupancy it leaves; a traced caller additionally
+// gets a grid.queue-wait span covering the wait.
+func (e *Engine) acquire(ctx context.Context) (err error) {
+	_, sp := span.Start(ctx, "grid.queue-wait")
+	defer func() { sp.End(err) }()
+	t0 := time.Now()
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
@@ -298,27 +302,8 @@ func (e *Engine) acquire(ctx context.Context) error {
 	}
 	select {
 	case e.sem <- struct{}{}:
-		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-func (e *Engine) release() { <-e.sem }
-
-// acquireObserved is acquire plus queue-wait and occupancy accounting; it
-// falls through to the bare channel send when metrics are off, so the
-// unobserved hot path never calls time.Now. A traced caller additionally
-// gets a grid.queue-wait span covering the time spent waiting for a slot.
-func (e *Engine) acquireObserved(ctx context.Context) (err error) {
-	_, sp := span.Start(ctx, "grid.queue-wait")
-	defer func() { sp.End(err) }()
-	if e.m == nil {
-		return e.acquire(ctx)
-	}
-	t0 := time.Now()
-	if err := e.acquire(ctx); err != nil {
-		return err
 	}
 	e.m.queueWait.Observe(time.Since(t0).Microseconds())
 	busy := int64(len(e.sem))
@@ -327,27 +312,21 @@ func (e *Engine) acquireObserved(ctx context.Context) (err error) {
 	return nil
 }
 
-func (e *Engine) releaseObserved() {
-	e.release()
-	if e.m != nil {
-		e.m.busy.Set(int64(len(e.sem)))
-	}
+func (e *Engine) release() {
+	<-e.sem
+	e.m.busy.Set(int64(len(e.sem)))
 }
 
-// timed runs fn inside a worker slot as a span named name, recording exec
-// wall time when metrics are attached. Cancellation is only honored while
-// waiting for the slot: once fn starts it runs to completion (sim.Run is not
-// preemptible).
+// timed runs fn inside a worker slot as a span named name, recording its
+// exec wall time. Cancellation is only honored while waiting for the slot:
+// once fn starts it runs to completion (sim.Run is not preemptible).
 func timed[T any](ctx context.Context, e *Engine, name string, fn func() (T, error)) (v T, err error) {
-	if err = e.acquireObserved(ctx); err != nil {
+	if err = e.acquire(ctx); err != nil {
 		return v, err
 	}
-	defer e.releaseObserved()
+	defer e.release()
 	_, sp := span.Start(ctx, name)
 	defer func() { sp.End(err) }()
-	if e.m == nil {
-		return fn()
-	}
 	t0 := time.Now()
 	v, err = fn()
 	e.m.execWall.Observe(time.Since(t0).Microseconds())
@@ -374,10 +353,7 @@ func (e *Engine) PartitionCtx(ctx context.Context, workload string, opts core.Op
 			return nil, err
 		}
 		p, err := timed(ctx, e, "grid.partition", func() (*core.Partition, error) {
-			e.nParts.Add(1)
-			if e.m != nil {
-				e.m.parts.Inc()
-			}
+			e.m.parts.Inc()
 			return core.Select(w.Build(), opts)
 		})
 		if err != nil {
@@ -418,23 +394,14 @@ func (e *Engine) RunCtx(ctx context.Context, job Job) (res *sim.Result, err erro
 	}
 	defer func() { sp.End(err) }()
 	return flight(ctx, e, e.sims, key, func() (*sim.Result, error) {
-		e.jobs.Add(1)
+		e.m.jobs.Inc()
 		defer e.done.Add(1)
-		if e.m != nil {
-			e.m.jobs.Inc()
-		}
 		if e.cache != nil {
 			if res, ok := cacheProbe(ctx, e.cache, key, job); ok {
-				e.cacheHits.Add(1)
-				if e.m != nil {
-					e.m.cacheHits.Inc()
-				}
+				e.m.cacheHits.Inc()
 				return res, nil
 			}
-			e.cacheMisses.Add(1)
-			if e.m != nil {
-				e.m.cacheMiss.Inc()
-			}
+			e.m.cacheMiss.Inc()
 		}
 		if e.dispatch != nil {
 			res, err := e.dispatch.Dispatch(ctx, key, job)
@@ -493,10 +460,7 @@ func (e *Engine) ComputeCtx(ctx context.Context, job Job) (*sim.Result, error) {
 		return nil, err
 	}
 	res, err := timed(ctx, e, "grid.sim-exec", func() (*sim.Result, error) {
-		e.nSims.Add(1)
-		if e.m != nil {
-			e.m.sims.Inc()
-		}
+		e.m.sims.Inc()
 		return runSim(part, job.Config)
 	})
 	if err != nil {

@@ -77,16 +77,3 @@ func TestEngineMetrics(t *testing.T) {
 		t.Error("grid_workers_busy gauge missing")
 	}
 }
-
-// TestMetricsOffByDefault: an engine without a registry must register and
-// record nothing (the guarded-instrumentation contract the benchmarks rely
-// on).
-func TestMetricsOffByDefault(t *testing.T) {
-	e := New(Options{Workers: 1})
-	if e.m != nil {
-		t.Fatal("engine created metrics without a registry")
-	}
-	if _, err := e.Run(testJob(2)); err != nil {
-		t.Fatal(err)
-	}
-}

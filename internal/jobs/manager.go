@@ -38,7 +38,8 @@ type Options struct {
 	// Executors maps job kinds to their implementations. Submit rejects
 	// kinds with no executor.
 	Executors map[string]Executor
-	// Metrics, when non-nil, receives the ms_jobs_* catalog.
+	// Metrics is the registry the manager counts the ms_jobs_* catalog into
+	// (nil = a private registry).
 	Metrics *obs.Registry
 	// Tracer, when non-nil, opens a jobs.exec root span per execution, so
 	// async work shows up in the flight recorder like request work does.
@@ -72,11 +73,11 @@ type jobMetrics struct {
 	queueWait, execWall             *obs.Histogram
 }
 
-func newJobMetrics(r *obs.Registry) *jobMetrics {
+func newJobMetrics(r *obs.Registry) jobMetrics {
 	if r == nil {
-		return nil
+		r = obs.NewRegistry()
 	}
-	return &jobMetrics{
+	return jobMetrics{
 		submitted: r.Counter("ms_jobs_submitted_total", "jobs", "job submissions that created or reset a record"),
 		shared:    r.Counter("ms_jobs_shared_total", "jobs", "submissions answered by an existing record (dedup)"),
 		done:      r.Counter("ms_jobs_done_total", "jobs", "jobs finished successfully"),
@@ -100,7 +101,7 @@ type Manager struct {
 	opt     Options
 	journal *journal // nil = memory only
 	queue   *fairQueue
-	m       *jobMetrics
+	m       jobMetrics
 	tracer  *span.Tracer
 
 	mu   sync.Mutex
@@ -164,9 +165,7 @@ func NewManager(opts Options) (*Manager, error) {
 				m.queue.enqueue(rec.Tenant, rec.ID, m.cost(rec.Spec), time.Now())
 			}
 			m.jobs[rec.ID] = st
-			if m.m != nil {
-				m.m.replayed.Inc()
-			}
+			m.m.replayed.Inc()
 		}
 		if err := compactJournal(opts.Dir, recsSnapshot(m)); err != nil {
 			return nil, err
@@ -231,9 +230,7 @@ func (m *Manager) Start(ctx context.Context) {
 					if !ok {
 						return
 					}
-					if m.m != nil {
-						m.m.queueWait.Observe(waited.Microseconds())
-					}
+					m.m.queueWait.Observe(waited.Microseconds())
 					m.run(ctx, id)
 				}
 			}()
@@ -281,9 +278,7 @@ func (m *Manager) Submit(tenant string, spec Spec) (Record, bool, error) {
 		case StateQueued, StateRunning, StateDone:
 			rec := st.rec
 			m.mu.Unlock()
-			if m.m != nil {
-				m.m.shared.Inc()
-			}
+			m.m.shared.Inc()
 			return rec, false, nil
 		case StateFailed, StateCanceled:
 			st.rec.State = StateQueued
@@ -320,9 +315,7 @@ func (m *Manager) Submit(tenant string, spec Spec) (Record, bool, error) {
 }
 
 func (m *Manager) submitted() {
-	if m.m != nil {
-		m.m.submitted.Inc()
-	}
+	m.m.submitted.Inc()
 	m.gauges()
 }
 
@@ -408,9 +401,7 @@ func (m *Manager) Cancel(id string) (Record, bool) {
 		m.persistLocked(rec)
 		st.appendTerminal()
 		m.mu.Unlock()
-		if m.m != nil {
-			m.m.canceled.Inc()
-		}
+		m.m.canceled.Inc()
 		m.gauges()
 		return rec, true
 	case StateRunning:
@@ -537,9 +528,6 @@ func (m *Manager) persistLocked(rec Record) {
 }
 
 func (m *Manager) gauges() {
-	if m.m == nil {
-		return
-	}
 	m.mu.Lock()
 	var queued, running int64
 	for _, st := range m.jobs {
@@ -593,9 +581,7 @@ func (m *Manager) run(ctx context.Context, id string) {
 	}
 	t0 := time.Now()
 	out, err := exec(jobCtx, rec.Spec, emit)
-	if m.m != nil {
-		m.m.execWall.Observe(time.Since(t0).Microseconds())
-	}
+	m.m.execWall.Observe(time.Since(t0).Microseconds())
 	sp.End(err)
 	m.finish(id, out, err)
 }
@@ -636,9 +622,7 @@ func (m *Manager) finish(id string, out any, err error) {
 		st.rec.State = StateQueued
 		m.persistLocked(st.rec)
 		m.mu.Unlock()
-		if m.m != nil {
-			m.m.requeued.Inc()
-		}
+		m.m.requeued.Inc()
 		m.gauges()
 		return
 	case isCtxErr(err):
@@ -654,15 +638,13 @@ func (m *Manager) finish(id string, out any, err error) {
 	m.persistLocked(rec)
 	st.appendTerminal()
 	m.mu.Unlock()
-	if m.m != nil {
-		switch rec.State {
-		case StateDone:
-			m.m.done.Inc()
-		case StateCanceled:
-			m.m.canceled.Inc()
-		default:
-			m.m.failed.Inc()
-		}
+	switch rec.State {
+	case StateDone:
+		m.m.done.Inc()
+	case StateCanceled:
+		m.m.canceled.Inc()
+	default:
+		m.m.failed.Inc()
 	}
 	m.gauges()
 }

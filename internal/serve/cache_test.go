@@ -31,12 +31,12 @@ func putArtifact(t *testing.T, client *http.Client, url string, a grid.Artifact)
 	return resp
 }
 
-// TestCacheEndpoints covers the peer-facing cache surface: PUT then GET
-// round-trips an artifact, absent keys and malformed keys are rejected, and
-// stale-schema publications are refused.
+// TestCacheEndpoints covers the peer-facing cache surface, served from the
+// engine's cache: PUT then GET round-trips an artifact, absent keys and
+// malformed keys are rejected, and stale-schema publications are refused.
 func TestCacheEndpoints(t *testing.T) {
 	cache := grid.NewDiskCache(t.TempDir())
-	srv, _ := newTestServer(t, grid.Options{Workers: 1}, Config{Cache: cache})
+	srv, _ := newTestServer(t, grid.Options{Workers: 1, Cache: cache}, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -107,21 +107,29 @@ func TestCacheEndpointsWithoutCache(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound || !strings.Contains(body, "no_cache") {
 		t.Fatalf("GET without cache = %d %q, want 404 no_cache", resp.StatusCode, body)
 	}
+	if _, body := getBody(t, ts.Client(), ts.URL+"/healthz"); strings.Contains(body, "backend") {
+		t.Errorf("healthz without cache = %s, want no backend block", body)
+	}
 }
 
-// TestHealthzBackend: the health body carries the Backend probe's answer,
-// and an unreachable tier degrades the reported status without failing the
-// probe (the server still serves — every tier is fail-open).
+// healthCache is an engine cache with tiers that report fixed health.
+type healthCache struct {
+	*grid.DiskCache
+	tiers []grid.TierHealth
+}
+
+func (c healthCache) Health(context.Context) []grid.TierHealth { return c.tiers }
+
+// TestHealthzBackend: the health body carries the tier health the engine's
+// cache reports, and an unreachable tier degrades the reported status
+// without failing the probe (the server still serves — every tier is
+// fail-open).
 func TestHealthzBackend(t *testing.T) {
-	backend := BackendStatus{
-		CacheTiers: []CacheTierStatus{
-			{Tier: "disk", OK: true},
-			{Tier: "remote", OK: false, Err: "connection refused"},
-		},
-	}
-	srv, _ := newTestServer(t, grid.Options{Workers: 1}, Config{
-		Backend: func(context.Context) BackendStatus { return backend },
-	})
+	cache := healthCache{grid.NewDiskCache(t.TempDir()), []grid.TierHealth{
+		{Tier: "disk", OK: true},
+		{Tier: "remote", OK: false, Err: "connection refused"},
+	}}
+	srv, _ := newTestServer(t, grid.Options{Workers: 1, Cache: cache}, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -97,6 +97,12 @@ func (s *Server) writeEngineError(w http.ResponseWriter, r *http.Request, err er
 	}
 }
 
+// tieredCache is an engine cache that reports per-tier reachability
+// (dist.Tiered). Health must be cheap: it runs on every health probe.
+type tieredCache interface {
+	Health(ctx context.Context) []grid.TierHealth
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ok", http.StatusOK
 	select {
@@ -120,8 +126,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			OldestQueuedMS: js.OldestQueued.Milliseconds(),
 		}
 	}
-	if s.cfg.Backend != nil {
-		b := s.cfg.Backend(r.Context())
+	if c, ok := s.eng.Cache().(tieredCache); ok {
+		b := BackendStatus{CacheTiers: c.Health(r.Context())}
 		resp.Backend = &b
 		// An unreachable cache tier degrades the report (the server still
 		// works — every tier is fail-open) but keeps the 200: load balancers
@@ -146,11 +152,12 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_key", err.Error())
 		return
 	}
-	if s.cfg.Cache == nil {
+	cache := s.eng.Cache()
+	if cache == nil {
 		writeError(w, http.StatusNotFound, "no_cache", "this server has no cache configured")
 		return
 	}
-	res, ok := s.cfg.Cache.Load(r.Context(), key, grid.Job{})
+	res, ok := cache.Load(r.Context(), key, grid.Job{})
 	if !ok {
 		writeError(w, http.StatusNotFound, "not_cached", "no artifact for key "+key)
 		return
@@ -167,7 +174,8 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_key", err.Error())
 		return
 	}
-	if s.cfg.Cache == nil {
+	cache := s.eng.Cache()
+	if cache == nil {
 		writeError(w, http.StatusNotFound, "no_cache", "this server has no cache configured")
 		return
 	}
@@ -181,7 +189,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job := grid.Job{Workload: a.Workload, Select: a.Select, Config: a.Config}
-	s.cfg.Cache.Store(r.Context(), key, job, a.Result)
+	cache.Store(r.Context(), key, job, a.Result)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -41,7 +41,11 @@ import (
 
 // Config configures a Server. Engine is required; everything else defaults.
 type Config struct {
-	// Engine executes all partition/simulation work. Required.
+	// Engine executes all partition/simulation work. Required. Its cache,
+	// when it has one, also backs GET/PUT /v1/cache/{key} for peers (the
+	// remote tier of another mssrv or of an msreport), and a cache with a
+	// Health(context.Context) []grid.TierHealth method adds its tiers'
+	// reachability to GET /healthz.
 	Engine *grid.Engine
 	// Metrics is the registry GET /metrics exposes; the server registers its
 	// own serve_* metrics here. Pass the same registry to grid.New so the
@@ -55,15 +59,6 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies (0 = 1 MiB).
 	MaxBodyBytes int64
-	// Cache, when non-nil, backs GET/PUT /v1/cache/{key} so peers — the
-	// remote tier (-remote-cache) of another mssrv or an msreport — can
-	// probe and publish artifacts by content address. Wire the same cache
-	// the engine uses, or the peers' view diverges from local compute. Nil
-	// answers 404.
-	Cache grid.Cache
-	// Backend, when non-nil, contributes cache-tier reachability to
-	// GET /healthz. It must be cheap — it runs on every health probe.
-	Backend func(ctx context.Context) BackendStatus
 	// Logger receives structured access lines and internal errors (nil =
 	// discard). Handing it a JSON handler makes every line machine-parseable;
 	// traced requests carry a trace_id attribute either way.

@@ -7,12 +7,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"multiscalar/internal/grid"
+	"multiscalar/internal/obs"
 	"multiscalar/internal/obs/span"
 )
 
@@ -126,11 +128,14 @@ func TestIncomingTraceHeaderIsHonored(t *testing.T) {
 }
 
 // TestDebugEndpointsServeTrace: the /debug surface lists the finished trace
-// and exports it as a Chrome trace-event file.
+// and exports it as a Chrome trace-event file holding the request's whole
+// span tree under one root, and a tracer that shares the server's registry
+// puts its per-span latency histograms on the /metrics scrape.
 func TestDebugEndpointsServeTrace(t *testing.T) {
 	fastSim(t)
-	tr := span.New(span.Options{Process: "mssrv"})
-	srv, _ := newTestServer(t, grid.Options{Workers: 2}, Config{Tracer: tr})
+	reg := obs.NewRegistry()
+	tr := span.New(span.Options{Process: "mssrv", Metrics: reg})
+	srv := New(Config{Engine: grid.New(grid.Options{Workers: 2, Metrics: reg}), Metrics: reg, Tracer: tr})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -154,13 +159,47 @@ func TestDebugEndpointsServeTrace(t *testing.T) {
 		t.Fatalf("chrome export: %d", chromeResp.StatusCode)
 	}
 	var chrome struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Args struct {
+				SpanID   string `json:"span_id"`
+				ParentID string `json:"parent_id"`
+			} `json:"args"`
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(chromeBody), &chrome); err != nil {
 		t.Fatalf("chrome export is not valid JSON: %v", err)
 	}
-	if len(chrome.TraceEvents) == 0 {
-		t.Error("chrome export has no events")
+	names, ids := make(map[string]bool), make(map[string]bool)
+	for _, e := range chrome.TraceEvents {
+		if e.Ph == "X" {
+			names[e.Name] = true
+			ids[e.Args.SpanID] = true
+		}
+	}
+	for _, want := range []string{"serve.request", "grid.run", "grid.sim-exec"} {
+		if !names[want] {
+			t.Errorf("chrome export lacks a %s slice (has %v)", want, names)
+		}
+	}
+	var roots []string
+	for _, e := range chrome.TraceEvents {
+		switch {
+		case e.Ph != "X":
+		case e.Args.ParentID == "":
+			roots = append(roots, e.Name)
+		case !ids[e.Args.ParentID]:
+			t.Errorf("%s has dangling parent %s", e.Name, e.Args.ParentID)
+		}
+	}
+	if len(roots) != 1 || roots[0] != "serve.request" {
+		t.Errorf("roots = %v, want exactly serve.request", roots)
+	}
+
+	_, metrics := getBody(t, ts.Client(), ts.URL+"/metrics")
+	if !regexp.MustCompile(`(?m)^ms_span_duration_seconds.*span="grid\.sim-exec"`).MatchString(metrics) {
+		t.Errorf("/metrics has no ms_span_duration_seconds series for grid.sim-exec:\n%s", metrics)
 	}
 
 	reqResp, reqBody := getBody(t, ts.Client(), ts.URL+"/debug/requests")

@@ -321,8 +321,8 @@ type HealthResponse struct {
 	Status   string `json:"status"`
 	Inflight int    `json:"inflight"`
 	Workers  int    `json:"workers"`
-	// Backend reports cache-tier state when the server was wired with a
-	// Config.Backend probe (mssrv wires one whenever it has a cache).
+	// Backend reports cache-tier state when the engine's cache is made of
+	// tiers (mssrv's is whenever it has one).
 	Backend *BackendStatus `json:"backend,omitempty"`
 	// Jobs reports the async job subsystem when Config.Jobs is wired.
 	Jobs *JobsStatus `json:"jobs,omitempty"`
@@ -332,16 +332,7 @@ type HealthResponse struct {
 // so operators see more than the drain state: which cache tiers are
 // reachable.
 type BackendStatus struct {
-	CacheTiers []CacheTierStatus `json:"cache_tiers,omitempty"`
-}
-
-// CacheTierStatus is one cache tier's reachability snapshot. It mirrors
-// dist.TierHealth field-for-field without importing it: serve stays
-// agnostic of how the cache behind it is composed.
-type CacheTierStatus struct {
-	Tier string `json:"tier"`
-	OK   bool   `json:"ok"`
-	Err  string `json:"err,omitempty"`
+	CacheTiers []grid.TierHealth `json:"cache_tiers,omitempty"`
 }
 
 // ErrorBody is the structured error shape every non-2xx JSON response uses:
