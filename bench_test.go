@@ -17,6 +17,8 @@ import (
 	"multiscalar/internal/core"
 	"multiscalar/internal/emu"
 	"multiscalar/internal/experiment"
+	"multiscalar/internal/gen"
+	"multiscalar/internal/ir"
 	"multiscalar/internal/sim"
 	"multiscalar/internal/workloads"
 )
@@ -152,7 +154,10 @@ func BenchmarkAblationThresh(b *testing.B) {
 
 // Component micro-benchmarks.
 
-// BenchmarkSelect measures task selection throughput per heuristic.
+// BenchmarkSelect measures task selection throughput per heuristic on go,
+// and on the small generated programs of /v1/simulate's cold path: one
+// corpus op selects seed-1 corpus programs 0–15 under each of the corpus
+// sweep's six arms (96 Select calls; generation is outside the timer).
 func BenchmarkSelect(b *testing.B) {
 	for _, h := range []core.Heuristic{core.BasicBlock, core.ControlFlow, core.DataDependence} {
 		b.Run(h.String(), func(b *testing.B) {
@@ -161,6 +166,7 @@ func BenchmarkSelect(b *testing.B) {
 				b.Fatal(err)
 			}
 			prog := w.Build()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Select(prog, core.Options{Heuristic: h}); err != nil {
@@ -169,6 +175,31 @@ func BenchmarkSelect(b *testing.B) {
 			}
 		})
 	}
+	b.Run("corpus", func(b *testing.B) {
+		arms := []core.Options{
+			{Heuristic: core.BasicBlock},
+			{Heuristic: core.ControlFlow},
+			{Heuristic: core.DataDependence},
+		}
+		for _, p := range []string{"greedy", "roundrobin", "knapsack"} {
+			arms = append(arms, core.Options{Heuristic: core.ControlFlow, Policy: p})
+		}
+		var progs []*ir.Program
+		for i := 0; i < 16; i++ {
+			progs = append(progs, gen.Generate(gen.CorpusParams(1, i)))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, prog := range progs {
+				for _, opts := range arms {
+					if _, err := core.Select(prog, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkEmulator measures sequential functional simulation speed.

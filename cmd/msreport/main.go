@@ -47,6 +47,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -165,11 +166,7 @@ func main() {
 		return
 	}
 
-	cache, remoteTier := dist.BuildCache(dist.CacheConfig{
-		Dir:           dir,
-		Remote:        *remoteAddr,
-		RemoteOptions: dist.RemoteOptions{Metrics: reg},
-	})
+	cache, remoteTier := buildCache(dir, *remoteAddr, reg, os.Stderr)
 	opts := grid.Options{Workers: *workers, Metrics: reg}
 	if cache != nil {
 		opts.Cache = cache
@@ -421,6 +418,17 @@ func splitList(s string) []string {
 		}
 	}
 	return out
+}
+
+// buildCache composes the result-cache tiers: the disk tier at dir and,
+// when remote is set, the peer behind it, whose fail-open warnings go to
+// logw.
+func buildCache(dir, remote string, reg *obs.Registry, logw io.Writer) (*dist.Tiered, *dist.RemoteCache) {
+	return dist.BuildCache(dist.CacheConfig{
+		Dir:           dir,
+		Remote:        remote,
+		RemoteOptions: dist.RemoteOptions{Metrics: reg, Logger: log.New(logw, "msreport ", log.LstdFlags)},
+	})
 }
 
 // distRun bundles the leader-side pieces of a distributed run.

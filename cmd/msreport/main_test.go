@@ -1,11 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"multiscalar/internal/core"
+	"multiscalar/internal/dist"
 	"multiscalar/internal/experiment"
 	"multiscalar/internal/grid"
+	"multiscalar/internal/serve"
+	"multiscalar/internal/sim"
 )
 
 func TestParsePUs(t *testing.T) {
@@ -126,6 +132,35 @@ func TestValidateWorkloads(t *testing.T) {
 	for _, want := range []string{`"comprss"`, "known:", "compress", "tomcatv"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+}
+
+// TestRemoteCacheFailOpenLogged: a run whose -remote-cache peer serves no
+// cache still computes its result, and logs one remote_cache_failopen
+// warning for the refused load and one for the refused put.
+func TestRemoteCacheFailOpenLogged(t *testing.T) {
+	peer := httptest.NewServer(serve.New(serve.Config{Engine: grid.New(grid.Options{Workers: 1})}).Handler())
+	defer peer.Close()
+	var logs bytes.Buffer
+	cache, remote := buildCache("", peer.URL, nil, &logs)
+	eng := grid.New(grid.Options{Workers: 1, Cache: cache})
+	job := grid.Job{Workload: "fpppp", Select: core.Options{Heuristic: core.BasicBlock}, Config: sim.DefaultConfig(2)}
+	if _, err := eng.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if st := remote.Stats(); st != (dist.RemoteStats{Misses: 1, Errors: 2}) {
+		t.Errorf("remote stats = %+v, want 1 miss and 2 errors", st)
+	}
+	lines := strings.Split(strings.TrimSpace(logs.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("log = %q, want two fail-open lines", logs.String())
+	}
+	for i, op := range []string{"op=load", "op=put"} {
+		for _, want := range []string{"msreport ", "msg=remote_cache_failopen", op} {
+			if !strings.Contains(lines[i], want) {
+				t.Errorf("log line %q missing %q", lines[i], want)
+			}
 		}
 	}
 }

@@ -57,12 +57,12 @@ func TestFigure4DependenceIncluded(t *testing.T) {
 	}
 	if !producerTask.Blocks[5] {
 		t.Errorf("data dependence heuristic left the consumer outside the producer's task: %v",
-			sortedBlocks(producerTask.Blocks))
+			producerTask.Blocks)
 	}
 	// The codependent diamond must have come along (every path from producer
 	// to consumer lies inside the task).
 	if !producerTask.Blocks[3] || !producerTask.Blocks[4] {
-		t.Errorf("codependent diamond not included: %v", sortedBlocks(producerTask.Blocks))
+		t.Errorf("codependent diamond not included: %v", producerTask.Blocks)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -30,7 +31,8 @@ type Policy interface {
 	Name() string
 	// Pick returns the index of the frontier candidate to admit into the
 	// task, or a negative value to close the task. Candidates are sorted by
-	// block ID; an out-of-range index closes the task.
+	// block ID; an out-of-range index closes the task. The frontier slice is
+	// only valid during the call.
 	Pick(t PolicyTask, frontier []PolicyCandidate) int
 	// TaskDone observes the finished task (after the final Pick), letting
 	// stateful policies update budgets or multipliers between tasks.
@@ -114,42 +116,22 @@ func PolicyNames() []string {
 	return names
 }
 
-// growSeed grows a task from a seed set, dispatching to the configured
-// policy when one is set and the paper's greedy exploration otherwise.
-// Every growth site in the selector goes through here, so a policy governs
-// straggler and callee-entry tasks too, not just the main coverage pass.
-func (s *selector) growSeed(fn ir.FnID, entry ir.BlockID, seed map[ir.BlockID]bool, explore func(ir.BlockID) bool) map[ir.BlockID]bool {
-	if s.policy != nil {
-		return s.policyGrow(fn, entry, seed)
-	}
-	return s.grow(fn, entry, seed, explore)
-}
-
-// policyGrow grows one task under the policy. The selector owns safety: a
-// block enters the frontier only if it is reachable from the current set
-// along a non-terminal edge, is not the entry, is not another task's entry,
-// and its admission keeps the target count within MaxTargets. The policy
-// owns preference: which legal candidate (if any) to take.
-func (s *selector) policyGrow(fn ir.FnID, entry ir.BlockID, seed map[ir.BlockID]bool) map[ir.BlockID]bool {
+// policyGrow grows one task from its entry under the policy. The selector
+// owns safety: a block enters the frontier only if it is reachable from the
+// current set along a non-terminal edge, is not the entry, is not another
+// task's entry, and its admission keeps the target count within MaxTargets.
+// The policy owns preference: which legal candidate (if any) to take. The
+// result aliases s.set until its next use.
+func (s *selector) policyGrow(fn ir.FnID, entry ir.BlockID) []ir.BlockID {
 	const growCap = 512
 	f := s.prog().Fn(fn)
 	facts := s.facts[fn]
-	S := copySet(seed)
-	var defs dataflow.RegSet
-	state := PolicyTask{Fn: fn, Entry: entry}
-	recount := func() {
-		state.Blocks, state.Instrs = len(S), 0
-		for b := range S {
-			state.Instrs += f.Block(b).Len()
-		}
-		state.Regs = defs.Count()
-	}
-	for _, b := range sortedBlocks(S) {
-		defs = defs.Union(facts.Blocks[b].Def)
-	}
-	recount()
-	for len(S) < growCap {
-		frontier := s.policyFrontier(fn, entry, S, defs)
+	S := &s.set
+	S.fill([]ir.BlockID{entry})
+	defs := facts.Blocks[entry].Def
+	state := PolicyTask{Fn: fn, Entry: entry, Blocks: 1, Instrs: f.Block(entry).Len(), Regs: defs.Count()}
+	for len(S.order) < growCap {
+		frontier := s.policyFrontier(fn, entry, defs)
 		if len(frontier) == 0 {
 			break
 		}
@@ -158,43 +140,47 @@ func (s *selector) policyGrow(fn ir.FnID, entry ir.BlockID, seed map[ir.BlockID]
 			break
 		}
 		c := frontier[pick]
-		S[c.Blk] = true
+		S.add(c.Blk)
 		defs = defs.Union(facts.Blocks[c.Blk].Def)
-		recount()
+		state.Blocks, state.Instrs, state.Regs = len(S.order), state.Instrs+c.Instrs, defs.Count()
 	}
 	s.policy.TaskDone(state)
-	return S
+	return S.order
 }
 
-// policyFrontier computes the admissible growth moves of the set S entered
-// at entry, sorted by block ID (deterministic presentation order).
-func (s *selector) policyFrontier(fn ir.FnID, entry ir.BlockID, S map[ir.BlockID]bool, defs dataflow.RegSet) []PolicyCandidate {
+// policyFrontier computes the admissible growth moves of s.set entered at
+// entry, sorted by block ID (deterministic presentation order). The
+// returned slice is reused by the next call.
+func (s *selector) policyFrontier(fn ir.FnID, entry ir.BlockID, defs dataflow.RegSet) []PolicyCandidate {
 	f := s.prog().Fn(fn)
 	facts := s.facts[fn]
-	cand := map[ir.BlockID]bool{}
-	for b := range S {
-		if s.terminalNode(fn, b) {
-			continue
-		}
-		for _, ch := range s.dynSuccs(fn, b) {
-			if S[ch] || ch == entry || cand[ch] || s.terminalEdge(fn, b, ch) {
+	S := &s.set
+	s.stamp++
+	cand := s.queue[:0]
+	for _, b := range S.order {
+		fl := &s.flows[fn][b]
+		for k, ch := range fl.succ[:fl.n] {
+			if S.in[ch] || ch == entry || fl.term[k] || s.blockMark[ch] == s.stamp {
 				continue
 			}
-			if s.part.ByEntry[EntryKey{Fn: fn, Blk: ch}] != nil {
+			if s.entries[fn][ch] != nil {
 				continue // ch already starts another task; keep its boundary
 			}
-			cand[ch] = true
+			s.blockMark[ch] = s.stamp
+			cand = append(cand, ch)
 		}
 	}
-	out := make([]PolicyCandidate, 0, len(cand))
-	for _, ch := range sortedBlocks(cand) {
+	s.queue = cand
+	slices.Sort(cand)
+	out := s.frontier[:0]
+	for _, ch := range cand {
 		// Feasibility is first-fit: a candidate whose admission would exceed
 		// the hardware target limit is simply not offered. (The greedy
 		// heuristic explores past the limit hunting reconvergence; policies
 		// trade that away for budget control.)
-		S[ch] = true
-		feasible := len(s.targetsOf(fn, entry, S)) <= s.opts.MaxTargets
-		delete(S, ch)
+		S.add(ch)
+		feasible := s.feasible(fn, entry)
+		S.truncate(len(S.order) - 1)
 		if !feasible {
 			continue
 		}
@@ -205,5 +191,6 @@ func (s *selector) policyFrontier(fn ir.FnID, entry ir.BlockID, S map[ir.BlockID
 			Freq:    s.profile.Freq(fn, ch),
 		})
 	}
+	s.frontier = out
 	return out
 }

@@ -11,12 +11,42 @@ import (
 // forward points (instructions that are provably the last definition of
 // their register on every continuation path, letting the hardware send the
 // value early instead of at task end). facts holds per-function dataflow
-// solutions, indexed by ir.FnID.
-func computeRegComm(part *Partition, facts []*dataflow.Facts) {
+// solutions, indexed by ir.FnID; members[id] lists task id's blocks.
+func computeRegComm(part *Partition, facts []*dataflow.Facts, members [][]ir.BlockID) {
 	writes := fnWriteSummaries(part.Prog)
-	for _, t := range part.Tasks {
-		computeTaskRegComm(part.Prog, t, writes, facts[t.Fn])
+	maxBlocks := 0
+	for _, f := range part.Prog.Fns {
+		maxBlocks = max(maxBlocks, len(f.Blocks))
 	}
+	sc := &regCommScratch{
+		cont:   make([]outcomes, maxBlocks),
+		def:    make([]dataflow.RegSet, maxBlocks),
+		reach:  make([]dataflow.RegSet, maxBlocks),
+		last:   make([]dataflow.RegSet, maxBlocks),
+		mustFw: make([]dataflow.RegSet, maxBlocks),
+	}
+	for _, t := range part.Tasks {
+		computeTaskRegComm(part.Prog, t, members[t.ID], writes, facts[t.Fn], sc)
+	}
+}
+
+// regCommScratch holds computeTaskRegComm's per-block facts, indexed by
+// block ID and reused across tasks: each task sets the entries of its own
+// blocks before reading them.
+type regCommScratch struct {
+	cont   []outcomes        // the block's CFG successors, split by continue edge
+	def    []dataflow.RegSet // own defs plus any included callee's writes
+	reach  []dataflow.RegSet // registers defined strictly later on a continuation path
+	last   []dataflow.RegSet // registers with a forward point in the block
+	mustFw []dataflow.RegSet // registers forwarded on every path from the block to an exit
+}
+
+// outcomes lists the successors a block continues to inside its task and
+// whether any other outcome ends the task there.
+type outcomes struct {
+	succ  [2]ir.BlockID
+	n     int
+	exits bool
 }
 
 // fnWriteSummaries computes, for every function, the set of registers it or
@@ -53,13 +83,25 @@ func fnWriteSummaries(p *ir.Program) []dataflow.RegSet {
 	return out
 }
 
-func computeTaskRegComm(p *ir.Program, t *Task, fnWrites []dataflow.RegSet, fa *dataflow.Facts) {
+func computeTaskRegComm(p *ir.Program, t *Task, blocks []ir.BlockID, fnWrites []dataflow.RegSet, fa *dataflow.Facts, sc *regCommScratch) {
 	f := p.Fn(t.Fn)
-	// Per-block: own defs plus any included callee's writes.
-	blockDef := make(map[ir.BlockID]dataflow.RegSet, len(t.Blocks))
+	var succBuf [2]ir.BlockID
 	var callWrites dataflow.RegSet // regs written by included callees anywhere in the task
-	for b := range t.Blocks {
+	for _, b := range blocks {
 		blk := f.Block(b)
+		// A return, a halt, a call whose callee is not included, or any
+		// CFG successor not reached along a continue edge ends the task.
+		c := outcomes{exits: blk.Term.Kind == ir.TermRet || blk.Term.Kind == ir.TermHalt ||
+			(blk.Term.Kind == ir.TermCall && !t.IncludeCall[b])}
+		for _, s := range blk.Succs(succBuf[:0]) {
+			if t.Continues(b, s) {
+				c.succ[c.n] = s
+				c.n++
+			} else {
+				c.exits = true
+			}
+		}
+		sc.cont[b] = c
 		var def dataflow.RegSet
 		for _, in := range blk.Instrs {
 			if d, ok := in.Def(); ok {
@@ -71,7 +113,7 @@ func computeTaskRegComm(p *ir.Program, t *Task, fnWrites []dataflow.RegSet, fa *
 			def = def.Union(cw)
 			callWrites = callWrites.Union(cw)
 		}
-		blockDef[b] = def
+		sc.def[b] = def
 		t.CreateMask = t.CreateMask.Union(def)
 	}
 
@@ -81,16 +123,8 @@ func computeTaskRegComm(p *ir.Program, t *Task, fnWrites []dataflow.RegSet, fa *
 	// non-continue outcome.
 	if fa != nil {
 		var exitLive dataflow.RegSet
-		for b := range t.Blocks {
-			blk := f.Block(b)
-			exits := blk.Term.Kind == ir.TermRet || blk.Term.Kind == ir.TermHalt ||
-				(blk.Term.Kind == ir.TermCall && !t.IncludeCall[b])
-			for _, s := range blk.Succs(nil) {
-				if !t.Continues(b, s) {
-					exits = true
-				}
-			}
-			if exits {
+		for _, b := range blocks {
+			if sc.cont[b].exits {
 				exitLive = exitLive.Union(fa.Blocks[b].LiveOut)
 			}
 		}
@@ -98,22 +132,22 @@ func computeTaskRegComm(p *ir.Program, t *Task, fnWrites []dataflow.RegSet, fa *
 		callWrites = callWrites.Intersect(exitLive)
 	}
 
-	// reachDef[b]: registers defined in blocks strictly after b on some
+	// reach[b]: registers defined in blocks strictly after b on some
 	// continuation path (via continue edges). Iterate to fixpoint over the
 	// task's (acyclic) continue-edge subgraph.
-	reachDef := make(map[ir.BlockID]dataflow.RegSet, len(t.Blocks))
+	for _, b := range blocks {
+		sc.reach[b] = 0
+	}
 	for changed := true; changed; {
 		changed = false
-		for b := range t.Blocks {
-			blk := f.Block(b)
+		for _, b := range blocks {
 			var out dataflow.RegSet
-			for _, s := range blk.Succs(nil) {
-				if t.Continues(b, s) {
-					out = out.Union(blockDef[s]).Union(reachDef[s])
-				}
+			c := &sc.cont[b]
+			for _, s := range c.succ[:c.n] {
+				out = out.Union(sc.def[s]).Union(sc.reach[s])
 			}
-			if out != reachDef[b] {
-				reachDef[b] = out
+			if out != sc.reach[b] {
+				sc.reach[b] = out
 				changed = true
 			}
 		}
@@ -124,12 +158,13 @@ func computeTaskRegComm(p *ir.Program, t *Task, fnWrites []dataflow.RegSet, fa *
 	// analysis); they release at task end.
 	t.lastDef = make(map[instrRef]bool)
 	t.endForward = callWrites
-	for b := range t.Blocks {
+	for _, b := range blocks {
 		blk := f.Block(b)
-		var later dataflow.RegSet = reachDef[b]
+		later := sc.reach[b]
 		if t.IncludeCall[b] {
 			later = later.Union(fnWrites[blk.Term.Callee])
 		}
+		sc.last[b] = 0
 		for i := len(blk.Instrs) - 1; i >= 0; i-- {
 			d, ok := blk.Instrs[i].Def()
 			if !ok {
@@ -137,6 +172,7 @@ func computeTaskRegComm(p *ir.Program, t *Task, fnWrites []dataflow.RegSet, fa *
 			}
 			if !later.Has(d) && !callWrites.Has(d) {
 				t.lastDef[instrRef{blk: b, idx: i}] = true
+				sc.last[b] = sc.last[b].Add(d)
 			}
 			later = later.Add(d)
 		}
@@ -144,48 +180,29 @@ func computeTaskRegComm(p *ir.Program, t *Task, fnWrites []dataflow.RegSet, fa *
 	// endForward: registers in the create mask that are NOT guaranteed to hit
 	// a forward point on every path from the task entry to an exit; those are
 	// released when the task ends. Backward must-analysis over the (acyclic)
-	// continue-edge subgraph: mustFwd(b) = lastDefRegs(b) ∪ ⋂ outcomes(b),
-	// where an exit outcome contributes the empty set.
-	lastDefRegs := make(map[ir.BlockID]dataflow.RegSet, len(t.Blocks))
-	for ref := range t.lastDef {
-		d, _ := f.Block(ref.blk).Instrs[ref.idx].Def()
-		lastDefRegs[ref.blk] = lastDefRegs[ref.blk].Add(d)
-	}
+	// continue-edge subgraph: mustFw(b) = last(b) ∪ ⋂ outcomes(b), where an
+	// exit outcome contributes the empty set.
 	const all = ^dataflow.RegSet(0)
-	mustFwd := make(map[ir.BlockID]dataflow.RegSet, len(t.Blocks))
-	for b := range t.Blocks {
-		mustFwd[b] = all // optimistic start for the greatest fixpoint
+	for _, b := range blocks {
+		sc.mustFw[b] = all // optimistic start for the greatest fixpoint
 	}
 	for changed := true; changed; {
 		changed = false
-		for b := range t.Blocks {
-			blk := f.Block(b)
+		for _, b := range blocks {
+			c := &sc.cont[b]
 			meet := all
-			exits := false
-			nOutcomes := 0
-			for _, s := range blk.Succs(nil) {
-				nOutcomes++
-				if t.Continues(b, s) {
-					meet &= mustFwd[s]
-				} else {
-					exits = true
-				}
-			}
-			if nOutcomes == 0 || blk.Term.Kind == ir.TermRet || blk.Term.Kind == ir.TermHalt {
-				exits = true
-			}
-			if blk.Term.Kind == ir.TermCall && !t.IncludeCall[b] {
-				exits = true
-			}
-			if exits {
+			if c.exits {
 				meet = 0
 			}
-			nv := lastDefRegs[b].Union(meet)
-			if nv != mustFwd[b] {
-				mustFwd[b] = nv
+			for _, s := range c.succ[:c.n] {
+				meet &= sc.mustFw[s]
+			}
+			nv := sc.last[b].Union(meet)
+			if nv != sc.mustFw[b] {
+				sc.mustFw[b] = nv
 				changed = true
 			}
 		}
 	}
-	t.endForward = t.endForward.Union(t.CreateMask.Minus(mustFwd[t.Entry]))
+	t.endForward = t.endForward.Union(t.CreateMask.Minus(sc.mustFw[t.Entry]))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"multiscalar/internal/cfganal"
@@ -59,7 +60,7 @@ func Select(prog *ir.Program, opts Options) (*Partition, error) {
 	}
 	sel.markInclusions()
 	sel.run()
-	computeRegComm(part, sel.facts)
+	computeRegComm(part, sel.facts, sel.members)
 	return part, nil
 }
 
@@ -72,20 +73,81 @@ func profileProgram(p *ir.Program, budget uint64) (*emu.Profile, error) {
 	return prof, nil
 }
 
-// selector carries the state of one partitioning run.
+// selector carries the state of one partitioning run. Every per-block table
+// is dense, indexed by block ID within one function.
 type selector struct {
 	part    *Partition
 	opts    Options
 	profile *emu.Profile
 
-	// includeCall marks call blocks (per function) whose callee is included.
-	includeCall map[EntryKey]bool
+	// incl[fn][b] marks call blocks whose callee is included in the task.
+	incl [][]bool
 
 	// policy, when non-nil, replaces heuristic growth (see policy.go).
 	policy Policy
 
 	cfgs  []*cfganal.CFG
 	facts []*dataflow.Facts
+	// flows[fn][b] is block b's way out of itself as growth sees it.
+	flows [][]flow
+	// entries[fn][b] is the task whose entry is block b, or nil (ByEntry,
+	// dense).
+	entries [][]*Task
+	// members[id] lists task id's blocks in ascending order.
+	members [][]ir.BlockID
+
+	// set is the block set being grown or inspected, sized for the largest
+	// function; queue is grow's work list and policyFrontier's candidates.
+	set   blockSet
+	queue []ir.BlockID
+	// frontier is policyFrontier's result, reused across calls.
+	frontier []PolicyCandidate
+	// blockMark and fnMark hold the stamp of the last target count that saw
+	// a block or callee target; a fresh stamp empties both.
+	blockMark []uint32
+	fnMark    []uint32
+	stamp     uint32
+}
+
+// flow is how control leaves one block as task growth sees it. A block that
+// continues within its function's instruction stream has n successors there
+// (for an included call, the fall block after the callee runs inside the
+// task), each with whether its edge is terminal. A terminal node — a call
+// whose callee is not included, a return, a halt — has none, and exit is the
+// target every task ending there exposes.
+type flow struct {
+	succ [2]ir.BlockID
+	term [2]bool // the edge to succ[i] is a terminal edge
+	n    int     // successors in use; 0 for a terminal node
+	exit Target  // a terminal node's target
+}
+
+// blockSet is a set of one function's blocks: dense membership plus the
+// members in insertion order, so the set at any earlier size is a prefix.
+type blockSet struct {
+	in    []bool
+	order []ir.BlockID
+}
+
+func (bs *blockSet) add(b ir.BlockID) {
+	bs.in[b] = true
+	bs.order = append(bs.order, b)
+}
+
+// truncate drops every member added after the first k.
+func (bs *blockSet) truncate(k int) {
+	for _, b := range bs.order[k:] {
+		bs.in[b] = false
+	}
+	bs.order = bs.order[:k]
+}
+
+// fill makes the set hold exactly blocks.
+func (bs *blockSet) fill(blocks []ir.BlockID) {
+	bs.truncate(0)
+	for _, b := range blocks {
+		bs.add(b)
+	}
 }
 
 func (s *selector) prog() *ir.Program { return s.part.Prog }
@@ -95,7 +157,10 @@ func (s *selector) prog() *ir.Program { return s.part.Prog }
 // heuristic is on; otherwise every call terminates its task, as in the
 // paper's control-flow-only configurations.
 func (s *selector) markInclusions() {
-	s.includeCall = make(map[EntryKey]bool)
+	s.incl = make([][]bool, len(s.prog().Fns))
+	for i, f := range s.prog().Fns {
+		s.incl[i] = make([]bool, len(f.Blocks))
+	}
 	s.part.FnIncluded = make([]bool, len(s.prog().Fns))
 	if !s.opts.TaskSize {
 		return
@@ -116,7 +181,7 @@ func (s *selector) markInclusions() {
 	for _, f := range s.prog().Fns {
 		for _, b := range f.Blocks {
 			if b.Term.Kind == ir.TermCall && include[b.Term.Callee] && b.Term.Callee != f.ID {
-				s.includeCall[EntryKey{Fn: f.ID, Blk: b.ID}] = true
+				s.incl[f.ID][b.ID] = true
 			}
 		}
 	}
@@ -125,7 +190,7 @@ func (s *selector) markInclusions() {
 	calledBare := make([]bool, len(s.prog().Fns))
 	for _, f := range s.prog().Fns {
 		for _, b := range f.Blocks {
-			if b.Term.Kind == ir.TermCall && !s.includeCall[EntryKey{Fn: f.ID, Blk: b.ID}] {
+			if b.Term.Kind == ir.TermCall && !s.incl[f.ID][b.ID] {
 				calledBare[b.Term.Callee] = true
 			}
 		}
@@ -137,15 +202,25 @@ func (s *selector) markInclusions() {
 
 // run drives selection over every function.
 func (s *selector) run() {
-	s.cfgs = make([]*cfganal.CFG, len(s.prog().Fns))
-	s.facts = make([]*dataflow.Facts, len(s.prog().Fns))
-	for i, f := range s.prog().Fns {
+	fns := s.prog().Fns
+	s.cfgs = make([]*cfganal.CFG, len(fns))
+	s.facts = make([]*dataflow.Facts, len(fns))
+	s.flows = make([][]flow, len(fns))
+	s.entries = make([][]*Task, len(fns))
+	maxBlocks := 0
+	for i, f := range fns {
 		s.cfgs[i] = cfganal.Analyze(f)
 		// Dataflow facts feed the data-dependence heuristic and, for every
 		// heuristic, the dead-register filtering of create masks.
 		s.facts[i] = dataflow.Analyze(s.cfgs[i])
+		s.flows[i] = s.flowsOf(ir.FnID(i))
+		s.entries[i] = make([]*Task, len(f.Blocks))
+		maxBlocks = max(maxBlocks, len(f.Blocks))
 	}
-	for i := range s.prog().Fns {
+	s.set.in = make([]bool, maxBlocks)
+	s.blockMark = make([]uint32, maxBlocks)
+	s.fnMark = make([]uint32, len(fns))
+	for i := range fns {
 		fn := ir.FnID(i)
 		if s.part.FnIncluded[i] {
 			continue // never starts a task
@@ -153,15 +228,15 @@ func (s *selector) run() {
 		if s.policy != nil {
 			// A policy replaces heuristic growth wholesale: seeds come from
 			// the same coverage worklist the control-flow heuristic uses,
-			// growth decisions from the policy (via growSeed).
-			s.coverFunction(fn, nil)
+			// growth decisions from the policy (via claim).
+			s.coverFunction(fn)
 			continue
 		}
 		switch s.opts.Heuristic {
 		case BasicBlock:
 			s.basicBlockTasks(fn)
 		case ControlFlow:
-			s.controlFlowTasks(fn)
+			s.coverFunction(fn)
 		case DataDependence:
 			s.dataDependenceTasks(fn)
 		}
@@ -169,30 +244,77 @@ func (s *selector) run() {
 	s.finishTargets()
 }
 
-// newTask registers a task with the partition. The entry must be unowned.
-func (s *selector) newTask(fn ir.FnID, entry ir.BlockID, blocks map[ir.BlockID]bool) *Task {
+// flowsOf tabulates each block's way out. A terminal node (the paper's
+// is_a_terminal_node) never grows past itself; terminal edges (the paper's
+// is_a_terminal_edge plus the loop entry/exit rules of the task-size
+// discussion) end any task they leave. For an included call, execution
+// resumes at the fall block after the callee runs inside the task.
+func (s *selector) flowsOf(fn ir.FnID) []flow {
+	f := s.prog().Fn(fn)
+	flows := make([]flow, len(f.Blocks))
+	for i, blk := range f.Blocks {
+		fl := &flows[i]
+		switch blk.Term.Kind {
+		case ir.TermCall:
+			if !s.incl[fn][i] {
+				fl.exit = Target{Kind: TargetCall, Fn: blk.Term.Callee}
+				continue
+			}
+			fl.succ[0], fl.n = blk.Term.Fall, 1
+		case ir.TermRet:
+			fl.exit = Target{Kind: TargetReturn}
+			continue
+		case ir.TermHalt:
+			fl.exit = Target{Kind: TargetHalt}
+			continue
+		case ir.TermGoto:
+			fl.succ[0], fl.n = blk.Term.Taken, 1
+		case ir.TermBr:
+			fl.succ, fl.n = [2]ir.BlockID{blk.Term.Taken, blk.Term.Fall}, 2
+			if blk.Term.Taken == blk.Term.Fall {
+				fl.n = 1
+			}
+		}
+		for k := 0; k < fl.n; k++ {
+			fl.term[k] = s.cfgs[fn].IsTerminalEdge(ir.BlockID(i), fl.succ[k])
+		}
+	}
+	return flows
+}
+
+// newTask registers a task over blocks with the partition. The entry must be
+// unowned.
+func (s *selector) newTask(fn ir.FnID, entry ir.BlockID, blocks []ir.BlockID) *Task {
 	key := EntryKey{Fn: fn, Blk: entry}
-	if s.part.ByEntry[key] != nil {
+	if s.entries[fn][entry] != nil {
 		panic(fmt.Sprintf("core: duplicate task entry %v", key))
 	}
+	members := slices.Clone(blocks)
+	slices.Sort(members)
 	t := &Task{
 		ID:          len(s.part.Tasks),
 		Fn:          fn,
 		Entry:       entry,
-		Blocks:      blocks,
+		Blocks:      make(map[ir.BlockID]bool, len(members)),
 		IncludeCall: make(map[ir.BlockID]bool),
 	}
-	f := s.prog().Fn(fn)
-	for b := range blocks {
-		blk := f.Block(b)
-		t.StaticInstrs += blk.Len()
-		if blk.Term.Kind == ir.TermCall && s.includeCall[EntryKey{Fn: fn, Blk: b}] {
-			t.IncludeCall[b] = true
-		}
+	for _, b := range members {
+		s.addBlock(t, b)
 	}
 	s.part.Tasks = append(s.part.Tasks, t)
 	s.part.ByEntry[key] = t
+	s.entries[fn][entry] = t
+	s.members = append(s.members, members)
 	return t
+}
+
+// addBlock adds block b to task t's membership, size and included calls.
+func (s *selector) addBlock(t *Task, b ir.BlockID) {
+	t.Blocks[b] = true
+	t.StaticInstrs += s.prog().Fn(t.Fn).Block(b).Len()
+	if s.incl[t.Fn][b] {
+		t.IncludeCall[b] = true
+	}
 }
 
 // basicBlockTasks makes every reachable block its own task.
@@ -203,213 +325,173 @@ func (s *selector) basicBlockTasks(fn ir.FnID) {
 		if g.DFSNum[b] < 0 {
 			continue // unreachable
 		}
-		s.newTask(fn, b, map[ir.BlockID]bool{b: true})
+		s.newTask(fn, b, []ir.BlockID{b})
 	}
 }
 
-// terminalNode implements the paper's is_a_terminal_node: blocks ending in a
-// (non-included) call, a return, or halt never grow past themselves.
-func (s *selector) terminalNode(fn ir.FnID, b ir.BlockID) bool {
-	blk := s.prog().Fn(fn).Block(b)
-	switch blk.Term.Kind {
-	case ir.TermCall:
-		return !s.includeCall[EntryKey{Fn: fn, Blk: b}]
-	case ir.TermRet, ir.TermHalt:
-		return true
-	}
-	return false
-}
-
-// terminalEdge implements is_a_terminal_edge plus the loop entry/exit rules
-// of the task-size discussion: DFS back/cross edges, edges entering a loop,
-// and edges leaving a loop all terminate tasks.
-func (s *selector) terminalEdge(fn ir.FnID, from, to ir.BlockID) bool {
-	return s.cfgs[fn].IsTerminalEdge(from, to)
-}
-
-// dynSuccs returns the blocks control can continue to from b while remaining
-// in the same function's instruction stream (for an included call, execution
-// resumes at the fall block after the callee runs inside the task).
-func (s *selector) dynSuccs(fn ir.FnID, b ir.BlockID) []ir.BlockID {
-	blk := s.prog().Fn(fn).Block(b)
-	switch blk.Term.Kind {
-	case ir.TermCall:
-		if s.includeCall[EntryKey{Fn: fn, Blk: b}] {
-			return []ir.BlockID{blk.Term.Fall}
+// countTargets counts the distinct successors of s.set entered at entry,
+// following the dynamic semantics in segment.go exactly. With list nil it
+// stops once the count exceeds MaxTargets; otherwise it appends every target
+// to *list, unsorted.
+func (s *selector) countTargets(fn ir.FnID, entry ir.BlockID, list *[]Target) int {
+	s.stamp++
+	n := 0
+	var ret, halt bool
+	for _, b := range s.set.order {
+		fl := &s.flows[fn][b]
+		if fl.n == 0 {
+			switch fl.exit.Kind {
+			case TargetCall:
+				if s.fnMark[fl.exit.Fn] == s.stamp {
+					continue
+				}
+				s.fnMark[fl.exit.Fn] = s.stamp
+			case TargetReturn:
+				if ret {
+					continue
+				}
+				ret = true
+			case TargetHalt:
+				if halt {
+					continue
+				}
+				halt = true
+			}
+			n++
+			if list != nil {
+				*list = append(*list, fl.exit)
+			}
+			continue
 		}
-		return nil
-	case ir.TermGoto:
-		return []ir.BlockID{blk.Term.Taken}
-	case ir.TermBr:
-		if blk.Term.Taken == blk.Term.Fall {
-			return []ir.BlockID{blk.Term.Taken}
-		}
-		return []ir.BlockID{blk.Term.Taken, blk.Term.Fall}
-	}
-	return nil
-}
-
-// targetsOf computes the distinct successors of the block set S entered at
-// entry. The rules mirror the dynamic semantics in segment.go exactly.
-func (s *selector) targetsOf(fn ir.FnID, entry ir.BlockID, S map[ir.BlockID]bool) []Target {
-	seen := make(map[Target]bool)
-	var out []Target
-	add := func(t Target) {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	for b := range S {
-		blk := s.prog().Fn(fn).Block(b)
-		switch blk.Term.Kind {
-		case ir.TermCall:
-			if !s.includeCall[EntryKey{Fn: fn, Blk: b}] {
-				add(Target{Kind: TargetCall, Fn: blk.Term.Callee})
+		for k, succ := range fl.succ[:fl.n] {
+			if s.set.in[succ] && succ != entry && !fl.term[k] {
+				continue // control stays inside the task
+			}
+			if s.blockMark[succ] == s.stamp {
 				continue
 			}
-		case ir.TermRet:
-			add(Target{Kind: TargetReturn})
-			continue
-		case ir.TermHalt:
-			add(Target{Kind: TargetHalt})
-			continue
-		}
-		for _, succ := range s.dynSuccs(fn, b) {
-			if !S[succ] || succ == entry || s.terminalEdge(fn, b, succ) || s.terminalNode(fn, b) {
-				add(Target{Kind: TargetBlock, Blk: succ})
+			s.blockMark[succ] = s.stamp
+			n++
+			if list != nil {
+				*list = append(*list, Target{Kind: TargetBlock, Blk: succ})
 			}
 		}
+		if list == nil && n > s.opts.MaxTargets {
+			break
+		}
 	}
+	return n
+}
+
+// feasible reports whether s.set entered at entry stays within the hardware
+// target limit.
+func (s *selector) feasible(fn ir.FnID, entry ir.BlockID) bool {
+	return s.countTargets(fn, entry, nil) <= s.opts.MaxTargets
+}
+
+// taskTargets returns task t's distinct successors, sorted.
+func (s *selector) taskTargets(t *Task) []Target {
+	s.set.fill(s.members[t.ID])
+	var out []Target
+	s.countTargets(t.Fn, t.Entry, &out)
 	sortTargets(out)
 	return out
 }
 
+// claim returns the task entered at block b of fn, growing one from b when
+// there is none: under the policy when one is set, by the paper's greedy
+// exploration otherwise. Every seeded growth goes through here, so a policy
+// governs straggler and callee-entry tasks too, not just the main coverage
+// pass.
+func (s *selector) claim(fn ir.FnID, b ir.BlockID) *Task {
+	if t := s.entries[fn][b]; t != nil {
+		return t
+	}
+	if s.policy != nil {
+		return s.newTask(fn, b, s.policyGrow(fn, b))
+	}
+	return s.newTask(fn, b, s.grow(fn, b, []ir.BlockID{b}, nil))
+}
+
 // grow implements the greedy feasible-task exploration shared by the
-// control-flow and data-dependence heuristics. Starting from the seed set
-// (which must already be feasible), it explores outward along non-terminal
-// edges. `explore`, when non-nil, restricts which included blocks are
-// explored *further* (the data-dependence heuristic explores only the
-// codependent set, but — per the paper's dependence_task pseudo-code — still
-// includes non-codependent children in the feasible task when the target
-// count allows, so reconverging paths keep helping). Exploration continues
-// past the target limit, greedily looking for reconverging paths; the
-// largest set whose target count stays within MaxTargets is returned.
-func (s *selector) grow(fn ir.FnID, entry ir.BlockID, seed map[ir.BlockID]bool, explore func(ir.BlockID) bool) map[ir.BlockID]bool {
+// control-flow and data-dependence heuristics. Starting from the seed blocks
+// (ascending, and already feasible), it explores outward along non-terminal
+// edges. explore, when non-nil, restricts which included blocks are explored
+// *further* (the data-dependence heuristic explores only the codependent
+// set, but — per the paper's dependence_task pseudo-code — still includes
+// non-codependent children in the feasible task when the target count
+// allows, so reconverging paths keep helping). Exploration continues past
+// the target limit, greedily looking for reconverging paths; the largest set
+// whose target count stays within MaxTargets is returned. The set only ever
+// grows, so that largest set is the one at the last feasible step: a prefix
+// of the insertion order. The result aliases s.set until its next use.
+func (s *selector) grow(fn ir.FnID, entry ir.BlockID, seed []ir.BlockID, explore []bool) []ir.BlockID {
 	const exploreCap = 512
-	S := make(map[ir.BlockID]bool, len(seed))
-	var queue []ir.BlockID
-	for b := range seed {
-		S[b] = true
-	}
-	// Deterministic queue: seed blocks ascending.
-	for _, b := range sortedBlocks(seed) {
-		queue = append(queue, b)
-	}
-	best := copySet(S)
-	bestOK := len(s.targetsOf(fn, entry, S)) <= s.opts.MaxTargets
-	for len(queue) > 0 && len(S) < exploreCap {
-		b := queue[0]
-		queue = queue[1:]
-		if s.terminalNode(fn, b) {
-			continue
-		}
-		for _, ch := range s.dynSuccs(fn, b) {
-			if s.terminalEdge(fn, b, ch) || ch == entry || S[ch] {
+	S := &s.set
+	S.fill(seed)
+	queue := append(s.queue[:0], seed...)
+	best := len(S.order)
+	bestOK := s.feasible(fn, entry)
+	for head := 0; head < len(queue) && len(S.order) < exploreCap; head++ {
+		fl := &s.flows[fn][queue[head]]
+		for k, ch := range fl.succ[:fl.n] {
+			if fl.term[k] || ch == entry || S.in[ch] {
 				continue
 			}
-			if other := s.part.ByEntry[EntryKey{Fn: fn, Blk: ch}]; other != nil {
+			if s.entries[fn][ch] != nil {
 				// ch already starts another task; keep its boundary.
 				continue
 			}
-			S[ch] = true
-			feasible := len(s.targetsOf(fn, entry, S)) <= s.opts.MaxTargets
+			S.add(ch)
+			feasible := s.feasible(fn, entry)
 			if !feasible && s.opts.NoGreedy {
 				// First-fit: never explore past the target limit.
-				delete(S, ch)
+				S.truncate(len(S.order) - 1)
 				continue
 			}
-			if explore == nil || explore(ch) {
+			if explore == nil || explore[ch] {
 				queue = append(queue, ch)
 			}
 			if feasible {
-				if !bestOK || len(S) > len(best) {
-					best = copySet(S)
-					bestOK = true
-				}
+				best, bestOK = len(S.order), true
 			}
 		}
 	}
+	s.queue = queue
 	if !bestOK {
 		// Even the seed exceeds the limit (cannot happen for a single block,
 		// which has at most two successors, but guard the multi-block case).
 		return seed
 	}
-	return best
-}
-
-func copySet(s map[ir.BlockID]bool) map[ir.BlockID]bool {
-	out := make(map[ir.BlockID]bool, len(s))
-	for k, v := range s {
-		if v {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func sortedBlocks(s map[ir.BlockID]bool) []ir.BlockID {
-	out := make([]ir.BlockID, 0, len(s))
-	for b := range s {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// controlFlowTasks grows tasks over a function with the control-flow
-// heuristic: a worklist of seeds starting at the function entry, each grown
-// greedily, with every exposed target becoming a new seed.
-func (s *selector) controlFlowTasks(fn ir.FnID) {
-	s.coverFunction(fn, nil)
+	return S.order[:best]
 }
 
 // coverFunction grows tasks from the function entry and from every exposed
-// target until all reachable blocks are covered. admitFor, when non-nil,
-// provides the admission filter per seed (used by coverage after the
-// data-dependence pass, where nil is passed to fall back to control flow).
-func (s *selector) coverFunction(fn ir.FnID, owned map[ir.BlockID]bool) {
+// target until all reachable blocks are covered; blocks that already start
+// a task (the data-dependence pass's) keep it.
+func (s *selector) coverFunction(fn ir.FnID) {
 	g := s.cfgs[fn]
 	f := s.prog().Fn(fn)
 	queue := []ir.BlockID{f.Entry}
-	queued := map[ir.BlockID]bool{f.Entry: true}
+	queued := make([]bool, len(f.Blocks))
+	queued[f.Entry] = true
 	for len(queue) > 0 {
 		seed := queue[0]
 		queue = queue[1:]
 		if g.DFSNum[seed] < 0 {
 			continue
 		}
-		t := s.part.ByEntry[EntryKey{Fn: fn, Blk: seed}]
-		if t == nil {
-			blocks := s.growSeed(fn, seed, map[ir.BlockID]bool{seed: true}, nil)
-			t = s.newTask(fn, seed, blocks)
-			if owned != nil {
-				for b := range blocks {
-					owned[b] = true
-				}
-			}
-		}
-		for _, tgt := range s.targetsOf(fn, t.Entry, t.Blocks) {
+		t := s.claim(fn, seed)
+		for _, tgt := range s.taskTargets(t) {
 			if tgt.Kind == TargetBlock && !queued[tgt.Blk] {
 				queued[tgt.Blk] = true
 				queue = append(queue, tgt.Blk)
 			}
 		}
 		// The resume point after a non-included call must start a task too.
-		// Sorted iteration: the BFS visit order decides which task claims a
-		// contested block, so seeding the queue in map order would make the
-		// partition vary run to run.
-		for _, b := range sortedBlocks(t.Blocks) {
+		// Ascending order: the BFS visit order decides which task claims a
+		// contested block.
+		for _, b := range s.members[t.ID] {
 			blk := f.Block(b)
 			if blk.Term.Kind == ir.TermCall && !t.IncludeCall[b] && !queued[blk.Term.Fall] {
 				queued[blk.Term.Fall] = true
@@ -427,7 +509,7 @@ func (s *selector) coverFunction(fn ir.FnID, owned map[ir.BlockID]bool) {
 func (s *selector) dataDependenceTasks(fn ir.FnID) {
 	facts := s.facts[fn]
 	g := s.cfgs[fn]
-	edges := append([]dataflow.DefUseEdge(nil), facts.Edges...)
+	edges := slices.Clone(facts.Edges)
 	for i := range edges {
 		d := s.profile.Freq(fn, edges[i].Def)
 		u := s.profile.Freq(fn, edges[i].Use)
@@ -439,44 +521,40 @@ func (s *selector) dataDependenceTasks(fn ir.FnID) {
 	}
 	sort.SliceStable(edges, func(i, j int) bool { return edges[i].Freq > edges[j].Freq })
 
-	owned := make(map[ir.BlockID]bool)    // blocks in some DD task
-	owner := make(map[ir.BlockID][]*Task) // including-tasks per block
-
+	owner := make([][]*Task, len(g.Succs)) // including-tasks per block
 	for _, e := range edges {
 		if e.Freq == 0 || g.DFSNum[e.Def] < 0 {
 			continue
 		}
-		codep := facts.Codependent(e)
-		admit := func(b ir.BlockID) bool { return codep[b] }
 		tasks := owner[e.Def]
 		if len(tasks) == 0 {
-			if s.part.ByEntry[EntryKey{Fn: fn, Blk: e.Def}] != nil {
+			if s.entries[fn][e.Def] != nil {
 				// The producer block is an entry of an existing task that
 				// does not contain it?? cannot happen: entry is a member.
 				continue
 			}
-			t := s.newTask(fn, e.Def, map[ir.BlockID]bool{e.Def: true})
+			t := s.newTask(fn, e.Def, []ir.BlockID{e.Def})
 			owner[e.Def] = append(owner[e.Def], t)
-			owned[e.Def] = true
 			tasks = owner[e.Def]
 		}
+		codep := facts.Codependent(e)
 		for _, t := range tasks {
-			grown := s.grow(fn, t.Entry, t.Blocks, admit)
-			for b := range grown {
+			added := false
+			for _, b := range s.grow(fn, t.Entry, s.members[t.ID], codep) {
 				if !t.Blocks[b] {
-					t.Blocks[b] = true
-					t.StaticInstrs += s.prog().Fn(fn).Block(b).Len()
-					if s.prog().Fn(fn).Block(b).Term.Kind == ir.TermCall && s.includeCall[EntryKey{Fn: fn, Blk: b}] {
-						t.IncludeCall[b] = true
-					}
-					owned[b] = true
+					s.addBlock(t, b)
+					s.members[t.ID] = append(s.members[t.ID], b)
 					owner[b] = append(owner[b], t)
+					added = true
 				}
+			}
+			if added {
+				slices.Sort(s.members[t.ID])
 			}
 		}
 	}
 	// Cover everything the dependence pass did not reach.
-	s.coverFunction(fn, owned)
+	s.coverFunction(fn)
 }
 
 // finishTargets recomputes the final target list and continue edges of every
@@ -486,14 +564,13 @@ func (s *selector) dataDependenceTasks(fn ir.FnID) {
 func (s *selector) finishTargets() {
 	for i := 0; i < len(s.part.Tasks); i++ { // index loop: the slice grows
 		t := s.part.Tasks[i]
-		t.Targets = s.targetsOf(t.Fn, t.Entry, t.Blocks)
+		members := s.members[t.ID]
+		t.Targets = s.taskTargets(t)
 		t.continueEdge = make(map[edge]bool)
-		for b := range t.Blocks {
-			if s.terminalNode(t.Fn, b) {
-				continue
-			}
-			for _, succ := range s.dynSuccs(t.Fn, b) {
-				if t.Blocks[succ] && succ != t.Entry && !s.terminalEdge(t.Fn, b, succ) {
+		for _, b := range members {
+			fl := &s.flows[t.Fn][b]
+			for k, succ := range fl.succ[:fl.n] {
+				if t.Blocks[succ] && succ != t.Entry && !fl.term[k] {
 					t.continueEdge[edge{from: b, to: succ}] = true
 				}
 			}
@@ -501,25 +578,17 @@ func (s *selector) finishTargets() {
 		for _, tgt := range t.Targets {
 			switch tgt.Kind {
 			case TargetBlock:
-				if s.part.ByEntry[EntryKey{Fn: t.Fn, Blk: tgt.Blk}] == nil {
-					nt := s.newTask(t.Fn, tgt.Blk, s.growSeed(t.Fn, tgt.Blk, map[ir.BlockID]bool{tgt.Blk: true}, nil))
-					_ = nt
-				}
+				s.claim(t.Fn, tgt.Blk)
 			case TargetCall:
-				callee := s.prog().Fn(tgt.Fn)
-				if s.part.ByEntry[EntryKey{Fn: tgt.Fn, Blk: callee.Entry}] == nil {
-					s.newTask(tgt.Fn, callee.Entry, s.growSeed(tgt.Fn, callee.Entry, map[ir.BlockID]bool{callee.Entry: true}, nil))
-				}
+				s.claim(tgt.Fn, s.prog().Fn(tgt.Fn).Entry)
 			}
 		}
 		// Post-call resume blocks are reached via return targets.
 		f := s.prog().Fn(t.Fn)
-		for b := range t.Blocks {
+		for _, b := range members {
 			blk := f.Block(b)
 			if blk.Term.Kind == ir.TermCall && !t.IncludeCall[b] {
-				if s.part.ByEntry[EntryKey{Fn: t.Fn, Blk: blk.Term.Fall}] == nil {
-					s.newTask(t.Fn, blk.Term.Fall, s.growSeed(t.Fn, blk.Term.Fall, map[ir.BlockID]bool{blk.Term.Fall: true}, nil))
-				}
+				s.claim(t.Fn, blk.Term.Fall)
 			}
 		}
 	}

@@ -11,7 +11,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"multiscalar/internal/dataflow"
@@ -287,17 +289,16 @@ func (o Options) withDefaults() Options {
 // sortTargets orders a target set deterministically: block targets by block,
 // then call targets by callee, then return, then halt.
 func sortTargets(ts []Target) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
+	slices.SortFunc(ts, func(a, b Target) int {
 		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
+			return cmp.Compare(a.Kind, b.Kind)
 		}
 		if a.Kind == TargetBlock {
-			return a.Blk < b.Blk
+			return cmp.Compare(a.Blk, b.Blk)
 		}
 		if a.Kind == TargetCall {
-			return a.Fn < b.Fn
+			return cmp.Compare(a.Fn, b.Fn)
 		}
-		return false
+		return 0
 	})
 }

@@ -10,7 +10,7 @@
 package dataflow
 
 import (
-	"sort"
+	"math/bits"
 	"strings"
 
 	"multiscalar/internal/cfganal"
@@ -172,129 +172,166 @@ func (fa *Facts) liveness() {
 	}
 }
 
-// defUseEdges computes block-granularity def-use chains with a reaching-defs
-// style propagation: for each register, the set of blocks whose definition of
-// that register reaches the entry of each block.
+// defUseEdges computes block-granularity def-use chains as reaching
+// definitions over bit sets of def sites. A def site is a (register, block)
+// pair whose block writes the register; sites are numbered by register, then
+// by block, so one register's sites are a contiguous range: a block's kill
+// clears one range per register it defines, and a join is a word OR.
 func (fa *Facts) defUseEdges() {
 	n := len(fa.Fn.Blocks)
-	// reachIn[b] maps reg -> set of def blocks reaching entry of b.
-	reachIn := make([]map[ir.Reg]map[ir.BlockID]bool, n)
-	for i := range reachIn {
-		reachIn[i] = make(map[ir.Reg]map[ir.BlockID]bool)
-	}
-	outOf := func(b ir.BlockID) map[ir.Reg]map[ir.BlockID]bool {
-		out := make(map[ir.Reg]map[ir.BlockID]bool)
-		def := fa.Blocks[b].Def
-		for r, defs := range reachIn[b] {
-			if def.Has(r) {
-				continue // killed
-			}
-			out[r] = defs
+	// start[r] is register r's first site, start[r+1] one past its last.
+	var start [ir.NumRegs + 1]int
+	for _, bf := range fa.Blocks {
+		for d := uint64(bf.Def); d != 0; d &= d - 1 {
+			start[bits.TrailingZeros64(d)+1]++
 		}
-		for _, r := range def.Regs() {
-			out[r] = map[ir.BlockID]bool{b: true}
-		}
-		return out
 	}
+	for r := 0; r < ir.NumRegs; r++ {
+		start[r+1] += start[r]
+	}
+	// siteBlock maps a site to its block; block b generates the sites
+	// gen[genAt[b]:genAt[b+1]].
+	siteBlock := make([]ir.BlockID, start[ir.NumRegs])
+	gen := make([]int, 0, len(siteBlock))
+	genAt := make([]int, n+1)
+	next := start
+	for b, bf := range fa.Blocks {
+		for d := uint64(bf.Def); d != 0; d &= d - 1 {
+			r := bits.TrailingZeros64(d)
+			siteBlock[next[r]] = ir.BlockID(b)
+			gen = append(gen, next[r])
+			next[r]++
+		}
+		genAt[b+1] = len(gen)
+	}
+
+	// reachIn[b*w:(b+1)*w] holds the sites reaching the entry of block b; one
+	// more w-word slot past the last block holds a block's out set.
+	w := (len(siteBlock) + 63) / 64
+	reachIn := make([]uint64, (n+1)*w)
+	out := reachIn[n*w:]
 	for changed := true; changed; {
 		changed = false
 		for _, b := range fa.G.RPO {
-			blk := fa.Fn.Block(b)
-			if blk.Term.Kind == ir.TermCall || blk.Term.Kind == ir.TermRet || blk.Term.Kind == ir.TermHalt {
+			if stops(fa.Fn.Block(b).Term.Kind) {
 				// Dependences across calls/returns are inter-procedural; the
 				// paper terminates tasks there, so chains stop too.
 				continue
 			}
-			out := outOf(b)
+			copy(out, reachIn[int(b)*w:])
+			for d := uint64(fa.Blocks[b].Def); d != 0; d &= d - 1 {
+				r := bits.TrailingZeros64(d)
+				clearRange(out, start[r], start[r+1])
+			}
+			for _, site := range gen[genAt[b]:genAt[b+1]] {
+				out[site>>6] |= 1 << (site & 63)
+			}
 			for _, s := range fa.G.Succs[b] {
-				for r, defs := range out {
-					m := reachIn[s][r]
-					if m == nil {
-						m = make(map[ir.BlockID]bool)
-						reachIn[s][r] = m
-					}
-					for d := range defs {
-						if !m[d] {
-							m[d] = true
-							changed = true
-						}
+				in := reachIn[int(s)*w : int(s+1)*w]
+				for i, v := range out {
+					if v&^in[i] != 0 {
+						in[i] |= v
+						changed = true
 					}
 				}
 			}
 		}
 	}
-	seen := make(map[DefUseEdge]bool)
+
+	// chains visits every chain in (use, register, def) order. A counting
+	// sort by def block turns that into the (def, use, register) order: one
+	// pass counts each def block's chains, the next places each chain in its
+	// def block's next slot.
+	chains := func(visit func(DefUseEdge)) {
+		for b := 0; b < n; b++ {
+			in := reachIn[b*w : (b+1)*w]
+			for u := uint64(fa.Blocks[b].Use); u != 0; u &= u - 1 {
+				r := bits.TrailingZeros64(u)
+				for site := start[r]; site < start[r+1]; site++ {
+					if d := siteBlock[site]; in[site>>6]&(1<<(site&63)) != 0 && d != ir.BlockID(b) {
+						visit(DefUseEdge{Reg: ir.Reg(r), Def: d, Use: ir.BlockID(b)})
+					}
+				}
+			}
+		}
+	}
+	slot := make([]int, n+1)
+	chains(func(e DefUseEdge) { slot[e.Def+1]++ })
 	for b := 0; b < n; b++ {
-		use := fa.Blocks[b].Use
-		for _, r := range use.Regs() {
-			for d := range reachIn[b][r] {
-				e := DefUseEdge{Reg: r, Def: d, Use: ir.BlockID(b)}
-				if d != ir.BlockID(b) && !seen[e] {
-					seen[e] = true
-					fa.Edges = append(fa.Edges, e)
-				}
-			}
-		}
+		slot[b+1] += slot[b]
 	}
-	sort.Slice(fa.Edges, func(i, j int) bool {
-		a, b := fa.Edges[i], fa.Edges[j]
-		if a.Def != b.Def {
-			return a.Def < b.Def
-		}
-		if a.Use != b.Use {
-			return a.Use < b.Use
-		}
-		return a.Reg < b.Reg
+	if slot[n] == 0 {
+		return
+	}
+	fa.Edges = make([]DefUseEdge, slot[n])
+	chains(func(e DefUseEdge) {
+		fa.Edges[slot[e.Def]] = e
+		slot[e.Def]++
 	})
 }
 
-// Codependent returns the codependent set of the def-use edge: every block on
-// some control-flow path from e.Def to e.Use (endpoints included), computed
-// as forward-reachable-from-def intersected with backward-reachable-from-use.
-// Paths never extend through call/ret/halt terminators, matching how the
-// chains were built.
-func (fa *Facts) Codependent(e DefUseEdge) map[ir.BlockID]bool {
-	fwd := fa.reach(e.Def, false)
-	bwd := fa.reach(e.Use, true)
-	set := make(map[ir.BlockID]bool)
-	for b := range fwd {
-		if bwd[b] {
-			set[b] = true
+// clearRange clears bits lo through hi-1 of the bit set.
+func clearRange(set []uint64, lo, hi int) {
+	for lo < hi {
+		w := lo >> 6
+		mask := ^uint64(0) << (lo & 63)
+		if end := (w + 1) << 6; hi < end {
+			mask &= 1<<(hi&63) - 1
+			lo = hi
+		} else {
+			lo = end
 		}
+		set[w] &^= mask
 	}
-	set[e.Def] = true
-	set[e.Use] = true
-	return set
 }
 
-func (fa *Facts) reach(from ir.BlockID, backward bool) map[ir.BlockID]bool {
-	seen := map[ir.BlockID]bool{from: true}
-	work := []ir.BlockID{from}
+// stops reports whether a terminator ends every intra-procedural path
+// through its block: calls, returns and halts.
+func stops(k ir.TermKind) bool {
+	return k == ir.TermCall || k == ir.TermRet || k == ir.TermHalt
+}
+
+// Codependent returns the codependent set of the def-use edge as a dense set
+// indexed by block ID: every block on some control-flow path from e.Def to
+// e.Use (endpoints included). Paths never extend through call/ret/halt
+// terminators, matching how the chains were built.
+//
+// The set is forward reach from the def intersected with backward reach from
+// the use. A block on a path to the use is forward-reachable whenever the
+// path's first block is, so the backward walk only visits forward-reachable
+// blocks and its visited set is the intersection.
+func (fa *Facts) Codependent(e DefUseEdge) []bool {
+	n := len(fa.Fn.Blocks)
+	marks := make([]bool, 2*n)
+	fwd, set := marks[:n], marks[n:]
+	work := make([]ir.BlockID, 0, n)
+	fwd[e.Def] = true
+	work = append(work, e.Def)
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
-		var next []ir.BlockID
-		if backward {
-			next = fa.G.Preds[b]
-		} else {
-			t := fa.Fn.Block(b).Term.Kind
-			if t == ir.TermCall || t == ir.TermRet || t == ir.TermHalt {
-				continue
-			}
-			next = fa.G.Succs[b]
+		if stops(fa.Fn.Block(b).Term.Kind) {
+			continue
 		}
-		for _, s := range next {
-			if backward {
-				t := fa.Fn.Block(s).Term.Kind
-				if t == ir.TermCall || t == ir.TermRet || t == ir.TermHalt {
-					continue
-				}
-			}
-			if !seen[s] {
-				seen[s] = true
+		for _, s := range fa.G.Succs[b] {
+			if !fwd[s] {
+				fwd[s] = true
 				work = append(work, s)
 			}
 		}
 	}
-	return seen
+	set[e.Use] = true
+	work = append(work, e.Use)
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, p := range fa.G.Preds[b] {
+			if fwd[p] && !set[p] && !stops(fa.Fn.Block(p).Term.Kind) {
+				set[p] = true
+				work = append(work, p)
+			}
+		}
+	}
+	set[e.Def] = true
+	return set
 }

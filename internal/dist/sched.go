@@ -171,10 +171,10 @@ func (s *Scheduler) Dispatch(ctx context.Context, key string, job grid.Job) (res
 func (s *Scheduler) Register(remote bool) (name string, lease time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	name = "w" + strconv.Itoa(s.seq)
-	if !remote {
-		name = "local"
+	name = "local"
+	if remote {
+		s.seq++
+		name = "w" + strconv.Itoa(s.seq)
 	}
 	s.admitLocked(name, remote, time.Now())
 	return name, s.lease

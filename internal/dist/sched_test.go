@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -53,6 +54,20 @@ func TestDispatchPullReport(t *testing.T) {
 	st := s.Stats()
 	if st.Submitted != 1 || st.Completed != 1 || st.Queued != 0 || st.Leased != 0 {
 		t.Fatalf("stats = %+v, want 1 submitted, 1 completed, nothing pending", st)
+	}
+}
+
+// TestRegisterNames: the leader's local loop registers as "local" without
+// using up a number, so remote workers are w1, w2, ... in arrival order.
+func TestRegisterNames(t *testing.T) {
+	s := NewScheduler(SchedOptions{})
+	var got []string
+	for _, remote := range []bool{false, true, true} {
+		name, _ := s.Register(remote)
+		got = append(got, name)
+	}
+	if want := []string{"local", "w1", "w2"}; !slices.Equal(got, want) {
+		t.Errorf("registered names %v, want %v", got, want)
 	}
 }
 
