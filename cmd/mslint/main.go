@@ -14,9 +14,10 @@
 // -corpus N lints a generated corpus instead: N property-based programs
 // (gen.CorpusParams from -seed) are verified directly (IR000–IR005) and
 // then partitioned by every heuristic and every registered policy, with
-// each partition checked against PT001–PT010. This is the CI gen-smoke
-// gate: any invalid generated program or contract-violating policy fails
-// the run.
+// each partition checked against PT001–PT010: any invalid generated
+// program or contract-violating policy fails the run. TestRandomProgramsClean
+// (internal/verify) checks the same contract on the programs of
+// `-corpus 50 -seed 1`.
 //
 // Exit status is 0 when no error-severity findings exist, 1 when at least
 // one does, and 2 on usage errors. -min controls which findings print;
@@ -89,7 +90,7 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
-	h, err := parseHeuristic(*heuristic)
+	h, err := core.ParseHeuristic(*heuristic)
 	if err != nil {
 		usage(err)
 	}
@@ -274,18 +275,6 @@ func loadProgram(workload, asmFile string) (*ir.Program, error) {
 		return w.Build(), nil
 	}
 	return nil, fmt.Errorf("one of -workload, -asm, or -all is required (try -list)")
-}
-
-func parseHeuristic(s string) (core.Heuristic, error) {
-	switch s {
-	case "bb":
-		return core.BasicBlock, nil
-	case "cf":
-		return core.ControlFlow, nil
-	case "dd":
-		return core.DataDependence, nil
-	}
-	return 0, fmt.Errorf("unknown heuristic %q (want bb, cf, or dd)", s)
 }
 
 func parseSeverity(s string) (verify.Severity, error) {

@@ -58,9 +58,9 @@ func TestParseCorpus(t *testing.T) {
 	}
 }
 
-// TestCorpusSummary pins the stderr accounting line — the CI gen-smoke job
-// greps it for "0 simulated" on the warm rerun — and checks it composes
-// with fitStatus like every other status line msreport emits.
+// TestCorpusSummary pins the stderr accounting line — a warm rerun reports
+// "0 simulated" in it — and checks it composes with fitStatus like every
+// other status line msreport emits.
 func TestCorpusSummary(t *testing.T) {
 	spec := experiment.CorpusSpec{Seed: 1, N: 50, Policies: []string{"greedy", "knapsack"}}
 	s := grid.Stats{Jobs: 250, Done: 250, Sims: 0, CacheHits: 250}

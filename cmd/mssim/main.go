@@ -73,16 +73,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var h core.Heuristic
-	switch *heuristic {
-	case "bb":
-		h = core.BasicBlock
-	case "cf":
-		h = core.ControlFlow
-	case "dd":
-		h = core.DataDependence
-	default:
-		fatal(fmt.Errorf("unknown heuristic %q", *heuristic))
+	h, err := core.ParseHeuristic(*heuristic)
+	if err != nil {
+		fatal(err)
 	}
 	cfg := sim.DefaultConfig(*pus)
 	cfg.InOrder = *inorder

@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	h, err := parseHeuristic(*heuristic)
+	h, err := core.ParseHeuristic(*heuristic)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,18 +113,6 @@ func loadProgram(workload, asmFile string, genFlag bool, seed int64) (*ir.Progra
 		return w.Build(), nil
 	}
 	return nil, fmt.Errorf("one of -workload, -asm, or -gen is required (try -list)")
-}
-
-func parseHeuristic(s string) (core.Heuristic, error) {
-	switch s {
-	case "bb":
-		return core.BasicBlock, nil
-	case "cf":
-		return core.ControlFlow, nil
-	case "dd":
-		return core.DataDependence, nil
-	}
-	return 0, fmt.Errorf("unknown heuristic %q (want bb, cf, or dd)", s)
 }
 
 func printPartition(part *core.Partition) {

@@ -323,16 +323,6 @@ func (g *CFG) IsTerminalEdge(src, dst ir.BlockID) bool {
 	return g.IsBackEdge(src, dst) || g.IsLoopEntryEdge(src, dst) || g.IsLoopExitEdge(src, dst)
 }
 
-// LoopHeader reports whether b is the header of some natural loop.
-func (g *CFG) LoopHeader(b ir.BlockID) bool {
-	for _, l := range g.Loops {
-		if l.Header == b {
-			return true
-		}
-	}
-	return false
-}
-
 // IsLoopExitEdge reports whether src->dst leaves the innermost loop
 // containing src.
 func (g *CFG) IsLoopExitEdge(src, dst ir.BlockID) bool {

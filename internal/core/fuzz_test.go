@@ -1,85 +1,108 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"multiscalar/internal/emu"
+	"multiscalar/internal/gen"
 	"multiscalar/internal/ir"
-	"multiscalar/internal/progtest"
 )
 
-// TestFuzzPipeline drives random programs through validation, emulation,
+// TestFuzzPipeline drives generated programs through validation, emulation,
 // every selection heuristic, task-walk coverage, and register-communication
-// invariants.
+// invariants. Subtest seed<i> checks the program of gen.CorpusParams(1, i).
 func TestFuzzPipeline(t *testing.T) {
-	seeds := 40
+	n := 40
 	if testing.Short() {
-		seeds = 10
+		n = 10
 	}
-	for seed := 0; seed < seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			prog := progtest.Generate(int64(seed))
-			if err := ir.Validate(prog); err != nil {
-				t.Fatalf("generated invalid program: %v", err)
-			}
-			ref := emu.New(prog)
-			if err := ref.Run(2_000_000); err != nil {
-				t.Fatalf("reference run: %v", err)
-			}
-			for _, h := range []Heuristic{BasicBlock, ControlFlow, DataDependence} {
-				for _, ts := range []bool{false, true} {
-					part, err := Select(prog, Options{Heuristic: h, TaskSize: ts})
-					if err != nil {
-						t.Fatalf("%v/ts=%v: %v", h, ts, err)
-					}
-					checkPartitionInvariants(t, part)
-					var covered int
-					if err := WalkTasks(part, 2_000_000, func(te TaskExec) {
-						covered += te.DynInstrs
-						if te.TargetIndex < 0 {
-							t.Errorf("%v/ts=%v: task %d exit %v not in targets %v",
-								h, ts, te.Task.ID, te.Target, te.Task.Targets)
-						}
-					}); err != nil {
-						t.Fatalf("%v/ts=%v: WalkTasks: %v", h, ts, err)
-					}
-					m := emu.New(part.Prog)
-					if err := m.Run(2_000_000); err != nil {
-						t.Fatal(err)
-					}
-					if uint64(covered) != m.Count {
-						t.Errorf("%v/ts=%v: tasks cover %d of %d instrs", h, ts, covered, m.Count)
-					}
-					if m.Mem.Checksum() != ref.Mem.Checksum() {
-						t.Errorf("%v/ts=%v: transformed program diverged from reference", h, ts)
-					}
-				}
+	for i := 0; i < n; i++ {
+		p := gen.CorpusParams(1, i)
+		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) {
+			if err := gen.Check([]gen.Params{p}, pipelineHolds); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// checkPartitionInvariants verifies structural properties every partition
-// must satisfy.
-func checkPartitionInvariants(t *testing.T, part *Partition) {
-	t.Helper()
+// pipelineHolds checks one program under every heuristic, with and without
+// the task-size heuristic.
+func pipelineHolds(prog *ir.Program) error {
+	if err := ir.Validate(prog); err != nil {
+		return fmt.Errorf("generated invalid program: %w", err)
+	}
+	ref := emu.New(prog)
+	if err := ref.Run(2_000_000); err != nil {
+		return fmt.Errorf("reference run: %w", err)
+	}
+	for _, h := range []Heuristic{BasicBlock, ControlFlow, DataDependence} {
+		for _, ts := range []bool{false, true} {
+			if err := armHolds(prog, ref, Options{Heuristic: h, TaskSize: ts}); err != nil {
+				return fmt.Errorf("%v/ts=%v: %w", h, ts, err)
+			}
+		}
+	}
+	return nil
+}
+
+// armHolds checks one selection of prog against the reference run: the
+// partition's invariants, every task exit among its targets, tasks covering
+// every dynamic instruction, and the transformed program's final memory.
+func armHolds(prog *ir.Program, ref *emu.Machine, opts Options) error {
+	part, err := Select(prog, opts)
+	if err != nil {
+		return err
+	}
+	if err := partitionInvariants(part); err != nil {
+		return err
+	}
+	var covered int
+	var stray error
+	if err := WalkTasks(part, 2_000_000, func(te TaskExec) {
+		covered += te.DynInstrs
+		if te.TargetIndex < 0 && stray == nil {
+			stray = fmt.Errorf("task %d exit %v not in targets %v", te.Task.ID, te.Target, te.Task.Targets)
+		}
+	}); err != nil {
+		return fmt.Errorf("WalkTasks: %w", err)
+	}
+	if stray != nil {
+		return stray
+	}
+	m := emu.New(part.Prog)
+	if err := m.Run(2_000_000); err != nil {
+		return err
+	}
+	if uint64(covered) != m.Count {
+		return fmt.Errorf("tasks cover %d of %d instrs", covered, m.Count)
+	}
+	if m.Mem.Checksum() != ref.Mem.Checksum() {
+		return errors.New("transformed program diverged from reference")
+	}
+	return nil
+}
+
+// partitionInvariants verifies structural properties every partition must
+// satisfy, returning the first violation.
+func partitionInvariants(part *Partition) error {
 	for _, task := range part.Tasks {
 		if !task.Blocks[task.Entry] {
-			t.Errorf("task %d does not contain its own entry", task.ID)
+			return fmt.Errorf("task %d does not contain its own entry", task.ID)
 		}
 		if part.ByEntry[EntryKey{Fn: task.Fn, Blk: task.Entry}] != task {
-			t.Errorf("task %d not indexed by its entry", task.ID)
+			return fmt.Errorf("task %d not indexed by its entry", task.ID)
 		}
 		if task.NumTargets() > part.Opts.MaxTargets &&
 			len(task.Blocks) > 1 {
-			t.Errorf("task %d: %d targets exceed limit %d with %d blocks",
+			return fmt.Errorf("task %d: %d targets exceed limit %d with %d blocks",
 				task.ID, task.NumTargets(), part.Opts.MaxTargets, len(task.Blocks))
 		}
 		for _, tgt := range task.Targets {
 			if tgt.Kind == TargetBlock && part.TaskAt(task.Fn, tgt.Blk) == nil {
-				t.Errorf("task %d target %v has no task", task.ID, tgt)
+				return fmt.Errorf("task %d target %v has no task", task.ID, tgt)
 			}
 		}
 		// Continue edges stay inside the task and never re-enter the entry.
@@ -88,13 +111,14 @@ func checkPartitionInvariants(t *testing.T, part *Partition) {
 			for _, s := range f.Block(b).Succs(nil) {
 				if task.Continues(b, s) {
 					if !task.Blocks[s] {
-						t.Errorf("task %d: continue edge b%d->b%d leaves the task", task.ID, b, s)
+						return fmt.Errorf("task %d: continue edge b%d->b%d leaves the task", task.ID, b, s)
 					}
 					if s == task.Entry {
-						t.Errorf("task %d: continue edge re-enters the entry", task.ID)
+						return fmt.Errorf("task %d: continue edge re-enters the entry", task.ID)
 					}
 				}
 			}
 		}
 	}
+	return nil
 }

@@ -72,10 +72,6 @@ func (inst *Instance) Step(blk *ir.Block, nextBlk ir.BlockID) (cont bool, tgt Ta
 	panic(fmt.Sprintf("core: bad terminator kind %d", blk.Term.Kind))
 }
 
-// InInclusion reports whether execution is currently inside an included
-// callee.
-func (inst *Instance) InInclusion() bool { return inst.inclDepth > 0 }
-
 // TaskExec describes one completed dynamic task instance.
 type TaskExec struct {
 	Task *Task

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"multiscalar/internal/emu"
@@ -288,9 +289,27 @@ func TestSelectDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestHeuristicString pins both names of each heuristic: the short one the
+// CLIs and the HTTP API parse, and the long one Table 1's headers print.
 func TestHeuristicString(t *testing.T) {
-	if BasicBlock.String() != "basic block" || ControlFlow.String() != "control flow" ||
-		DataDependence.String() != "data dependence" {
-		t.Error("heuristic names changed; Table 1 headers depend on them")
+	for _, c := range []struct {
+		short, long string
+		h           Heuristic
+	}{
+		{"bb", "basic block", BasicBlock},
+		{"cf", "control flow", ControlFlow},
+		{"dd", "data dependence", DataDependence},
+	} {
+		if got := c.h.String(); got != c.long {
+			t.Errorf("%v.String() = %q, want %q; Table 1 headers depend on it", c.h, got, c.long)
+		}
+		if got, err := ParseHeuristic(c.short); err != nil || got != c.h {
+			t.Errorf("ParseHeuristic(%q) = %v, %v; want %v", c.short, got, err, c.h)
+		}
+	}
+	for _, bad := range []string{"", "BB", "ts", "basic block"} {
+		if _, err := ParseHeuristic(bad); err == nil || !strings.Contains(err.Error(), "want bb, cf, or dd") {
+			t.Errorf("ParseHeuristic(%q) error = %v", bad, err)
+		}
 	}
 }

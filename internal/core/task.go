@@ -49,6 +49,20 @@ func (h Heuristic) String() string {
 	return fmt.Sprintf("Heuristic(%d)", int(h))
 }
 
+// ParseHeuristic maps a heuristic's short name (bb, cf, or dd) to the
+// Heuristic.
+func ParseHeuristic(name string) (Heuristic, error) {
+	switch name {
+	case "bb":
+		return BasicBlock, nil
+	case "cf":
+		return ControlFlow, nil
+	case "dd":
+		return DataDependence, nil
+	}
+	return 0, fmt.Errorf("unknown heuristic %q (want bb, cf, or dd)", name)
+}
+
 // TargetKind discriminates where control can go when a task ends.
 type TargetKind uint8
 

@@ -89,26 +89,15 @@ func (m *Memory) Words() int {
 	return n
 }
 
-// EdgeKey identifies a dynamic control-flow edge within a function.
-type EdgeKey struct {
-	Fn       ir.FnID
-	From, To ir.BlockID
-}
-
 // Profile is the dynamic profile of one program run.
 type Profile struct {
 	// BlockFreq[fn][block] is the execution count of each basic block.
 	BlockFreq [][]uint64
-	// EdgeFreq counts taken control-flow edges (calls count the fall edge on
-	// return; the call itself is counted in CallFreq).
-	EdgeFreq map[EdgeKey]uint64
 	// CallFreq[fn] is the number of invocations of each function.
 	CallFreq []uint64
 	// InclInstrs[fn] is the total dynamic instructions executed inside each
 	// function including its callees, summed over invocations.
 	InclInstrs []uint64
-	// DynInstrs is the total dynamic instruction count of the run.
-	DynInstrs uint64
 }
 
 // AvgInclInstrs returns the average dynamic instructions per invocation of
@@ -145,10 +134,6 @@ type Machine struct {
 	prof       *Profile
 	inclEnter  []uint64 // Count at entry per active frame, parallel to stack
 	curEntered uint64   // Count at entry of the current frame
-
-	// Trace, when non-nil, receives every executed block in order. Used by
-	// tests and by Table 1's dynamic per-task measurements.
-	Trace func(fn ir.FnID, blk ir.BlockID)
 }
 
 type retAddr struct {
@@ -174,7 +159,6 @@ func New(p *ir.Program) *Machine {
 func (m *Machine) EnableProfile() *Profile {
 	p := &Profile{
 		BlockFreq:  make([][]uint64, len(m.Prog.Fns)),
-		EdgeFreq:   make(map[EdgeKey]uint64),
 		CallFreq:   make([]uint64, len(m.Prog.Fns)),
 		InclInstrs: make([]uint64, len(m.Prog.Fns)),
 	}
@@ -196,7 +180,6 @@ func (m *Machine) Run(limit uint64) error {
 		}
 		if done {
 			if m.prof != nil {
-				m.prof.DynInstrs = m.Count
 				m.prof.InclInstrs[m.Prog.Main] += m.Count - m.curEntered
 			}
 			return nil
@@ -215,23 +198,17 @@ func (m *Machine) StepBlock() (done bool, err error) {
 	if m.prof != nil {
 		m.prof.BlockFreq[m.fn][m.blk]++
 	}
-	if m.Trace != nil {
-		m.Trace(m.fn, m.blk)
-	}
 	for _, in := range b.Instrs {
 		m.Exec(in)
 	}
 	m.Count++ // the terminator
 	switch b.Term.Kind {
 	case ir.TermGoto:
-		m.edge(b.Term.Taken)
 		m.blk = b.Term.Taken
 	case ir.TermBr:
 		if m.Regs[b.Term.Cond] != 0 {
-			m.edge(b.Term.Taken)
 			m.blk = b.Term.Taken
 		} else {
-			m.edge(b.Term.Fall)
 			m.blk = b.Term.Fall
 		}
 	case ir.TermCall:
@@ -259,12 +236,6 @@ func (m *Machine) StepBlock() (done bool, err error) {
 		return true, nil
 	}
 	return false, nil
-}
-
-func (m *Machine) edge(to ir.BlockID) {
-	if m.prof != nil {
-		m.prof.EdgeFreq[EdgeKey{Fn: m.fn, From: m.blk, To: to}]++
-	}
 }
 
 // Exec executes one straight-line instruction against the machine state.

@@ -114,13 +114,6 @@ func TestProfileCounts(t *testing.T) {
 	if prof.BlockFreq[0][2] != 10 {
 		t.Errorf("body freq = %d, want 10", prof.BlockFreq[0][2])
 	}
-	e := prof.EdgeFreq[EdgeKey{Fn: 0, From: 1, To: 2}]
-	if e != 10 {
-		t.Errorf("head->body edge freq = %d, want 10", e)
-	}
-	if prof.DynInstrs != m.Count {
-		t.Errorf("DynInstrs = %d, Count = %d", prof.DynInstrs, m.Count)
-	}
 }
 
 func TestProfileInclusiveInstrs(t *testing.T) {
@@ -284,27 +277,6 @@ func TestDeterminism(t *testing.T) {
 	c2, s2 := run()
 	if c1 != c2 || s1 != s2 {
 		t.Error("emulator is nondeterministic")
-	}
-}
-
-func TestTraceCallback(t *testing.T) {
-	m := New(sumProg(t))
-	var blocks []ir.BlockID
-	m.Trace = func(fn ir.FnID, blk ir.BlockID) {
-		if fn != 0 {
-			t.Errorf("unexpected function %d", fn)
-		}
-		blocks = append(blocks, blk)
-	}
-	if err := m.Run(10000); err != nil {
-		t.Fatal(err)
-	}
-	// entry, then (head, body) x10, head, exit.
-	if len(blocks) != 1+2*10+1+1 {
-		t.Fatalf("trace length = %d", len(blocks))
-	}
-	if blocks[0] != 0 || blocks[len(blocks)-1] != 3 {
-		t.Errorf("trace endpoints: %v ... %v", blocks[0], blocks[len(blocks)-1])
 	}
 }
 

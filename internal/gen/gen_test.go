@@ -3,6 +3,7 @@ package gen_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ const emuLimit = 4_000_000
 // sweepPoints covers the parameter cube corners plus a corpus slice.
 func sweepPoints() []gen.Params {
 	pts := []gen.Params{
-		{Seed: 7},                // all fields at minimum after clamping
+		{Seed: 7}, // all fields at minimum after clamping
 		{Seed: 7, Funcs: 99, Blocks: 999, Branchiness: 999, LoopDepth: 99, CallDensity: 999, RegDensity: 999, MemWords: 99999},
 		{Seed: 3, Funcs: 1, Blocks: 96, Branchiness: 100, LoopDepth: 0, CallDensity: 100, RegDensity: 0, MemWords: 8},
 		{Seed: 4, Funcs: 8, Blocks: 4, Branchiness: 0, LoopDepth: 4, CallDensity: 100, RegDensity: 100, MemWords: 4096},
@@ -145,18 +146,24 @@ func TestSelectVerifyContract(t *testing.T) {
 		{Policy: "roundrobin"},
 		{Policy: "knapsack"},
 	}
+	var points []gen.Params
 	for i := 0; i < 8; i++ {
-		p := gen.CorpusParams(23, i)
-		prog := gen.Generate(p)
+		points = append(points, gen.CorpusParams(23, i))
+	}
+	err := gen.Check(points, func(prog *ir.Program) error {
 		for _, opts := range arms {
 			part, err := core.Select(prog, opts)
 			if err != nil {
-				t.Fatalf("%s / %+v: %v", p.Key(), opts, err)
+				return fmt.Errorf("%+v: %w", opts, err)
 			}
 			if fs := verify.Partition(part); fs.Errors() > 0 {
-				t.Fatalf("%s / %+v: contract violations:\n%v", p.Key(), opts, fs)
+				return fmt.Errorf("%+v: contract violations:\n%v", opts, fs)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,13 +1,47 @@
 package gen
 
-import "multiscalar/internal/ir"
+import (
+	"fmt"
+	"runtime/debug"
+
+	"multiscalar/internal/ir"
+)
+
+// Check runs prop on the program of each point, in order, and returns nil
+// when every program satisfies it. At the first failure it shrinks the point
+// with ShrinkParams, taking "prop fails on Generate(q)" as the predicate, and
+// returns an error naming the failing key, the minimal failing key, and
+// prop's error. Either key is a workload name, so `mstask -workload <key>`
+// rebuilds the program. A panic in prop counts as a failure.
+func Check(points []Params, prop func(*ir.Program) error) error {
+	for _, p := range points {
+		err := holds(prop, p)
+		if err == nil {
+			continue
+		}
+		small := ShrinkParams(p, func(q Params) bool { return holds(prop, q) != nil })
+		return fmt.Errorf("property fails on %s (shrinks to %s): %w", p.Key(), small.Key(), err)
+	}
+	return nil
+}
+
+// holds runs prop on p's program, turning a panic into an error that keeps
+// the panic's stack.
+func holds(prop func(*ir.Program) error, p Params) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return prop(Generate(p))
+}
 
 // ShrinkParams minimizes a failing parameter point: given a predicate that
 // reports whether the program generated from p still exhibits a failure, it
 // greedily drives every size-like field toward its minimum (binary search
 // per field) while the failure persists. The result is the smallest point in
-// the lattice below p — start bug reports here, then ShrinkProgram the
-// generated program for an instruction-level minimum.
+// the lattice below p; the seed is kept, since it selects the program within
+// the family the other fields define.
 //
 // fails must be deterministic (generated programs are, so a pure property of
 // the program always is). The original p is returned unchanged if it does
@@ -29,7 +63,10 @@ func ShrinkParams(p Params, fails func(Params) bool) Params {
 		{func(q *Params) *int { return &q.RegDensity }, 0},
 		{func(q *Params) *int { return &q.MemWords }, 8},
 	}
-	// Iterate to a fixed point: lowering one field can unlock another.
+	// Iterate to a fixed point: lowering one field can unlock another. Clamp
+	// rounds a probed MemWords up to a power of two, so a probe can land on
+	// the current point; only a strictly smaller point counts as progress,
+	// which bounds the loop by the sum of the fields.
 	for changed := true; changed; {
 		changed = false
 		for _, f := range fields {
@@ -40,8 +77,8 @@ func ShrinkParams(p Params, fails func(Params) bool) Params {
 				*f.get(&q) = mid
 				q = q.Clamp()
 				if fails(q) {
+					changed = changed || q != p
 					p, hi = q, mid
-					changed = true
 				} else {
 					lo = mid + 1
 				}
@@ -49,42 +86,4 @@ func ShrinkParams(p Params, fails func(Params) bool) Params {
 		}
 	}
 	return p
-}
-
-// ShrinkProgram minimizes a failing program at the instruction level: it
-// repeatedly tries to delete one non-terminator instruction at a time
-// (scanning back to front so indices stay stable), keeping a deletion only
-// when the candidate still validates and still fails. The result is
-// 1-minimal — removing any single remaining instruction either breaks
-// validity or makes the failure disappear.
-//
-// The input program is never mutated. Terminators and block structure are
-// preserved, so the shrunk program keeps the CFG shape that provoked the
-// failure; use ShrinkParams first to shrink the shape itself.
-func ShrinkProgram(prog *ir.Program, fails func(*ir.Program) bool) *ir.Program {
-	cur := ir.Clone(prog)
-	if ir.Validate(cur) != nil || !fails(cur) {
-		return cur
-	}
-	for changed := true; changed; {
-		changed = false
-		for fi := len(cur.Fns) - 1; fi >= 0; fi-- {
-			for bi := len(cur.Fns[fi].Blocks) - 1; bi >= 0; bi-- {
-				for ii := len(cur.Fns[fi].Blocks[bi].Instrs) - 1; ii >= 0; ii-- {
-					cand := ir.Clone(cur)
-					blk := cand.Fns[fi].Blocks[bi]
-					blk.Instrs = append(blk.Instrs[:ii:ii], blk.Instrs[ii+1:]...)
-					if ir.Validate(cand) != nil {
-						continue
-					}
-					cand.Layout()
-					if fails(cand) {
-						cur = cand
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return cur
 }

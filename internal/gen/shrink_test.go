@@ -1,74 +1,90 @@
 package gen_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"multiscalar/internal/gen"
 	"multiscalar/internal/ir"
 )
 
-// countOp tallies instructions with the given opcode.
-func countOp(p *ir.Program, op ir.Opcode) int {
-	n := 0
-	for _, f := range p.Fns {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == op {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
 func TestShrinkParams(t *testing.T) {
 	start := gen.Params{Seed: 9, Funcs: 8, Blocks: 96, Branchiness: 90, LoopDepth: 4, CallDensity: 80, RegDensity: 90, MemWords: 1024}
-	// "Failure": the generated program has more than one function. The
-	// minimum over the lattice is Funcs=2 with everything else floored.
-	fails := func(p gen.Params) bool {
-		return len(gen.Generate(p).Fns) > 1
+	cases := []struct {
+		name  string
+		fails func(gen.Params) bool
+		want  gen.Params
+	}{
+		// The minimum over the lattice is Funcs=2 with everything else
+		// floored.
+		{"more than one function", func(p gen.Params) bool { return len(gen.Generate(p).Fns) > 1 },
+			gen.Params{Seed: 9, Funcs: 2, Blocks: 4, MemWords: 8}},
+		// Clamp rounds every probe between 8 and 16 back up to 16, so the
+		// probes land on the current point; the search must still end.
+		{"MemWords at least 16", func(p gen.Params) bool { return p.MemWords >= 16 },
+			gen.Params{Seed: 9, Funcs: 1, Blocks: 4, MemWords: 16}},
+		// A predicate that never fails returns the input unchanged.
+		{"never fails", func(gen.Params) bool { return false }, start.Clamp()},
 	}
-	small := gen.ShrinkParams(start, fails)
-	if !fails(small) {
-		t.Fatal("shrunk params no longer fail")
-	}
-	if small.Funcs != 2 {
-		t.Errorf("Funcs = %d, want 2", small.Funcs)
-	}
-	if small.Blocks != 4 || small.LoopDepth != 0 || small.Branchiness != 0 || small.CallDensity != 0 || small.RegDensity != 0 || small.MemWords != 8 {
-		t.Errorf("unrelated fields not floored: %+v", small)
-	}
-	// A predicate that never fails returns the input unchanged.
-	same := gen.ShrinkParams(start, func(gen.Params) bool { return false })
-	if same != start.Clamp() {
-		t.Errorf("non-failing input changed: %+v", same)
+	for _, c := range cases {
+		if got := gen.ShrinkParams(start, c.fails); got != c.want {
+			t.Errorf("%s: ShrinkParams = %s, want %s", c.name, got.Key(), c.want.Key())
+		}
 	}
 }
 
-func TestShrinkProgram(t *testing.T) {
-	prog := gen.Generate(gen.Params{Seed: 2, Funcs: 2, Blocks: 24, Branchiness: 50, LoopDepth: 2, CallDensity: 30, RegDensity: 50, MemWords: 64})
-	fails := func(p *ir.Program) bool { return countOp(p, ir.OpMul) >= 1 }
-	if !fails(prog) {
-		t.Skip("seed produced no Mul; pick another seed")
+// TestCheck pins the report of a failing property: the failing key and its
+// shrunk minimum, both canonical names, then the property's own error.
+func TestCheck(t *testing.T) {
+	points := []gen.Params{gen.CorpusParams(1, 0), gen.CorpusParams(1, 1), gen.CorpusParams(1, 2)}
+	if points[0].Funcs != 1 || points[1].Funcs != 2 {
+		t.Fatalf("corpus points moved: %s, %s", points[0].Key(), points[1].Key())
 	}
-	before := prog.NumInstrs()
-	small := gen.ShrinkProgram(prog, fails)
-	if err := ir.Validate(small); err != nil {
-		t.Fatalf("shrunk program invalid: %v", err)
+	single := func(prog *ir.Program) error {
+		if len(prog.Fns) > 1 {
+			return fmt.Errorf("%d functions", len(prog.Fns))
+		}
+		return nil
 	}
-	if !fails(small) {
-		t.Fatal("shrunk program no longer fails")
+	if err := gen.Check(points[:1], single); err != nil {
+		t.Fatalf("passing point reported: %v", err)
 	}
-	if got := small.NumInstrs(); got >= before {
-		t.Errorf("no shrinkage: %d -> %d instrs", before, got)
+	panicky := func(prog *ir.Program) error {
+		if len(prog.Fns) > 1 {
+			panic("too many functions")
+		}
+		return nil
 	}
-	// 1-minimality: it kept exactly one Mul, and removing it would pass.
-	if n := countOp(small, ir.OpMul); n != 1 {
-		t.Errorf("shrunk program has %d Mul instructions, want 1", n)
-	}
-	// The input must not be mutated.
-	if prog.NumInstrs() != before {
-		t.Error("ShrinkProgram mutated its input")
+	small := gen.Params{Seed: points[1].Seed, Funcs: 2, Blocks: 4, MemWords: 8}
+	for _, c := range []struct {
+		prop func(*ir.Program) error
+		want string
+	}{
+		{single, "2 functions"},
+		{panicky, "panic: too many functions"},
+	} {
+		err := gen.Check(points, c.prop)
+		if err == nil {
+			t.Fatal("failing point not reported")
+		}
+		msg := err.Error()
+		var keys []string
+		for _, f := range strings.Fields(msg) {
+			if gen.IsName(f) {
+				keys = append(keys, strings.TrimRight(f, "):"))
+			}
+		}
+		if want := []string{points[1].Key(), small.Key()}; fmt.Sprint(keys) != fmt.Sprint(want) {
+			t.Fatalf("keys in %q = %v, want %v", msg, keys, want)
+		}
+		for _, k := range keys {
+			if p, err := gen.ParseName(k); err != nil || p.Key() != k {
+				t.Errorf("reported key %q does not round-trip: %v", k, err)
+			}
+		}
+		if !strings.Contains(msg, "): "+c.want) {
+			t.Errorf("report %q does not carry the property's error %q", msg, c.want)
+		}
 	}
 }

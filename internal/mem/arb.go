@@ -142,17 +142,14 @@ func (a *ARB) LastStoreBefore(task int, addr uint64) (cycle int64, ok bool) {
 // NoteViolation bumps the violation counter.
 func (a *ARB) NoteViolation() { a.Violations++ }
 
-// Words returns how many distinct speculative words task holds; the caller
-// stalls the task's memory operations when this exceeds Capacity.
+// Words returns how many distinct speculative words task holds;
+// WouldOverflow refuses a new word once this reaches the per-PU entry budget.
 func (a *ARB) Words(task int) int {
 	if i := a.find(task); i >= 0 {
 		return len(a.stages[i].words)
 	}
 	return 0
 }
-
-// Capacity returns the per-PU entry budget.
-func (a *ARB) Capacity() int { return a.entriesPerPU }
 
 // WouldOverflow reports whether adding addr for task would exceed its ARB
 // stage capacity, counting the event when it does.

@@ -118,13 +118,6 @@ func (p *PathPredictor) Speculate(nextTaskPC uint64) {
 	p.history = ((p.history << 3) ^ uint32(nextTaskPC>>2)) & p.mask
 }
 
-// RewindTo restores the path history to a checkpoint (misprediction
-// recovery). Checkpoint returns the current history.
-func (p *PathPredictor) RewindTo(h uint32) { p.history = h }
-
-// Checkpoint returns the current speculative history for later recovery.
-func (p *PathPredictor) Checkpoint() uint32 { return p.history }
-
 // Resolve trains the entry for the task at taskPC with the actual target
 // number and records accuracy. actual < 0 (target not in the static list)
 // always counts as a misprediction and trains slot 0.
@@ -200,9 +193,3 @@ func (r *RAS) Pop() (uint64, bool) {
 
 // Depth returns the current number of entries.
 func (r *RAS) Depth() int { return len(r.stack) }
-
-// Snapshot and Restore support speculative use with recovery.
-func (r *RAS) Snapshot() []uint64 { return append([]uint64(nil), r.stack...) }
-
-// Restore resets the stack to a snapshot.
-func (r *RAS) Restore(s []uint64) { r.stack = append(r.stack[:0], s...) }

@@ -125,17 +125,17 @@ func TestPathHistoryDistinguishesPaths(t *testing.T) {
 	p := NewPathPredictor(12, 4)
 	a, b, x := uint64(0x100), uint64(0x200), uint64(0x300)
 	for i := 0; i < 100; i++ {
-		p.RewindTo(0)
+		p.history = 0
 		p.Speculate(a)
 		p.Resolve(x, p.Predict(x), 0)
-		p.RewindTo(0)
+		p.history = 0
 		p.Speculate(b)
 		p.Resolve(x, p.Predict(x), 1)
 	}
-	p.RewindTo(0)
+	p.history = 0
 	p.Speculate(a)
 	ta := p.Predict(x)
-	p.RewindTo(0)
+	p.history = 0
 	p.Speculate(b)
 	tb := p.Predict(x)
 	if ta != 0 || tb != 1 {
@@ -175,22 +175,5 @@ func TestRASOverflowDropsOldest(t *testing.T) {
 	}
 	if _, ok := r.Pop(); ok {
 		t.Error("oldest entry survived overflow")
-	}
-}
-
-func TestRASSnapshotRestore(t *testing.T) {
-	r := NewRAS(8)
-	r.Push(1)
-	r.Push(2)
-	snap := r.Snapshot()
-	r.Push(3)
-	r.Pop()
-	r.Pop()
-	r.Restore(snap)
-	if r.Depth() != 2 {
-		t.Fatalf("depth = %d after restore", r.Depth())
-	}
-	if v, _ := r.Pop(); v != 2 {
-		t.Error("restore lost order")
 	}
 }

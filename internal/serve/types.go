@@ -39,16 +39,13 @@ type SelectOptions struct {
 }
 
 func (o SelectOptions) core() (core.Options, error) {
-	var h core.Heuristic
-	switch o.Heuristic {
-	case "", "bb":
-		h = core.BasicBlock
-	case "cf":
-		h = core.ControlFlow
-	case "dd":
-		h = core.DataDependence
-	default:
-		return core.Options{}, fmt.Errorf("unknown heuristic %q (want bb, cf, or dd)", o.Heuristic)
+	name := o.Heuristic
+	if name == "" {
+		name = "bb"
+	}
+	h, err := core.ParseHeuristic(name)
+	if err != nil {
+		return core.Options{}, err
 	}
 	if o.MaxTargets < 0 || o.CallThresh < 0 || o.LoopThresh < 0 {
 		return core.Options{}, fmt.Errorf("select thresholds must be non-negative")

@@ -1,63 +1,80 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/emu"
-	"multiscalar/internal/progtest"
+	"multiscalar/internal/gen"
+	"multiscalar/internal/ir"
 )
 
-// TestFuzzSimulatorOracle drives random structured programs through every
-// heuristic and several machine shapes, checking that the simulator's final
+// TestFuzzSimulatorOracle drives generated programs through every heuristic
+// and several machine shapes, checking that the simulator's final
 // architectural state always equals the sequential emulator's and that the
-// basic result invariants hold.
+// basic result invariants hold. Subtest seed<i> checks the program of
+// gen.CorpusParams(1, i); even points also apply the task-size heuristic.
 func TestFuzzSimulatorOracle(t *testing.T) {
-	seeds := 25
+	n := 25
 	if testing.Short() {
-		seeds = 8
+		n = 8
 	}
-	for seed := 0; seed < seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			prog := progtest.Generate(int64(seed))
-			for _, h := range []core.Heuristic{core.BasicBlock, core.ControlFlow, core.DataDependence} {
-				part, err := core.Select(prog, core.Options{Heuristic: h, TaskSize: seed%2 == 0})
-				if err != nil {
-					t.Fatalf("%v: %v", h, err)
-				}
-				ref := emu.New(part.Prog)
-				if err := ref.Run(2_000_000); err != nil {
-					t.Fatal(err)
-				}
-				for _, pus := range []int{1, 3, 8} {
-					for _, inorder := range []bool{false, true} {
-						cfg := DefaultConfig(pus)
-						cfg.InOrder = inorder
-						res, err := Run(part, cfg)
-						if err != nil {
-							t.Fatalf("%v/%dPU: %v", h, pus, err)
-						}
-						if res.FinalChecksum != ref.Mem.Checksum() {
-							t.Errorf("%v/%dPU/io=%v: memory diverged", h, pus, inorder)
-						}
-						if res.FinalRegs != ref.Regs {
-							t.Errorf("%v/%dPU/io=%v: registers diverged", h, pus, inorder)
-						}
-						if res.Instrs != ref.Count {
-							t.Errorf("%v/%dPU/io=%v: instrs %d vs %d", h, pus, inorder, res.Instrs, ref.Count)
-						}
-						if res.Cycles <= 0 || res.IPC <= 0 {
-							t.Errorf("%v/%dPU/io=%v: degenerate result %d cycles IPC %.3f",
-								h, pus, inorder, res.Cycles, res.IPC)
-						}
-						if res.IPC > float64(pus*cfg.IssueWidth) {
-							t.Errorf("%v/%dPU/io=%v: IPC %.3f exceeds machine width", h, pus, inorder, res.IPC)
-						}
-					}
-				}
+	for i := 0; i < n; i++ {
+		p, taskSize := gen.CorpusParams(1, i), i%2 == 0
+		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) {
+			err := gen.Check([]gen.Params{p}, func(prog *ir.Program) error {
+				return oracleHolds(prog, taskSize)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
+}
+
+// oracleHolds simulates prog's partition under every heuristic on 1, 3 and
+// 8 PUs, in order and out of order, against the emulator's final state.
+func oracleHolds(prog *ir.Program, taskSize bool) error {
+	for _, h := range []core.Heuristic{core.BasicBlock, core.ControlFlow, core.DataDependence} {
+		part, err := core.Select(prog, core.Options{Heuristic: h, TaskSize: taskSize})
+		if err != nil {
+			return fmt.Errorf("%v: %w", h, err)
+		}
+		ref := emu.New(part.Prog)
+		if err := ref.Run(2_000_000); err != nil {
+			return fmt.Errorf("%v: %w", h, err)
+		}
+		for _, pus := range []int{1, 3, 8} {
+			for _, inorder := range []bool{false, true} {
+				cfg := DefaultConfig(pus)
+				cfg.InOrder = inorder
+				if err := resultMatches(part, cfg, ref); err != nil {
+					return fmt.Errorf("%v/%dPU/io=%v: %w", h, pus, inorder, err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// resultMatches runs one simulation and compares it with the reference run.
+func resultMatches(part *core.Partition, cfg Config, ref *emu.Machine) error {
+	res, err := Run(part, cfg)
+	switch {
+	case err != nil:
+		return err
+	case res.FinalChecksum != ref.Mem.Checksum():
+		return errors.New("memory diverged")
+	case res.FinalRegs != ref.Regs:
+		return errors.New("registers diverged")
+	case res.Instrs != ref.Count:
+		return fmt.Errorf("instrs %d vs %d", res.Instrs, ref.Count)
+	case res.Cycles <= 0 || res.IPC <= 0:
+		return fmt.Errorf("degenerate result %d cycles IPC %.3f", res.Cycles, res.IPC)
+	case res.IPC > float64(cfg.NumPUs*cfg.IssueWidth):
+		return fmt.Errorf("IPC %.3f exceeds machine width", res.IPC)
+	}
+	return nil
 }

@@ -5,8 +5,7 @@ import (
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/gen"
-	_ "multiscalar/internal/policy" // register the policy zoo
-	"multiscalar/internal/progtest"
+	"multiscalar/internal/ir"
 )
 
 // FuzzVerifyPartition feeds generated programs through the full selection
@@ -14,24 +13,17 @@ import (
 // violations in anything Select produces — the same contract the workload
 // oracle checks, over an open-ended program space.
 //
-// Two generators feed the fuzzer: the lightweight progtest generator
-// (useGen=false) and the full parameter-swept internal/gen generator
-// (useGen=true, params derived from the seed via gen.CorpusParams). The
-// arm byte selects the growth strategy: 0–2 the paper heuristics, 3–5 the
-// policy zoo. The checked-in corpus under testdata/fuzz pins one input per
-// generator×strategy family.
+// The program is gen.CorpusParams(seed, arm). The arm byte also selects the
+// growth strategy: 0–2 the paper heuristics, 3–5 the policy zoo. The
+// checked-in corpus under testdata/fuzz pins one input per strategy.
 func FuzzVerifyPartition(f *testing.F) {
-	f.Add(int64(0), byte(0), false, false)
-	f.Add(int64(1), byte(1), true, false)
-	f.Add(int64(42), byte(2), true, true)
-	f.Add(int64(-7), byte(5), false, true)
-	f.Add(int64(13), byte(3), false, true)
-	f.Add(int64(99), byte(4), true, false)
-	f.Fuzz(func(t *testing.T, seed int64, arm byte, tasksize bool, useGen bool) {
-		prog := progtest.Generate(seed)
-		if useGen {
-			prog = gen.Generate(gen.CorpusParams(seed, int(arm)))
-		}
+	f.Add(int64(0), byte(0), false)
+	f.Add(int64(1), byte(1), true)
+	f.Add(int64(42), byte(2), true)
+	f.Add(int64(-7), byte(5), false)
+	f.Add(int64(13), byte(3), false)
+	f.Add(int64(99), byte(4), true)
+	f.Fuzz(func(t *testing.T, seed int64, arm byte, tasksize bool) {
 		opts := core.Options{TaskSize: tasksize}
 		switch arm % 6 {
 		case 0:
@@ -47,14 +39,11 @@ func FuzzVerifyPartition(f *testing.F) {
 		case 5:
 			opts.Policy = "knapsack"
 		}
-		part, err := core.Select(prog, opts)
+		err := gen.Check([]gen.Params{gen.CorpusParams(seed, int(arm))}, func(prog *ir.Program) error {
+			return partitionsClean(prog, opts)
+		})
 		if err != nil {
-			t.Fatalf("Select: %v", err)
-		}
-		fs := Partition(part)
-		if n := fs.Errors(); n != 0 {
-			t.Errorf("seed %d arm %d ts=%v gen=%v: %d error findings:\n%s",
-				seed, arm, tasksize, useGen, n, fs.MinSeverity(SevError))
+			t.Fatal(err)
 		}
 	})
 }

@@ -1,10 +1,13 @@
 package verify
 
 import (
+	"fmt"
 	"testing"
 
 	"multiscalar/internal/core"
-	"multiscalar/internal/progtest"
+	"multiscalar/internal/gen"
+	"multiscalar/internal/ir"
+	_ "multiscalar/internal/policy" // register the policy zoo
 	"multiscalar/internal/workloads"
 )
 
@@ -65,26 +68,50 @@ func TestWorkloadProgramsValid(t *testing.T) {
 	}
 }
 
-// TestRandomProgramsClean drives the generator behind core's fuzz pipeline
-// through the verifier: partitions of random structured programs never carry
-// error findings either.
+// TestRandomProgramsClean is the generator's contract: the programs of the
+// first 50 corpus points of seed 1 lint clean, and partition clean under
+// every heuristic with and without task size and under control flow with
+// every registered policy.
 func TestRandomProgramsClean(t *testing.T) {
-	seeds := 30
-	if testing.Short() {
-		seeds = 8
+	policies := core.PolicyNames()
+	if len(policies) == 0 {
+		t.Fatal("no policy registered")
 	}
-	for seed := 0; seed < seeds; seed++ {
-		prog := progtest.Generate(int64(seed))
-		for _, cfg := range sweep {
-			part, err := core.Select(prog, core.Options{Heuristic: cfg.h, TaskSize: cfg.ts})
-			if err != nil {
-				t.Fatalf("seed %d %v/ts=%v: Select: %v", seed, cfg.h, cfg.ts, err)
-			}
-			if fs := Partition(part); fs.Errors() != 0 {
-				t.Errorf("seed %d %v/ts=%v:\n%s", seed, cfg.h, cfg.ts, fs.MinSeverity(SevError))
-			}
+	var arms []core.Options
+	for _, cfg := range sweep {
+		arms = append(arms, core.Options{Heuristic: cfg.h, TaskSize: cfg.ts})
+	}
+	for _, pol := range policies {
+		arms = append(arms, core.Options{Heuristic: core.ControlFlow, Policy: pol})
+	}
+	var points []gen.Params
+	for i := 0; i < 50; i++ {
+		points = append(points, gen.CorpusParams(1, i))
+	}
+	err := gen.Check(points, func(prog *ir.Program) error {
+		if fs := Program(prog); fs.Errors() != 0 {
+			return fmt.Errorf("program findings:\n%s", fs.MinSeverity(SevError))
+		}
+		return partitionsClean(prog, arms...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// partitionsClean selects prog under each arm and verifies the partition,
+// returning the first arm with error findings.
+func partitionsClean(prog *ir.Program, arms ...core.Options) error {
+	for _, opts := range arms {
+		part, err := core.Select(prog, opts)
+		if err != nil {
+			return fmt.Errorf("%+v: Select: %w", opts, err)
+		}
+		if fs := Partition(part); fs.Errors() != 0 {
+			return fmt.Errorf("%+v: %d error findings:\n%s", opts, fs.Errors(), fs.MinSeverity(SevError))
 		}
 	}
+	return nil
 }
 
 // TestFindingsOrderDeterministic verifies the canonical ordering contract:
