@@ -176,18 +176,7 @@ func BenchmarkSelect(b *testing.B) {
 		})
 	}
 	b.Run("corpus", func(b *testing.B) {
-		arms := []core.Options{
-			{Heuristic: core.BasicBlock},
-			{Heuristic: core.ControlFlow},
-			{Heuristic: core.DataDependence},
-		}
-		for _, p := range []string{"greedy", "roundrobin", "knapsack"} {
-			arms = append(arms, core.Options{Heuristic: core.ControlFlow, Policy: p})
-		}
-		var progs []*ir.Program
-		for i := 0; i < 16; i++ {
-			progs = append(progs, gen.Generate(gen.CorpusParams(1, i)))
-		}
+		progs, arms := corpusProgs(), corpusArms()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -200,6 +189,30 @@ func BenchmarkSelect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// corpusProgs generates seed-1 corpus programs 0–15, the small programs of
+// /v1/simulate's cold path.
+func corpusProgs() []*ir.Program {
+	var progs []*ir.Program
+	for i := 0; i < 16; i++ {
+		progs = append(progs, gen.Generate(gen.CorpusParams(1, i)))
+	}
+	return progs
+}
+
+// corpusArms lists the corpus sweep's six arms: the three heuristics, then
+// the three policies on the control-flow heuristic.
+func corpusArms() []core.Options {
+	arms := []core.Options{
+		{Heuristic: core.BasicBlock},
+		{Heuristic: core.ControlFlow},
+		{Heuristic: core.DataDependence},
+	}
+	for _, p := range []string{"greedy", "roundrobin", "knapsack"} {
+		arms = append(arms, core.Options{Heuristic: core.ControlFlow, Policy: p})
+	}
+	return arms
 }
 
 // BenchmarkEmulator measures sequential functional simulation speed.
@@ -221,26 +234,54 @@ func BenchmarkEmulator(b *testing.B) {
 	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkSimulator measures cycle-level simulation speed on the paper's
-// 8-PU machine.
+// BenchmarkSimulator measures cycle-level simulation speed. tomcatv runs
+// one long program on the paper's 8-PU machine, where the simulation itself
+// dominates. corpus simulates seed-1 corpus programs 0–15 under each of the
+// corpus sweep's six arms on 4 out-of-order PUs (96 runs per op,
+// partitioning outside the timer): small runs, where per-run machine set-up
+// weighs most.
 func BenchmarkSimulator(b *testing.B) {
-	w, err := workloads.ByName("tomcatv")
-	if err != nil {
-		b.Fatal(err)
-	}
-	part, err := core.Select(w.Build(), core.Options{Heuristic: core.ControlFlow})
-	if err != nil {
-		b.Fatal(err)
-	}
+	b.Run("tomcatv", func(b *testing.B) {
+		w, err := workloads.ByName("tomcatv")
+		if err != nil {
+			b.Fatal(err)
+		}
+		part, err := core.Select(w.Build(), core.Options{Heuristic: core.ControlFlow})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSim(b, []*core.Partition{part}, sim.DefaultConfig(8))
+	})
+	b.Run("corpus", func(b *testing.B) {
+		var parts []*core.Partition
+		for _, prog := range corpusProgs() {
+			for _, opts := range corpusArms() {
+				part, err := core.Select(prog, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				parts = append(parts, part)
+			}
+		}
+		benchSim(b, parts, sim.DefaultConfig(4))
+	})
+}
+
+// benchSim simulates every partition on cfg once per op and reports
+// simulated instructions per second.
+func benchSim(b *testing.B, parts []*core.Partition, cfg sim.Config) {
 	var instrs uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(part, sim.DefaultConfig(8))
-		if err != nil {
-			b.Fatal(err)
+		instrs = 0
+		for _, part := range parts {
+			res, err := sim.Run(part, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += res.Instrs
 		}
-		instrs = res.Instrs
 	}
 	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }

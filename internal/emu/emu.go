@@ -48,6 +48,9 @@ func (m *Memory) Store(addr, val uint64) {
 	m.words[addr/ir.WordBytes] = val
 }
 
+// Reset empties the memory and keeps its storage for reuse.
+func (m *Memory) Reset() { clear(m.words) }
+
 // LoadImage copies the program's initial data image into memory.
 func (m *Memory) LoadImage(p *ir.Program) {
 	for i, w := range p.Data {
@@ -76,17 +79,6 @@ func (m *Memory) Checksum() uint64 {
 		sum *= 1099511628211
 	}
 	return sum
-}
-
-// Words returns the number of nonzero words resident in memory.
-func (m *Memory) Words() int {
-	n := 0
-	for _, v := range m.words {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Profile is the dynamic profile of one program run.

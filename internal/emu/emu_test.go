@@ -294,16 +294,31 @@ func TestPCTracking(t *testing.T) {
 	}
 }
 
+// words returns the number of nonzero words resident in m.
+func words(m *Memory) int {
+	n := 0
+	for _, v := range m.words {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestMemoryWordsCount(t *testing.T) {
 	m := NewMemory()
-	if m.Words() != 0 {
+	if words(m) != 0 {
 		t.Error("fresh memory has words")
 	}
 	m.Store(0, 5)
 	m.Store(8, 0) // zero store does not count
 	m.Store(16, 7)
-	if got := m.Words(); got != 2 {
+	if got := words(m); got != 2 {
 		t.Errorf("Words = %d, want 2", got)
+	}
+	m.Reset()
+	if got := words(m); got != 0 || m.Load(16) != 0 {
+		t.Errorf("after Reset: %d words, word 16 = %d; want an empty memory", got, m.Load(16))
 	}
 }
 

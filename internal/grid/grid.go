@@ -381,11 +381,17 @@ func (e *Engine) Run(job Job) (*sim.Result, error) {
 // already executing runs to completion (its result is still memoized for the
 // next caller). Context errors are never memoized: the next request for the
 // same key simply recomputes.
-func (e *Engine) RunCtx(ctx context.Context, job Job) (res *sim.Result, err error) {
+func (e *Engine) RunCtx(ctx context.Context, job Job) (*sim.Result, error) {
+	return e.RunKeyed(ctx, Key(job), job)
+}
+
+// RunKeyed is RunCtx for a caller that already holds Key(job), which it
+// passes as key, so a memo hit derives no key at all. A key that is not the
+// job's own addresses another job's memo and cache entries.
+func (e *Engine) RunKeyed(ctx context.Context, key string, job Job) (res *sim.Result, err error) {
 	if job.Workload == "" {
 		return nil, errors.New("grid: empty workload name")
 	}
-	key := Key(job)
 	ctx, sp := span.Start(ctx, "grid.run")
 	if sp != nil {
 		sp.SetAttr("workload", job.Workload)

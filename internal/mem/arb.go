@@ -14,15 +14,21 @@ import "slices"
 //
 // Each live task owns a stage listing the words it touched and the words it
 // stored, so retiring or squashing a task costs what that task did, not what
-// the ARB holds. Stages are recycled, so a steady run allocates nothing.
+// the ARB holds. Stages and store records are recycled, and Reset keeps
+// every array's capacity, so a warm ARB allocates nothing.
 type ARB struct {
 	entriesPerPU int
 	hitLat       int
 
-	// stores[addr] = per-word store record list in the order recorded (task
-	// order, as the simulator drives it). A list its stores have all left
-	// stays in the map, so the word's next store reuses its capacity.
-	stores map[uint64][]storeRec
+	// Store records live in one arena, recs, each word's linked newest
+	// first. slot numbers the words stored to since the last reset, and
+	// heads[slot] is the word's newest record (-1 once its stores have all
+	// left; the word keeps its slot). freeRec heads the list of recycled
+	// records, linked through prev.
+	slot    map[uint64]int32
+	heads   []int32
+	recs    []storeRec
+	freeRec int32
 
 	// stages holds the live tasks' stages in task order; free lists the
 	// retired and squashed ones for reuse.
@@ -36,6 +42,7 @@ type ARB struct {
 type storeRec struct {
 	task  int
 	cycle int64
+	prev  int32 // the word's next older record, or the next free one; -1 ends
 }
 
 // stage is one task's ARB state.
@@ -44,8 +51,8 @@ type stage struct {
 	// words holds the distinct words the task touched, for capacity
 	// (overflow stall) modeling; true once the task stored to the word.
 	words map[uint64]bool
-	// stored lists the words the task stored to, each once.
-	stored []uint64
+	// stored lists the slots of the words the task stored to, each once.
+	stored []int32
 	// next links the free list.
 	next *stage
 }
@@ -58,14 +65,29 @@ func (st *stage) touched(w uint64) bool {
 // NewARB builds an ARB with the paper's parameters: 32 entries per PU,
 // two-cycle hit.
 func NewARB(entriesPerPU int) *ARB {
+	a := new(ARB)
+	a.Reset(entriesPerPU)
+	return a
+}
+
+// Reset drops every stage and store record and zeroes the counters, leaving
+// the ARB equal to NewARB(entriesPerPU) but with its arrays, maps and stages
+// kept for reuse.
+func (a *ARB) Reset(entriesPerPU int) {
 	if entriesPerPU == 0 {
 		entriesPerPU = 32
 	}
-	return &ARB{
-		entriesPerPU: entriesPerPU,
-		hitLat:       2,
-		stores:       make(map[uint64][]storeRec),
+	a.entriesPerPU, a.hitLat = entriesPerPU, 2
+	for _, st := range a.stages {
+		a.release(st)
 	}
+	a.stages = a.stages[:0]
+	if a.slot == nil {
+		a.slot = make(map[uint64]int32)
+	}
+	clear(a.slot)
+	a.heads, a.recs, a.freeRec = a.heads[:0], a.recs[:0], -1
+	a.Violations, a.Overflows = 0, 0
 }
 
 // HitLatency returns the ARB probe latency (2 cycles per the paper).
@@ -107,10 +129,24 @@ func (a *ARB) open(task int) *stage {
 // RecordStore registers a speculative store by task seq at the given cycle.
 func (a *ARB) RecordStore(task int, addr uint64, cycle int64) {
 	w := word(addr)
-	a.stores[w] = append(a.stores[w], storeRec{task: task, cycle: cycle})
+	i, ok := a.slot[w]
+	if !ok {
+		i = int32(len(a.heads))
+		a.heads = append(a.heads, -1)
+		a.slot[w] = i
+	}
+	r := a.freeRec
+	if r >= 0 {
+		a.freeRec = a.recs[r].prev
+	} else {
+		r = int32(len(a.recs))
+		a.recs = append(a.recs, storeRec{})
+	}
+	a.recs[r] = storeRec{task: task, cycle: cycle, prev: a.heads[i]}
+	a.heads[i] = r
 	if st := a.open(task); !st.words[w] {
 		st.words[w] = true
-		st.stored = append(st.stored, w)
+		st.stored = append(st.stored, i)
 	}
 }
 
@@ -130,10 +166,13 @@ func (a *ARB) RecordLoad(task int, addr uint64) {
 // dependence violation (or a synchronization point when the sync table
 // predicts it).
 func (a *ARB) LastStoreBefore(task int, addr uint64) (cycle int64, ok bool) {
-	recs := a.stores[word(addr)]
-	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].task < task {
-			return recs[i].cycle, true
+	i, ok := a.slot[word(addr)]
+	if !ok {
+		return 0, false
+	}
+	for r := a.heads[i]; r >= 0; r = a.recs[r].prev {
+		if a.recs[r].task < task {
+			return a.recs[r].cycle, true
 		}
 	}
 	return 0, false
@@ -141,15 +180,6 @@ func (a *ARB) LastStoreBefore(task int, addr uint64) (cycle int64, ok bool) {
 
 // NoteViolation bumps the violation counter.
 func (a *ARB) NoteViolation() { a.Violations++ }
-
-// Words returns how many distinct speculative words task holds;
-// WouldOverflow refuses a new word once this reaches the per-PU entry budget.
-func (a *ARB) Words(task int) int {
-	if i := a.find(task); i >= 0 {
-		return len(a.stages[i].words)
-	}
-	return 0
-}
 
 // WouldOverflow reports whether adding addr for task would exceed its ARB
 // stage capacity, counting the event when it does.
@@ -174,7 +204,7 @@ func (a *ARB) WouldOverflow(task int, addr uint64) bool {
 func (a *ARB) Retire(task int) {
 	n := 0
 	for ; n < len(a.stages) && a.stages[n].task <= task; n++ {
-		a.recycle(a.stages[n], func(r storeRec) bool { return r.task <= task })
+		a.recycle(a.stages[n], func(t int) bool { return t <= task })
 	}
 	a.stages = slices.Delete(a.stages, 0, n)
 }
@@ -183,17 +213,30 @@ func (a *ARB) Retire(task int) {
 // re-execute and re-insert).
 func (a *ARB) SquashTask(task int) {
 	if i := a.find(task); i >= 0 {
-		a.recycle(a.stages[i], func(r storeRec) bool { return r.task == task })
+		a.recycle(a.stages[i], func(t int) bool { return t == task })
 		a.stages = slices.Delete(a.stages, i, i+1)
 	}
 }
 
-// recycle deletes the records gone reports from every word st stored to,
-// and returns st to the free list.
-func (a *ARB) recycle(st *stage, gone func(storeRec) bool) {
-	for _, w := range st.stored {
-		a.stores[w] = slices.DeleteFunc(a.stores[w], gone)
+// recycle frees the records gone reports, by their task, from every word st
+// stored to, and returns st to the free list.
+func (a *ARB) recycle(st *stage, gone func(task int) bool) {
+	for _, i := range st.stored {
+		link := &a.heads[i]
+		for r := *link; r >= 0; r = *link {
+			rec := &a.recs[r]
+			if gone(rec.task) {
+				*link, rec.prev, a.freeRec = rec.prev, a.freeRec, r
+			} else {
+				link = &rec.prev
+			}
+		}
 	}
+	a.release(st)
+}
+
+// release empties st and returns it to the free list.
+func (a *ARB) release(st *stage) {
 	clear(st.words)
 	st.stored = st.stored[:0]
 	st.next, a.free = a.free, st
@@ -205,7 +248,10 @@ func (a *ARB) recycle(st *stage, gone func(storeRec) bool) {
 type SyncTable struct {
 	capacity int
 	entries  map[uint64]uint8 // load identity -> 2-bit confidence
-	order    []uint64         // FIFO for eviction
+	// order holds the identities in insertion order, starting at oldest
+	// once it is full: a ring that evicts first-in, first-out.
+	order  []uint64
+	oldest int
 
 	// Hits counts loads that synchronized instead of speculating.
 	Hits uint64
@@ -213,10 +259,22 @@ type SyncTable struct {
 
 // NewSyncTable builds the table with the paper's 256 entries.
 func NewSyncTable(capacity int) *SyncTable {
+	s := new(SyncTable)
+	s.Reset(capacity)
+	return s
+}
+
+// Reset empties the table and zeroes its counter, leaving it equal to
+// NewSyncTable(capacity) with its storage kept for reuse.
+func (s *SyncTable) Reset(capacity int) {
 	if capacity == 0 {
 		capacity = 256
 	}
-	return &SyncTable{capacity: capacity, entries: make(map[uint64]uint8)}
+	if s.entries == nil {
+		s.entries = make(map[uint64]uint8)
+	}
+	clear(s.entries)
+	s.capacity, s.order, s.oldest, s.Hits = capacity, s.order[:0], 0, 0
 }
 
 // Insert records that the load identified by id caused a memory dependence
@@ -228,13 +286,14 @@ func (s *SyncTable) Insert(id uint64) {
 		}
 		return
 	}
-	if len(s.entries) >= s.capacity {
-		oldest := s.order[0]
-		s.order = s.order[1:]
-		delete(s.entries, oldest)
+	if len(s.order) < s.capacity {
+		s.order = append(s.order, id)
+	} else {
+		delete(s.entries, s.order[s.oldest])
+		s.order[s.oldest] = id
+		s.oldest = (s.oldest + 1) % len(s.order)
 	}
 	s.entries[id] = 2
-	s.order = append(s.order, id)
 }
 
 // ShouldSync reports whether the load identified by id is predicted to

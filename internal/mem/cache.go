@@ -19,6 +19,10 @@ type Cache struct {
 	tags      []uint64 // set-major [set*ways+way], 0 = invalid (tag stores addr|1)
 	lru       []uint32 // last-use clock, indexed like tags
 	clock     uint32
+	// filled lists the ways a miss filled while they were empty, so a reset
+	// clears only those. Past one eighth of the array it stops growing, and
+	// the reset clears the whole array instead.
+	filled []int32
 
 	// Accesses and Misses count for reporting.
 	Accesses, Misses uint64
@@ -27,6 +31,24 @@ type Cache struct {
 // NewCache builds a cache of size bytes with the given associativity and
 // block size (bytes) and hit latency (cycles).
 func NewCache(name string, size, ways, blockSize, hitLat int) *Cache {
+	c := &Cache{name: name}
+	c.reset(size, ways, blockSize, hitLat)
+	return c
+}
+
+// reset empties the cache and gives it the shape NewCache would. The arrays
+// keep their capacity, so a cache that once held the shape is reshaped
+// without allocating.
+func (c *Cache) reset(size, ways, blockSize, hitLat int) {
+	if len(c.filled) >= len(c.tags)/8 {
+		clear(c.tags)
+		clear(c.lru)
+	} else {
+		for _, i := range c.filled {
+			c.tags[i], c.lru[i] = 0, 0
+		}
+	}
+	c.filled = c.filled[:0]
 	sets := size / (ways * blockSize)
 	if sets < 1 {
 		sets = 1
@@ -35,16 +57,16 @@ func NewCache(name string, size, ways, blockSize, hitLat int) *Cache {
 	for 1<<bits < blockSize {
 		bits++
 	}
-	c := &Cache{
-		name:      name,
-		sets:      sets,
-		ways:      ways,
-		blockBits: bits,
-		hitLat:    hitLat,
-		tags:      make([]uint64, sets*ways),
-		lru:       make([]uint32, sets*ways),
+	// The arrays are zero up to their capacity now (what lies past the old
+	// length was cleared when a larger shape was reset), so reslicing them
+	// is as good as a fresh make.
+	n := sets * ways
+	if n > cap(c.tags) {
+		c.tags, c.lru = make([]uint64, n), make([]uint32, n)
 	}
-	return c
+	c.tags, c.lru = c.tags[:n], c.lru[:n]
+	c.sets, c.ways, c.blockBits, c.hitLat = sets, ways, bits, hitLat
+	c.clock, c.Accesses, c.Misses = 0, 0, 0
 }
 
 // Lookup probes the cache for addr, updating LRU and filling on miss. It
@@ -68,6 +90,9 @@ func (c *Cache) Lookup(addr uint64) (lat int, miss bool) {
 		}
 	}
 	c.Misses++
+	if tags[victim] == 0 && len(c.filled) < len(c.tags)/8 {
+		c.filled = append(c.filled, int32(base+victim))
+	}
 	tags[victim] = key
 	lru[victim] = c.clock
 	return c.hitLat, true
@@ -111,6 +136,21 @@ type Config struct {
 
 // NewHierarchy builds the hierarchy from the paper's parameters.
 func NewHierarchy(cfg Config) *Hierarchy {
+	h := new(Hierarchy)
+	h.Reset(cfg)
+	return h
+}
+
+// Reset empties every cache, zeroes its counters and gives the hierarchy
+// cfg's shape, leaving it equal to NewHierarchy(cfg); on the zero Hierarchy
+// it builds the caches. A cache clears only the ways filled since its last
+// reset, and reuses its arrays when they can hold cfg's shape, so resetting a
+// hierarchy costs what its last run touched.
+func (h *Hierarchy) Reset(cfg Config) {
+	if h.L1I == nil {
+		h.L1I, h.L1D = &Cache{name: "l1i"}, &Cache{name: "l1d"}
+		h.TaskCache, h.L2 = &Cache{name: "task"}, &Cache{name: "l2"}
+	}
 	if cfg.L1Size == 0 {
 		if cfg.NumPUs >= 8 {
 			cfg.L1Size = 128 << 10
@@ -136,15 +176,13 @@ func NewHierarchy(cfg Config) *Hierarchy {
 	if cfg.MemLat == 0 {
 		cfg.MemLat = 58
 	}
-	return &Hierarchy{
-		L1I:       NewCache("l1i", cfg.L1Size, cfg.L1Ways, cfg.BlockSize, 1),
-		L1D:       NewCache("l1d", cfg.L1Size, cfg.L1Ways, cfg.BlockSize, 1),
-		TaskCache: NewCache("task", 32<<10, 2, cfg.BlockSize, 1),
-		L2:        NewCache("l2", cfg.L2Size, cfg.L2Ways, cfg.BlockSize, cfg.L2HitLat),
-		MemLat:    cfg.MemLat,
-		L2Xfer:    2, // 32-byte block at 16 bytes/cycle
-		MemXfer:   4, // 32-byte block at 8 bytes/cycle
-	}
+	h.L1I.reset(cfg.L1Size, cfg.L1Ways, cfg.BlockSize, 1)
+	h.L1D.reset(cfg.L1Size, cfg.L1Ways, cfg.BlockSize, 1)
+	h.TaskCache.reset(32<<10, 2, cfg.BlockSize, 1)
+	h.L2.reset(cfg.L2Size, cfg.L2Ways, cfg.BlockSize, cfg.L2HitLat)
+	h.MemLat = cfg.MemLat
+	h.L2Xfer = 2  // 32-byte block at 16 bytes/cycle
+	h.MemXfer = 4 // 32-byte block at 8 bytes/cycle
 }
 
 // InstrFetch returns the latency of fetching the instruction block at addr.

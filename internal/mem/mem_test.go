@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestCacheHitAfterMiss(t *testing.T) {
 	c := NewCache("t", 1<<10, 2, 32, 1)
@@ -200,6 +204,17 @@ func TestSyncTableEviction(t *testing.T) {
 	if !s.ShouldSync(3) {
 		t.Error("new entry missing")
 	}
+	// After a reset the table evicts first-in, first-out again, lap after
+	// lap of its ring: of ids 10..16 in a 3-entry table, 14..16 remain.
+	s.Reset(3)
+	for id := uint64(10); id <= 16; id++ {
+		s.Insert(id)
+	}
+	for id := uint64(10); id <= 16; id++ {
+		if got, want := s.ShouldSync(id), id >= 14; got != want {
+			t.Errorf("after reset: id %d present = %v, want %v", id, got, want)
+		}
+	}
 }
 
 func TestTaskCachePath(t *testing.T) {
@@ -211,5 +226,51 @@ func TestTaskCachePath(t *testing.T) {
 	}
 	if cold <= warm {
 		t.Errorf("cold task fetch = %d not slower than warm", cold)
+	}
+}
+
+// TestCacheResetMatchesFresh reuses one cache across shapes and run lengths:
+// short runs leave few filled ways (cleared one by one), long ones fill more
+// than an eighth of the array (cleared whole). After each reset the cache
+// must answer every lookup as a new one does and end in the same state.
+func TestCacheResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	reused := NewCache("t", 1<<10, 2, 32, 1)
+	for run := 0; run < 60; run++ {
+		size := 1 << (7 + rng.Intn(8)) // 128 B .. 16 KB
+		ways := 1 << rng.Intn(3)
+		if size < ways*32 {
+			size = ways * 32
+		}
+		reused.reset(size, ways, 32, 1)
+		fresh := NewCache("t", size, ways, 32, 1)
+		span := uint64(size) * uint64(1+rng.Intn(4))
+		for i, n := 0, rng.Intn(2*size/32); i < n; i++ {
+			addr := rng.Uint64() % span
+			_, got := reused.Lookup(addr)
+			if _, want := fresh.Lookup(addr); got != want {
+				t.Fatalf("run %d (%d B, %d ways): lookup %d of %#x: miss=%v, fresh cache %v", run, size, ways, i, addr, got, want)
+			}
+		}
+		if !slices.Equal(reused.tags, fresh.tags) || !slices.Equal(reused.lru, fresh.lru) ||
+			reused.clock != fresh.clock || reused.Accesses != fresh.Accesses || reused.Misses != fresh.Misses {
+			t.Fatalf("run %d (%d B, %d ways): reused cache state differs from a fresh one", run, size, ways)
+		}
+	}
+}
+
+// TestHierarchyResetAlternatingPUs resets one hierarchy between the 4- and
+// 8-PU shapes: the L1s change size, the L2 keeps its own.
+func TestHierarchyResetAlternatingPUs(t *testing.T) {
+	h := NewHierarchy(Config{NumPUs: 8})
+	for i, pus := range []int{4, 8, 4, 4, 8} {
+		h.DataAccess(uint64(i) * 0x1000)
+		h.Reset(Config{NumPUs: pus})
+		fresh := NewHierarchy(Config{NumPUs: pus})
+		for _, c := range [][2]*Cache{{h.L1I, fresh.L1I}, {h.L1D, fresh.L1D}, {h.TaskCache, fresh.TaskCache}, {h.L2, fresh.L2}} {
+			if c[0].sets != c[1].sets || c[0].ways != c[1].ways || !slices.Equal(c[0].tags, c[1].tags) || c[0].Accesses != 0 {
+				t.Fatalf("%d PUs: %s differs from a fresh cache (%d sets, fresh %d)", pus, c[0].name, c[0].sets, c[1].sets)
+			}
+		}
 	}
 }

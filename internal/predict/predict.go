@@ -10,7 +10,10 @@ type Gshare struct {
 	history uint32
 	bits    uint
 	mask    uint32
-	table   []uint8 // 2-bit saturating counters, taken >= 2
+	// table holds 2-bit saturating counters (taken >= 2), each stored XOR 2
+	// so that zeroed memory reads as weakly taken: building or resetting the
+	// table is a clear.
+	table []uint8
 
 	// Lookups and Mispredicts count accesses for reporting.
 	Lookups, Mispredicts uint64
@@ -20,21 +23,41 @@ type Gshare struct {
 // a table of 1<<historyBits two-bit counters (16 -> 64K entries, as in the
 // paper).
 func NewGshare(historyBits uint) *Gshare {
+	g := new(Gshare)
+	g.Reset(historyBits)
+	return g
+}
+
+// Reset returns every counter to weakly taken and zeroes the history and
+// the counts, leaving g equal to NewGshare(historyBits).
+func (g *Gshare) Reset(historyBits uint) {
 	size := 1 << historyBits
-	t := make([]uint8, size)
-	for i := range t {
-		t[i] = 2 // weakly taken
+	g.table = cleared(g.table, size)
+	g.history, g.bits, g.mask = 0, historyBits, uint32(size-1)
+	g.Lookups, g.Mispredicts = 0, 0
+}
+
+// cleared returns s resized to n zero elements, reusing its array when it
+// is large enough.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return &Gshare{bits: historyBits, mask: uint32(size - 1), table: t}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (g *Gshare) index(pc uint64) uint32 {
 	return (uint32(pc>>2) ^ g.history) & g.mask
 }
 
+// counter returns the two-bit counter at i.
+func (g *Gshare) counter(i uint32) uint8 { return g.table[i] ^ 2 }
+
 // Predict returns the taken/not-taken prediction for the branch at pc.
 func (g *Gshare) Predict(pc uint64) bool {
-	return g.table[g.index(pc)] >= 2
+	return g.counter(g.index(pc)) >= 2
 }
 
 // Update trains the predictor with the actual outcome and shifts the global
@@ -42,13 +65,15 @@ func (g *Gshare) Predict(pc uint64) bool {
 // state) was correct, and bumps the counters.
 func (g *Gshare) Update(pc uint64, taken bool) bool {
 	i := g.index(pc)
-	pred := g.table[i] >= 2
-	if taken && g.table[i] < 3 {
-		g.table[i]++
+	c := g.counter(i)
+	pred := c >= 2
+	if taken && c < 3 {
+		c++
 	}
-	if !taken && g.table[i] > 0 {
-		g.table[i]--
+	if !taken && c > 0 {
+		c--
 	}
+	g.table[i] = c ^ 2
 	bit := uint32(0)
 	if taken {
 		bit = 1
@@ -88,12 +113,18 @@ type pathEntry struct {
 // NewPathPredictor returns a path-based predictor with historyBits of path
 // history (16 -> 64K entries) tracking maxTargets successors per task.
 func NewPathPredictor(historyBits uint, maxTargets int) *PathPredictor {
+	p := new(PathPredictor)
+	p.Reset(historyBits, maxTargets)
+	return p
+}
+
+// Reset clears every entry, the path history and the counts, leaving p
+// equal to NewPathPredictor(historyBits, maxTargets).
+func (p *PathPredictor) Reset(historyBits uint, maxTargets int) {
 	size := 1 << historyBits
-	return &PathPredictor{
-		mask:       uint32(size - 1),
-		entries:    make([]pathEntry, size),
-		MaxTargets: maxTargets,
-	}
+	p.entries = cleared(p.entries, size)
+	p.history, p.mask, p.MaxTargets = 0, uint32(size-1), maxTargets
+	p.Lookups, p.Mispredicts = 0, 0
 }
 
 func (p *PathPredictor) index(taskPC uint64) uint32 {
@@ -170,6 +201,12 @@ type RAS struct {
 
 // NewRAS returns a return-address stack with the given capacity.
 func NewRAS(capacity int) *RAS { return &RAS{cap: capacity} }
+
+// Reset empties the stack and zeroes its count, leaving r equal to
+// NewRAS(capacity).
+func (r *RAS) Reset(capacity int) {
+	r.stack, r.cap, r.Overflows = r.stack[:0], capacity, 0
+}
 
 // Push records a return address.
 func (r *RAS) Push(v uint64) {

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -175,5 +176,42 @@ func TestRASOverflowDropsOldest(t *testing.T) {
 	}
 	if _, ok := r.Pop(); ok {
 		t.Error("oldest entry survived overflow")
+	}
+}
+
+// TestResetMatchesFresh trains each predictor, resets it to a new size, and
+// checks that it then predicts exactly as a new one does.
+func TestResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g, p, r := NewGshare(12), NewPathPredictor(12, 4), NewRAS(4)
+	for run, bits := range []uint{12, 8, 12, 10} {
+		g.Reset(bits)
+		p.Reset(bits, 1+run)
+		r.Reset(2 + run)
+		fg, fp, fr := NewGshare(bits), NewPathPredictor(bits, 1+run), NewRAS(2+run)
+		for i := 0; i < 5000; i++ {
+			pc, taken, target := uint64(rng.Intn(64))*4, rng.Intn(3) > 0, rng.Intn(6)-1
+			if g.Update(pc, taken) != fg.Update(pc, taken) {
+				t.Fatalf("run %d: gshare update %d disagrees with a fresh one", run, i)
+			}
+			pred := p.Predict(pc)
+			if pred != fp.Predict(pc) || p.Resolve(pc, pred, target) != fp.Resolve(pc, pred, target) {
+				t.Fatalf("run %d: path predictor step %d disagrees with a fresh one", run, i)
+			}
+			p.Speculate(pc)
+			fp.Speculate(pc)
+			if taken {
+				r.Push(pc)
+				fr.Push(pc)
+			} else {
+				v, ok := r.Pop()
+				if w, fok := fr.Pop(); v != w || ok != fok {
+					t.Fatalf("run %d: RAS pop %d disagrees with a fresh one", run, i)
+				}
+			}
+		}
+		if g.Mispredicts != fg.Mispredicts || p.Accuracy() != fp.Accuracy() || r.Overflows != fr.Overflows {
+			t.Fatalf("run %d: counts differ from fresh predictors", run)
+		}
 	}
 }

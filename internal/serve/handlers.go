@@ -297,17 +297,18 @@ func (req *SimulateRequest) check() error {
 		return err
 	}
 	req.job = grid.Job{Workload: name, Select: opts, Config: cfg}
+	req.key = grid.Key(req.job)
 	return nil
 }
 
 func (req *SimulateRequest) run(ctx context.Context, eng *grid.Engine) (any, error) {
-	res, err := eng.RunCtx(ctx, req.job)
+	res, err := eng.RunKeyed(ctx, req.key, req.job)
 	if err != nil {
 		return nil, err
 	}
 	return SimulateResponse{
 		Workload: req.job.Workload,
-		Key:      grid.Key(req.job),
+		Key:      req.key,
 		Result:   res,
 	}, nil
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -60,8 +61,9 @@ type Config struct {
 	// MaxBodyBytes caps request bodies (0 = 1 MiB).
 	MaxBodyBytes int64
 	// Logger receives structured access lines and internal errors (nil =
-	// discard). Handing it a JSON handler makes every line machine-parseable;
-	// traced requests carry a trace_id attribute either way.
+	// none; no line is even built). Handing it a JSON handler makes every
+	// line machine-parseable; traced requests carry a trace_id attribute
+	// either way.
 	Logger *slog.Logger
 	// Tracer, when non-nil, opens a serve.request span per /v1 request —
 	// honoring an incoming X-Ms-Trace header and always echoing the span
@@ -120,7 +122,8 @@ func New(cfg Config) *Server {
 		cfg.MaxBodyBytes = 1 << 20
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		// Enabled at no level, so no line is built or formatted.
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -265,13 +268,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			if rw.status() >= 500 {
 				s.m.errors.Inc()
 			}
-			attrs := []any{
-				"method", r.Method, "path", r.URL.Path, "status", rw.status(),
-				"bytes", rw.bytes, "dur_ms", float64(dur.Microseconds()) / 1000,
-				"remote", r.RemoteAddr,
-			}
 			if sp != nil {
-				attrs = append(attrs, "trace_id", string(sp.TraceID()))
 				sp.SetAttr("status", strconv.Itoa(rw.status()))
 			}
 			var spanErr error
@@ -279,7 +276,17 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				spanErr = fmt.Errorf("http %d", st)
 			}
 			sp.End(spanErr)
-			s.log.Info("access", attrs...)
+			if s.log.Enabled(r.Context(), slog.LevelInfo) {
+				attrs := []any{
+					"method", r.Method, "path", r.URL.Path, "status", rw.status(),
+					"bytes", rw.bytes, "dur_ms", float64(dur.Microseconds()) / 1000,
+					"remote", r.RemoteAddr,
+				}
+				if sp != nil {
+					attrs = append(attrs, "trace_id", string(sp.TraceID()))
+				}
+				s.log.Info("access", attrs...)
+			}
 		}()
 		next.ServeHTTP(rw, r)
 	})

@@ -243,6 +243,7 @@ type SimulateRequest struct {
 	Machine   MachineConfig  `json:"machine"`
 
 	job grid.Job // resolved by check
+	key string   // grid.Key(job), derived once by check
 }
 
 // GenerateRequest asks POST /v1/generate for a property-based program.

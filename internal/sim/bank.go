@@ -26,16 +26,32 @@ type bankSched struct {
 // paper workloads, so a run's bitmaps seldom grow.
 const bankWords = 64
 
-func newBankSched(banks int) *bankSched {
+// reset empties every bank and gives the scheduler banks banks (at least
+// one). A bank keeps its bitmap's array from run to run; a bank the
+// scheduler never had gets bankWords words, from one array for all of them.
+// Nothing past a bitmap's length is ever read (grow clears what it adds), so
+// the result schedules exactly as a new scheduler does.
+func (b *bankSched) reset(banks int) {
 	if banks < 1 {
 		banks = 1
 	}
-	b := &bankSched{claimed: make([][]uint64, banks)}
-	words := make([]uint64, banks*bankWords)
-	for i := range b.claimed {
-		b.claimed[i] = words[i*bankWords : i*bankWords : (i+1)*bankWords]
+	if banks > cap(b.claimed) {
+		grown := make([][]uint64, banks)
+		copy(grown, b.claimed[:cap(b.claimed)])
+		b.claimed = grown
 	}
-	return b
+	b.claimed = b.claimed[:banks]
+	var words []uint64
+	for i, c := range b.claimed {
+		if c == nil {
+			if words == nil {
+				words = make([]uint64, (banks-i)*bankWords)
+			}
+			c, words = words[:0:bankWords], words[bankWords:]
+		}
+		b.claimed[i] = c[:0]
+	}
+	b.base, b.floor = 0, 0
 }
 
 // schedule returns the first cycle >= t at which addr's bank is free, and

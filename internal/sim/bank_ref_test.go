@@ -57,27 +57,51 @@ func (b *refBankSched) prune(watermark int64) {
 // word boundaries (and sometimes backwards, which must be a no-op).
 func TestBankSchedMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		banks := rng.Intn(9) // 0 selects one bank
-		got, want := newBankSched(banks), newRefBankSched(banks)
-		var now int64
-		for step := 0; step < 4000; step++ {
-			switch op := rng.Intn(20); {
-			case op == 0:
-				w := now - 50 + rng.Int63n(60)
-				got.prune(w)
-				want.prune(w)
-			case op == 1:
-				now += rng.Int63n(200)
-			default:
-				a := uint64(rng.Intn(64)) << 5
-				c := now - 20 + rng.Int63n(100)
-				if rng.Intn(50) == 0 {
-					c += 1000 + rng.Int63n(5000)
-				}
-				if g, w := got.schedule(a, c), want.schedule(a, c); g != w {
-					t.Fatalf("seed %d step %d: schedule(%#x, %d) = %d; reference %d", seed, step, a, c, g, w)
-				}
+		matchBankReference(t, seed, func(banks int) *bankSched {
+			b := new(bankSched)
+			b.reset(banks)
+			return b
+		})
+	}
+}
+
+// TestResetBankSchedMatchesReference runs the same requests on one
+// scheduler, reset before each seed to that seed's bank count: its bitmaps
+// come back longer or shorter than new ones, and hold the last seed's bits.
+func TestResetBankSchedMatchesReference(t *testing.T) {
+	b := new(bankSched)
+	for seed := int64(1); seed <= 40; seed++ {
+		matchBankReference(t, seed, func(banks int) *bankSched {
+			b.reset(banks)
+			return b
+		})
+	}
+}
+
+// matchBankReference drives the scheduler that sched returns for a bank
+// count, and the reference model, with seed's requests.
+func matchBankReference(t *testing.T, seed int64, sched func(banks int) *bankSched) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	banks := rng.Intn(9) // 0 selects one bank
+	got, want := sched(banks), newRefBankSched(banks)
+	var now int64
+	for step := 0; step < 4000; step++ {
+		switch op := rng.Intn(20); {
+		case op == 0:
+			w := now - 50 + rng.Int63n(60)
+			got.prune(w)
+			want.prune(w)
+		case op == 1:
+			now += rng.Int63n(200)
+		default:
+			a := uint64(rng.Intn(64)) << 5
+			c := now - 20 + rng.Int63n(100)
+			if rng.Intn(50) == 0 {
+				c += 1000 + rng.Int63n(5000)
+			}
+			if g, w := got.schedule(a, c), want.schedule(a, c); g != w {
+				t.Fatalf("seed %d step %d: schedule(%#x, %d) = %d; reference %d", seed, step, a, c, g, w)
 			}
 		}
 	}

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/dataflow"
@@ -120,29 +122,31 @@ type forwardRec struct {
 	time int64
 }
 
-// simulator holds the machine-wide state for one run.
+// simulator is one simulated machine. It outlives its runs: RunObserved
+// takes an idle one, resets it to the run's Config and program, and puts it
+// back when the run ends (DESIGN.md §6.8).
 type simulator struct {
 	cfg  Config
 	part *core.Partition
-	m    *machine
+	m    machine
 
-	hier *mem.Hierarchy
-	arb  *mem.ARB
-	sync *mem.SyncTable
-	tp   *predict.PathPredictor
-	gsh  *predict.Gshare
-	ras  *predict.RAS
+	hier mem.Hierarchy
+	arb  mem.ARB
+	sync mem.SyncTable
+	tp   predict.PathPredictor
+	gsh  predict.Gshare
+	ras  predict.RAS
 
 	puFree     []int64 // retire time of the task N back, per PU slot
 	lastRetire int64   // retire time of the most recently retired task
 	regFwd     [ir.NumRegs]forwardRec
-	banks      *bankSched
+	banks      bankSched
 
-	// Per-attempt timing scratch, allocated once per run: the PU's
-	// functional units, the ring's sends per cycle, and the rolling ROB and
-	// issue-list windows (a window slot is read only after the attempt in
-	// progress wrote it, so they need no reset).
-	fus       *fuPool
+	// Per-attempt timing scratch: the PU's functional units, the ring's
+	// sends per cycle, and the rolling ROB and issue-list windows (a window
+	// slot is read only after the attempt in progress wrote it, so the
+	// windows need no clearing).
+	fus       fuPool
 	ring      []ringSlot
 	retireWin []int64
 	issueWin  []int64
@@ -158,6 +162,80 @@ type simulator struct {
 	tracer obs.Tracer
 
 	res Result
+}
+
+// reset readies s to run part on cfg with tracer t. Every structure returns
+// to the state a new machine for cfg starts in: caches, predictors, the ARB
+// and the sync table through their own Resets, the rest here. Arrays keep
+// their capacity, and a cache clears only the ways its last run filled, so
+// a reset costs what the last run touched (DESIGN.md §6.8). The per-attempt
+// scratch is left alone: each attempt sets it up before reading it.
+func (s *simulator) reset(part *core.Partition, cfg Config, t obs.Tracer) {
+	s.cfg, s.part, s.tracer = cfg, part, t
+	s.m.reset(part.Prog)
+	s.hier.Reset(cfg.Mem)
+	s.arb.Reset(cfg.ARBEntries)
+	s.sync.Reset(256)
+	s.tp.Reset(cfg.HistoryBits, cfg.MaxTargets)
+	s.gsh.Reset(cfg.HistoryBits)
+	s.ras.Reset(cfg.RASDepth)
+	s.puFree = cleared(s.puFree, cfg.NumPUs)
+	s.lastRetire = 0
+	for i := range s.regFwd {
+		s.regFwd[i] = forwardRec{task: -1}
+	}
+	s.banks.reset(cfg.L1DBanks)
+	s.retireWin = cleared(s.retireWin, cfg.ROBSize)
+	s.issueWin = cleared(s.issueWin, cfg.IssueQSize)
+	s.res = Result{}
+}
+
+// cleared returns s resized to n zero elements, reusing its array when it
+// is large enough.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// idle holds the machines no run is using. It holds them with strong
+// references: a sync.Pool frees what it holds within two collections, and a
+// small live heap collects often, so pooled machines would be rebuilt all
+// the time. At most GOMAXPROCS machines stay idle, the most runs that can
+// execute at once, so what the list retains does not grow with the number
+// of runs.
+var idle struct {
+	sync.Mutex
+	machines []*simulator
+}
+
+// takeMachine returns an idle machine, or a new one when none is idle.
+func takeMachine() *simulator {
+	idle.Lock()
+	defer idle.Unlock()
+	n := len(idle.machines)
+	if n == 0 {
+		return new(simulator)
+	}
+	s := idle.machines[n-1]
+	idle.machines[n-1] = nil
+	idle.machines = idle.machines[:n-1]
+	return s
+}
+
+// putMachine drops s's references to its last run, so an idle machine keeps
+// no partition, program, task or tracer alive, and makes it idle unless
+// enough machines already are.
+func putMachine(s *simulator) {
+	s.part, s.tracer, s.m.prog, s.m.tr.task = nil, nil, nil, nil
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.machines) < runtime.GOMAXPROCS(0) {
+		idle.machines = append(idle.machines, s)
+	}
 }
 
 // validate rejects a machine the timing pass cannot run. A zero functional
@@ -186,7 +264,10 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// Run simulates the partitioned program on the configured machine.
+// Run simulates the partitioned program on the configured machine. It is
+// safe for concurrent use. Runs reuse simulated machines, each reset to
+// equal a new one first, and the Result is the caller's own: it references
+// nothing of the machine (DESIGN.md §6.8).
 func Run(part *core.Partition, cfg Config) (*Result, error) {
 	return RunObserved(part, cfg, nil)
 }
@@ -204,41 +285,27 @@ func RunObserved(part *core.Partition, cfg Config, t obs.Tracer) (*Result, error
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	s := takeMachine()
+	res, err := s.simulate(part, cfg, t)
+	putMachine(s)
+	return res, err
+}
+
+// simulate resets s for one run and runs it. The Result is a copy, so it
+// references nothing of s.
+func (s *simulator) simulate(part *core.Partition, cfg Config, t obs.Tracer) (*Result, error) {
 	if cfg.Mem.NumPUs == 0 {
 		cfg.Mem.NumPUs = cfg.NumPUs
 	}
-	s := &simulator{
-		cfg:    cfg,
-		part:   part,
-		tracer: t,
-		m:      newMachine(part.Prog),
-		hier:   mem.NewHierarchy(cfg.Mem),
-		arb:    mem.NewARB(cfg.ARBEntries),
-		sync:   mem.NewSyncTable(256),
-		tp:     predict.NewPathPredictor(cfg.HistoryBits, cfg.MaxTargets),
-		gsh:    predict.NewGshare(cfg.HistoryBits),
-		ras:    predict.NewRAS(cfg.RASDepth),
-	}
-	s.puFree = make([]int64, cfg.NumPUs)
 	if cfg.L1DBanks == 0 {
 		cfg.L1DBanks = cfg.NumPUs
-		s.cfg.L1DBanks = cfg.NumPUs
 	}
-	s.banks = newBankSched(cfg.L1DBanks)
-	s.fus = newFUPool(cfg)
-	s.retireWin = make([]int64, cfg.ROBSize)
-	s.issueWin = make([]int64, cfg.IssueQSize)
-	for i := range s.regFwd {
-		s.regFwd[i] = forwardRec{task: -1}
-	}
+	s.reset(part, cfg, t)
 	if err := s.run(); err != nil {
 		return nil, err
 	}
-	// The Result pins s for as long as a caller (or a memo) keeps it, so drop
-	// the per-run scratch. The hierarchy and the predictors stay referenced.
-	s.m, s.arb, s.banks = nil, nil, nil
-	s.fus, s.ring, s.retireWin, s.issueWin = nil, nil, nil, nil
-	return &s.res, nil
+	res := s.res
+	return &res, nil
 }
 
 func (s *simulator) run() error {
@@ -418,21 +485,13 @@ type fuPool struct {
 	brFree  []int64
 }
 
-func newFUPool(cfg Config) *fuPool {
-	return &fuPool{
-		intFree: make([]int64, cfg.IntUnits),
-		fpFree:  make([]int64, cfg.FPUnits),
-		memFree: make([]int64, cfg.MemUnits),
-		brFree:  make([]int64, cfg.BranchUnits),
-	}
-}
-
-// reset frees every unit for a new timing attempt.
-func (f *fuPool) reset() {
-	clear(f.intFree)
-	clear(f.fpFree)
-	clear(f.memFree)
-	clear(f.brFree)
+// reset gives the pool cfg's unit counts, every unit free, for a new
+// timing attempt.
+func (f *fuPool) reset(cfg Config) {
+	f.intFree = cleared(f.intFree, cfg.IntUnits)
+	f.fpFree = cleared(f.fpFree, cfg.FPUnits)
+	f.memFree = cleared(f.memFree, cfg.MemUnits)
+	f.brFree = cleared(f.brFree, cfg.BranchUnits)
 }
 
 // schedule returns the issue cycle for an op of the given class not earlier
@@ -502,7 +561,7 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (complete i
 	// registers sent on the ring, with their send cycles in s.fwdTime.
 	var written, fwd dataflow.RegSet
 
-	s.fus.reset()
+	s.fus.reset(cfg)
 	s.ring = s.ring[:0]
 
 	fetchCycle := start + int64(cfg.TaskStartOverhead)

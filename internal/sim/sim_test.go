@@ -334,8 +334,8 @@ func countedLoop(t testing.TB, trips int64) *ir.Program {
 // a few runtime allocations, so the collector is off while counting. And a
 // map of more than 8 entries allocates overflow buckets according to its
 // random hash seed under the bucket maps of Go releases before 1.24, so the
-// footprint stays at 8 words: the emulator's memory and the ARB's store map
-// then never outgrow one bucket.
+// footprint stays at 8 words: the emulator's memory and the ARB's map of
+// stored words then never outgrow one bucket.
 func TestRunAllocsIndependentOfLength(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, h := range []core.Heuristic{core.BasicBlock, core.ControlFlow} {

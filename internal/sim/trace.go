@@ -75,20 +75,21 @@ type taskTrace struct {
 type machine struct {
 	prog  *ir.Program
 	regs  [ir.NumRegs]uint64
-	mem   *emu.Memory
+	mem   emu.Memory
 	fn    ir.FnID
 	blk   ir.BlockID
 	stack []retAddr
 	count uint64
 
-	// tr is the trace runTask fills; one per run, its ops buffer reused by
-	// every task instance.
+	// tr is the trace runTask fills; its ops buffer is reused by every task
+	// instance.
 	tr taskTrace
-	// spans[fn][blk] locates a block's op templates in tmpl. A block is
-	// decoded on its first execution; end == 0 marks one not yet decoded
+	// spans[fnBase[fn]+blk] locates a block's op templates in tmpl. A block
+	// is decoded on its first execution; end == 0 marks one not yet decoded
 	// (every block has at least its terminator).
-	spans [][]opSpan
-	tmpl  []traceOp
+	fnBase []int
+	spans  []opSpan
+	tmpl   []traceOp
 }
 
 type opSpan struct{ start, end int32 }
@@ -98,21 +99,29 @@ type retAddr struct {
 	blk ir.BlockID
 }
 
-func newMachine(p *ir.Program) *machine {
-	m := &machine{prog: p, mem: emu.NewMemory(), fn: p.Main, blk: p.Fn(p.Main).Entry}
-	m.mem.LoadImage(p)
-	m.regs[ir.RegSP] = ir.StackBase
-	m.spans = make([][]opSpan, len(p.Fns))
-	for i, f := range p.Fns {
-		m.spans[i] = make([]opSpan, len(f.Blocks))
+// reset parks the machine at p's entry, with p's initial memory image, the
+// initial registers and no block decoded: the state a run of p starts from.
+// Every buffer keeps its capacity.
+func (m *machine) reset(p *ir.Program) {
+	*m = machine{
+		prog: p, mem: m.mem, fn: p.Main, blk: p.Fn(p.Main).Entry, stack: m.stack[:0],
+		tr: taskTrace{ops: m.tr.ops[:0]}, fnBase: m.fnBase[:0], spans: m.spans, tmpl: m.tmpl[:0],
 	}
-	return m
+	m.regs[ir.RegSP] = ir.StackBase
+	m.mem.Reset()
+	m.mem.LoadImage(p)
+	n := 0
+	for _, f := range p.Fns {
+		m.fnBase = append(m.fnBase, n)
+		n += len(f.Blocks)
+	}
+	m.spans = cleared(m.spans, n)
 }
 
 // decode returns the op templates of b, the block the machine is parked at,
 // terminator last, building them on the block's first execution.
 func (m *machine) decode(b *ir.Block) []traceOp {
-	sp := &m.spans[m.fn][m.blk]
+	sp := &m.spans[m.fnBase[m.fn]+int(m.blk)]
 	if sp.end == 0 {
 		sp.start = int32(len(m.tmpl))
 		for idx, in := range b.Instrs {

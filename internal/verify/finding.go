@@ -140,17 +140,6 @@ func (fs Findings) countSev(s Severity) int {
 	return n
 }
 
-// ByRule returns the findings for one rule, preserving order.
-func (fs Findings) ByRule(r RuleID) Findings {
-	var out Findings
-	for _, f := range fs {
-		if f.Rule == r {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // MinSeverity returns the findings at or above the given severity.
 func (fs Findings) MinSeverity(s Severity) Findings {
 	var out Findings

@@ -183,7 +183,7 @@ func TestNegativePartitions(t *testing.T) {
 			part := selectFixture(t, core.ControlFlow)
 			tc.corrupt(t, part)
 			fs := Partition(part)
-			hits := fs.ByRule(tc.rule).MinSeverity(tc.sev)
+			hits := byRule(fs, tc.rule).MinSeverity(tc.sev)
 			if len(hits) != 1 {
 				t.Errorf("rule %s fired %d times, want exactly 1; all findings:\n%s",
 					tc.rule, len(hits), fs)
@@ -202,7 +202,7 @@ func TestNegativeCoverage(t *testing.T) {
 	part.Tasks = part.Tasks[:len(part.Tasks)-1]
 	delete(part.ByEntry, core.EntryKey{Fn: victim.Fn, Blk: victim.Entry})
 	fs := Partition(part)
-	hits := fs.ByRule(RuleCoverage)
+	hits := byRule(fs, RuleCoverage)
 	if len(hits) != 1 {
 		t.Errorf("PT001 fired %d times, want exactly 1; all findings:\n%s", len(hits), fs)
 	}
@@ -212,7 +212,7 @@ func TestNegativeCoverage(t *testing.T) {
 func TestNegativeIRRules(t *testing.T) {
 	t.Run("IR000 invalid program", func(t *testing.T) {
 		fs := Program(&ir.Program{Name: "empty"})
-		if hits := fs.ByRule(RuleInvalidIR); len(hits) != 1 || hits[0].Sev != SevError {
+		if hits := byRule(fs, RuleInvalidIR); len(hits) != 1 || hits[0].Sev != SevError {
 			t.Errorf("IR000: got %v", fs)
 		}
 	})
@@ -224,7 +224,7 @@ func TestNegativeIRRules(t *testing.T) {
 		f.Block("end").Halt()
 		f.End()
 		fs := Program(b.Build())
-		if hits := fs.ByRule(RuleUnreachable); len(hits) != 1 {
+		if hits := byRule(fs, RuleUnreachable); len(hits) != 1 {
 			t.Errorf("IR001 fired %d times, want 1:\n%s", len(hits), fs)
 		}
 	})
@@ -234,7 +234,7 @@ func TestNegativeIRRules(t *testing.T) {
 		f.Block("entry").Add(ir.R(3), ir.R(9), ir.R(9)).Halt()
 		f.End()
 		fs := Program(b.Build())
-		hits := fs.ByRule(RuleUndefUse)
+		hits := byRule(fs, RuleUndefUse)
 		if len(hits) != 1 || hits[0].Sev != SevWarn {
 			t.Errorf("IR002: got:\n%s", fs)
 		}
@@ -246,7 +246,7 @@ func TestNegativeIRRules(t *testing.T) {
 			Store(ir.R(3), ir.R(0), int64(ir.DataBase)).Halt()
 		f.End()
 		fs := Program(b.Build())
-		hits := fs.ByRule(RuleDeadStore).MinSeverity(SevWarn)
+		hits := byRule(fs, RuleDeadStore).MinSeverity(SevWarn)
 		if len(hits) != 1 {
 			t.Errorf("IR003 fired %d times at warn, want 1:\n%s", len(hits), fs)
 		}
@@ -259,7 +259,7 @@ func TestNegativeIRRules(t *testing.T) {
 		f.Block("b").Halt()
 		f.End()
 		fs := Program(b.Build())
-		if hits := fs.ByRule(RuleUndefBranch); len(hits) != 1 {
+		if hits := byRule(fs, RuleUndefBranch); len(hits) != 1 {
 			t.Errorf("IR004 fired %d times, want 1:\n%s", len(hits), fs)
 		}
 	})
@@ -275,9 +275,20 @@ func TestNegativeIRRules(t *testing.T) {
 		m.Block("done").Halt()
 		m.End()
 		fs := Program(b.Build())
-		hits := fs.ByRule(RuleRecursiveCall)
+		hits := byRule(fs, RuleRecursiveCall)
 		if len(hits) != 1 || hits[0].Sev != SevInfo {
 			t.Errorf("IR005: got:\n%s", fs)
 		}
 	})
+}
+
+// byRule returns the findings for one rule, preserving order.
+func byRule(fs Findings, r RuleID) Findings {
+	var out Findings
+	for _, f := range fs {
+		if f.Rule == r {
+			out = append(out, f)
+		}
+	}
+	return out
 }

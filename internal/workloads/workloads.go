@@ -14,6 +14,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 
 	"multiscalar/internal/gen"
 	"multiscalar/internal/ir"
@@ -29,30 +30,33 @@ type Workload struct {
 	Build func() *ir.Program
 }
 
-// All returns every workload: the 8 integer and 10 floating-point programs
-// of the paper's SPEC95 evaluation, in the paper's order.
-func All() []Workload {
-	return []Workload{
-		{Name: "go", Build: Go},
-		{Name: "m88ksim", Build: M88ksim},
-		{Name: "cc", Build: CC},
-		{Name: "compress", Build: Compress},
-		{Name: "li", Build: Li},
-		{Name: "ijpeg", Build: Ijpeg},
-		{Name: "perl", Build: Perl},
-		{Name: "vortex", Build: Vortex},
-		{Name: "tomcatv", FP: true, Build: Tomcatv},
-		{Name: "swim", FP: true, Build: Swim},
-		{Name: "su2cor", FP: true, Build: Su2cor},
-		{Name: "hydro2d", FP: true, Build: Hydro2d},
-		{Name: "mgrid", FP: true, Build: Mgrid},
-		{Name: "applu", FP: true, Build: Applu},
-		{Name: "turb3d", FP: true, Build: Turb3d},
-		{Name: "fpppp", FP: true, Build: Fpppp},
-		{Name: "apsi", FP: true, Build: Apsi},
-		{Name: "wave5", FP: true, Build: Wave5},
-	}
+// all is the suite All returns. ByName and Names read it in place, so it is
+// never modified.
+var all = []Workload{
+	{Name: "go", Build: Go},
+	{Name: "m88ksim", Build: M88ksim},
+	{Name: "cc", Build: CC},
+	{Name: "compress", Build: Compress},
+	{Name: "li", Build: Li},
+	{Name: "ijpeg", Build: Ijpeg},
+	{Name: "perl", Build: Perl},
+	{Name: "vortex", Build: Vortex},
+	{Name: "tomcatv", FP: true, Build: Tomcatv},
+	{Name: "swim", FP: true, Build: Swim},
+	{Name: "su2cor", FP: true, Build: Su2cor},
+	{Name: "hydro2d", FP: true, Build: Hydro2d},
+	{Name: "mgrid", FP: true, Build: Mgrid},
+	{Name: "applu", FP: true, Build: Applu},
+	{Name: "turb3d", FP: true, Build: Turb3d},
+	{Name: "fpppp", FP: true, Build: Fpppp},
+	{Name: "apsi", FP: true, Build: Apsi},
+	{Name: "wave5", FP: true, Build: Wave5},
 }
+
+// All returns every workload: the 8 integer and 10 floating-point programs
+// of the paper's SPEC95 evaluation, in the paper's order. The slice is the
+// caller's own copy.
+func All() []Workload { return slices.Clone(all) }
 
 // ByName returns the workload with the given name. Names carrying the
 // generator prefix ("gen:") are resolved through internal/gen: the full
@@ -67,7 +71,7 @@ func ByName(name string) (Workload, error) {
 		}
 		return Workload{Name: name, Build: func() *ir.Program { return gen.Generate(p) }}, nil
 	}
-	for _, w := range All() {
+	for _, w := range all {
 		if w.Name == name {
 			return w, nil
 		}
@@ -78,7 +82,7 @@ func ByName(name string) (Workload, error) {
 // Names lists all workload names in order.
 func Names() []string {
 	var out []string
-	for _, w := range All() {
+	for _, w := range all {
 		out = append(out, w.Name)
 	}
 	return out
