@@ -158,6 +158,8 @@ func BenchmarkAblationThresh(b *testing.B) {
 // and on the small generated programs of /v1/simulate's cold path: one
 // corpus op selects seed-1 corpus programs 0–15 under each of the corpus
 // sweep's six arms (96 Select calls; generation is outside the timer).
+// corpus-prepared selects the same 96 partitions as the grid does: one
+// core.Prepare per program, then the six arms from it.
 func BenchmarkSelect(b *testing.B) {
 	for _, h := range []core.Heuristic{core.BasicBlock, core.ControlFlow, core.DataDependence} {
 		b.Run(h.String(), func(b *testing.B) {
@@ -183,6 +185,24 @@ func BenchmarkSelect(b *testing.B) {
 			for _, prog := range progs {
 				for _, opts := range arms {
 					if _, err := core.Select(prog, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	})
+	b.Run("corpus-prepared", func(b *testing.B) {
+		progs, arms := corpusProgs(), corpusArms()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, prog := range progs {
+				prep, err := core.Prepare(prog, arms[0])
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, opts := range arms {
+					if _, err := prep.Select(opts); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -11,9 +11,9 @@ import (
 // forward points (instructions that are provably the last definition of
 // their register on every continuation path, letting the hardware send the
 // value early instead of at task end). facts holds per-function dataflow
-// solutions, indexed by ir.FnID; members[id] lists task id's blocks.
-func computeRegComm(part *Partition, facts []*dataflow.Facts, members [][]ir.BlockID) {
-	writes := fnWriteSummaries(part.Prog)
+// solutions and writes per-function write summaries (fnWriteSummaries), both
+// indexed by ir.FnID; members[id] lists task id's blocks.
+func computeRegComm(part *Partition, facts []*dataflow.Facts, members [][]ir.BlockID, writes []dataflow.RegSet) {
 	maxBlocks := 0
 	for _, f := range part.Prog.Fns {
 		maxBlocks = max(maxBlocks, len(f.Blocks))

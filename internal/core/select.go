@@ -12,45 +12,125 @@ import (
 )
 
 // Select partitions the program into Multiscalar tasks using the selected
-// heuristic. The input program is never mutated; when the task-size heuristic
-// is enabled the returned Partition carries a transformed clone.
+// heuristic: Prepare, then the prepared program's Select. The input program
+// is never mutated; the returned Partition carries the restructured clone
+// (unrolled too when the task-size heuristic is enabled).
 func Select(prog *ir.Program, opts Options) (*Partition, error) {
+	p, err := Prepare(prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Select(opts)
+}
+
+// Prepared is a program made ready for task selection: validated, cloned,
+// loop-restructured (and unrolled under the task-size heuristic), profiled,
+// laid out and analyzed. None of that depends on the heuristic, the policy or
+// the selection thresholds, so the paper's compiler does it once per program
+// (§4.2) and every arm selects from the same Prepared.
+//
+// A Prepared is immutable. Select only reads it, so any number of goroutines
+// may select from one Prepared at once, and every Partition selected from it
+// shares its Prog.
+type Prepared struct {
+	// Prog is the prepared clone of the input program. It is shared and
+	// read-only.
+	Prog *ir.Program
+
+	opts    Options // PrepareOptions of the options it was prepared under
+	profile *emu.Profile
+	// cfgs[fn] and facts[fn] are each function's control-flow and dataflow
+	// analyses.
+	cfgs  []*cfganal.CFG
+	facts []*dataflow.Facts
+	// writes[fn] is every register fn or a transitive callee may write.
+	writes []dataflow.RegSet
+}
+
+// PrepareOptions returns the part of opts, after defaults, that Prepare
+// reads: TaskSize, LoopThresh (under TaskSize only) and ProfileBudget. Option
+// sets with equal projections prepare the same program.
+func PrepareOptions(opts Options) Options {
 	opts = opts.withDefaults()
+	p := Options{TaskSize: opts.TaskSize, ProfileBudget: opts.ProfileBudget}
+	if opts.TaskSize {
+		p.LoopThresh = opts.LoopThresh
+	}
+	return p
+}
+
+// The analyses and the profiling run Prepare pays for, indirected so tests
+// can count them.
+var (
+	analyzeCFG  = cfganal.Analyze
+	analyzeFlow = dataflow.Analyze
+	runProfile  = profileProgram
+)
+
+// Prepare does the heuristic-independent part of task selection for prog
+// under the options PrepareOptions(opts) keeps. The input program is never
+// mutated.
+func Prepare(prog *ir.Program, opts Options) (*Prepared, error) {
+	opts = PrepareOptions(opts)
 	if err := ir.Validate(prog); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	p := ir.Clone(prog)
 	// Loop restructuring (induction hoisting) is part of the Multiscalar
 	// compilation every binary gets, independent of the heuristic choice.
-	RestructureLoops(p)
+	cfgs, _ := restructureLoops(p)
 
 	// Profile the (possibly about-to-be-transformed) program. The profile
 	// feeds CALL_THRESH inclusion and def-use edge prioritization.
-	profile, err := profileProgram(p, opts.ProfileBudget)
+	profile, err := runProfile(p, opts.ProfileBudget)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling: %w", err)
 	}
 
-	if opts.TaskSize {
-		changed := ApplyTaskSize(p, opts)
-		if changed {
-			// Block IDs moved; re-profile the transformed program so the
-			// data-dependence priorities refer to the new CFG.
-			profile, err = profileProgram(p, opts.ProfileBudget)
-			if err != nil {
-				return nil, fmt.Errorf("core: re-profiling after task-size transform: %w", err)
-			}
+	if opts.TaskSize && ApplyTaskSize(p, opts) {
+		// Block IDs moved; re-profile the transformed program so the
+		// data-dependence priorities refer to the new CFG, and analyze it
+		// again.
+		profile, err = runProfile(p, opts.ProfileBudget)
+		if err != nil {
+			return nil, fmt.Errorf("core: re-profiling after task-size transform: %w", err)
+		}
+		for i, f := range p.Fns {
+			cfgs[i] = analyzeCFG(f)
 		}
 	}
 	p.Layout()
 
+	// Dataflow facts feed the data-dependence heuristic and, for every
+	// heuristic, the dead-register filtering of create masks.
+	facts := make([]*dataflow.Facts, len(cfgs))
+	for i, g := range cfgs {
+		facts[i] = analyzeFlow(g)
+	}
+	return &Prepared{
+		Prog: p, opts: opts, profile: profile,
+		cfgs: cfgs, facts: facts, writes: fnWriteSummaries(p),
+	}, nil
+}
+
+// Select partitions the prepared program under opts: call inclusion
+// (CALL_THRESH), task growth under the heuristic or policy, and register
+// communication. It reads p and writes none of it. opts must prepare as the
+// options p was prepared under did (PrepareOptions); otherwise Select
+// returns an error.
+func (p *Prepared) Select(opts Options) (*Partition, error) {
+	opts = opts.withDefaults()
+	if got := PrepareOptions(opts); got != p.opts {
+		return nil, fmt.Errorf("core: options prepare with %s, the program was prepared with %s",
+			prepareString(got), prepareString(p.opts))
+	}
 	part := &Partition{
-		Prog:      p,
+		Prog:      p.Prog,
 		Heuristic: opts.Heuristic,
 		Opts:      opts,
 		ByEntry:   make(map[EntryKey]*Task),
 	}
-	sel := &selector{part: part, opts: opts, profile: profile}
+	sel := &selector{part: part, opts: opts, profile: p.profile, cfgs: p.cfgs, facts: p.facts}
 	if opts.Policy != "" {
 		pol, err := NewPolicy(opts.Policy, PolicyConfig{SizeBudget: opts.SizeBudget, CommBudget: opts.CommBudget})
 		if err != nil {
@@ -60,8 +140,13 @@ func Select(prog *ir.Program, opts Options) (*Partition, error) {
 	}
 	sel.markInclusions()
 	sel.run()
-	computeRegComm(part, sel.facts, sel.members)
+	computeRegComm(part, p.facts, sel.members, p.writes)
 	return part, nil
+}
+
+// prepareString renders a PrepareOptions projection.
+func prepareString(o Options) string {
+	return fmt.Sprintf("TaskSize=%t LoopThresh=%d ProfileBudget=%d", o.TaskSize, o.LoopThresh, o.ProfileBudget)
 }
 
 func profileProgram(p *ir.Program, budget uint64) (*emu.Profile, error) {
@@ -86,6 +171,7 @@ type selector struct {
 	// policy, when non-nil, replaces heuristic growth (see policy.go).
 	policy Policy
 
+	// cfgs and facts are the Prepared's analyses, shared and read-only.
 	cfgs  []*cfganal.CFG
 	facts []*dataflow.Facts
 	// flows[fn][b] is block b's way out of itself as growth sees it.
@@ -203,16 +289,10 @@ func (s *selector) markInclusions() {
 // run drives selection over every function.
 func (s *selector) run() {
 	fns := s.prog().Fns
-	s.cfgs = make([]*cfganal.CFG, len(fns))
-	s.facts = make([]*dataflow.Facts, len(fns))
 	s.flows = make([][]flow, len(fns))
 	s.entries = make([][]*Task, len(fns))
 	maxBlocks := 0
 	for i, f := range fns {
-		s.cfgs[i] = cfganal.Analyze(f)
-		// Dataflow facts feed the data-dependence heuristic and, for every
-		// heuristic, the dead-register filtering of create masks.
-		s.facts[i] = dataflow.Analyze(s.cfgs[i])
 		s.flows[i] = s.flowsOf(ir.FnID(i))
 		s.entries[i] = make([]*Task, len(f.Blocks))
 		maxBlocks = max(maxBlocks, len(f.Blocks))

@@ -42,23 +42,33 @@ func ApplyTaskSize(p *ir.Program, opts Options) bool {
 // satisfies the single-definition hoisting condition. Returns whether
 // anything changed.
 func RestructureLoops(p *ir.Program) bool {
+	_, changed := restructureLoops(p)
+	return changed
+}
+
+// restructureLoops is RestructureLoops that also returns each function's CFG
+// after restructuring, indexed by ir.FnID: the analysis of its last hoisting
+// pass, the one that hoisted nothing. Layout assigns addresses only, so the
+// analysis stays exact after it.
+func restructureLoops(p *ir.Program) ([]*cfganal.CFG, bool) {
+	cfgs := make([]*cfganal.CFG, len(p.Fns))
 	changed := false
-	for _, f := range p.Fns {
-		if hoistInductions(f) {
-			changed = true
-		}
+	for i, f := range p.Fns {
+		var hoisted bool
+		cfgs[i], hoisted = hoistInductions(f)
+		changed = changed || hoisted
 	}
 	if changed {
 		p.Layout()
 	}
-	return changed
+	return cfgs, changed
 }
 
 // unrollOnce finds one innermost loop under the threshold and unrolls it,
 // returning whether it did. Callers loop until fixpoint; termination is
 // guaranteed because an unrolled loop's body reaches the threshold.
 func unrollOnce(f *ir.Function, thresh int) bool {
-	g := cfganal.Analyze(f)
+	g := analyzeCFG(f)
 	for _, l := range g.Loops {
 		if hasChild(g, l) {
 			continue
@@ -151,11 +161,13 @@ func unrollLoop(f *ir.Function, l *cfganal.Loop, k int) {
 // latch — where r has no other definition in the loop and no use after the
 // increment inside the latch — is moved to the front of the header, with a
 // compensating `addi r, r, -c` in a fresh preheader. The net value of r at
-// every original observation point is unchanged.
-func hoistInductions(f *ir.Function) bool {
+// every original observation point is unchanged. Each hoist changes the CFG,
+// so the function is analyzed again before the next one; the analysis that
+// finds nothing to hoist is returned with whether anything was hoisted.
+func hoistInductions(f *ir.Function) (*cfganal.CFG, bool) {
 	changed := false
 	for {
-		g := cfganal.Analyze(f)
+		g := analyzeCFG(f)
 		hoisted := false
 		for _, l := range g.Loops {
 			if len(l.Latches) != 1 {
@@ -180,7 +192,7 @@ func hoistInductions(f *ir.Function) bool {
 			break // CFG changed; re-analyze
 		}
 		if !hoisted {
-			return changed
+			return g, changed
 		}
 	}
 }

@@ -190,7 +190,7 @@ func TestInductionHoisting(t *testing.T) {
 	f.End()
 	orig := b.Build()
 	xform := ir.Clone(orig)
-	if !hoistInductions(xform.Fn(0)) {
+	if _, hoisted := hoistInductions(xform.Fn(0)); !hoisted {
 		t.Fatal("hoistInductions found nothing")
 	}
 	xform.Layout()
@@ -219,7 +219,7 @@ func TestHoistSkipsMultiDef(t *testing.T) {
 	f.Block("exit").Halt()
 	f.End()
 	p := b.Build()
-	if hoistInductions(p.Fn(0)) {
+	if _, hoisted := hoistInductions(p.Fn(0)); hoisted {
 		t.Error("hoisted a register with two defs in the loop")
 	}
 }

@@ -214,10 +214,12 @@ type EntryKey struct {
 	Blk ir.BlockID
 }
 
-// Partition is a complete task selection for a program. When the task-size
-// heuristic ran, Prog is the transformed (unrolled) clone, not the input
-// program.
+// Partition is a complete task selection for a program.
 type Partition struct {
+	// Prog is the prepared program (Prepared.Prog): the input's
+	// loop-restructured clone, unrolled too when the task-size heuristic
+	// ran. Every partition selected from one Prepared shares it, so it is
+	// read-only.
 	Prog      *ir.Program
 	Heuristic Heuristic
 	Opts      Options

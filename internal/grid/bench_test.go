@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"multiscalar/internal/core"
+	"multiscalar/internal/gen"
 	"multiscalar/internal/sim"
 )
 
@@ -74,6 +75,28 @@ func BenchmarkGridWarmCache(b *testing.B) {
 		if s := e.Stats(); s.Sims != 0 {
 			b.Fatalf("warm run simulated %d jobs", s.Sims)
 		}
+	}
+	b.ReportMetric(float64(len(jobs)*b.N)/b.Elapsed().Seconds(), "jobs/s")
+}
+
+// BenchmarkEngineCorpusRound runs one simulate-gen round on a fresh engine:
+// seed-1 corpus programs 0–7 under the corpus sweep's six arms on 4
+// out-of-order PUs (48 jobs, 8 programs to build and prepare), all submitted
+// at once. Program generation, preparation, selection and simulation are all
+// inside the timer, as on /v1/simulate's cold path.
+func BenchmarkEngineCorpusRound(b *testing.B) {
+	var jobs []Job
+	for p := 0; p < 8; p++ {
+		name := gen.CorpusParams(1, p).Key()
+		for _, opts := range corpusArms {
+			jobs = append(jobs, Job{Workload: name, Select: opts, Config: sim.DefaultConfig(4)})
+		}
+	}
+	runJobs(b, New(Options{}), jobs) // warm the simulator's machines
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runJobs(b, New(Options{}), jobs)
 	}
 	b.ReportMetric(float64(len(jobs)*b.N)/b.Elapsed().Seconds(), "jobs/s")
 }

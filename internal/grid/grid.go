@@ -1,15 +1,16 @@
 // Package grid executes the experiment grid: every (workload, selection
 // options, machine point) triple is an independent job with an explicit
-// partition→simulation dependency. Jobs are scheduled across a bounded
-// worker pool, concurrent requests for the same key coalesce into a single
-// computation (single-flight), completed computations are memoized in
-// memory for the life of the engine, and simulation results may additionally
-// be backed by a content-addressed on-disk cache so warm reruns skip
-// simulation entirely.
+// prepared program→partition→simulation dependency. Jobs are scheduled
+// across a bounded worker pool, concurrent requests for the same key
+// coalesce into a single computation (single-flight), completed computations
+// are memoized in memory for the life of the engine, and simulation results
+// may additionally be backed by a content-addressed on-disk cache so warm
+// reruns skip simulation entirely.
 //
 // The engine is safe for concurrent use: callers fan out one goroutine per
-// job and block in Run; only actual core.Select / sim.Run work occupies a
-// worker slot, so an arbitrary number of pending jobs costs no parallelism.
+// job and block in Run; only actual core.Prepare / selection / sim.Run work
+// occupies a worker slot, so an arbitrary number of pending jobs costs no
+// parallelism.
 package grid
 
 import (
@@ -31,8 +32,8 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Workers bounds concurrent core.Select / sim.Run computations
-	// (0 = GOMAXPROCS).
+	// Workers bounds concurrent core.Prepare, selection and sim.Run
+	// computations (0 = GOMAXPROCS).
 	Workers int
 	// CacheDir enables the content-addressed on-disk result cache
 	// ("" = disabled). The directory is created on first store.
@@ -70,7 +71,12 @@ type Stats struct {
 	// Jobs and Done count unique simulation jobs entered and finished
 	// (cache hits included); Jobs-Done is the in-flight backlog.
 	Jobs, Done int64
-	// Partitions and Sims count actual core.Select and sim.Run executions.
+	// Prepares counts actual core.Prepare executions: one per program and
+	// prepare-option set (core.PrepareOptions), shared by every selection
+	// arm on it.
+	Prepares int64
+	// Partitions and Sims count actual task selections and sim.Run
+	// executions.
 	Partitions, Sims int64
 	// CacheHits and CacheMisses count disk-cache probes.
 	CacheHits, CacheMisses int64
@@ -87,6 +93,7 @@ func (s Stats) Delta(base Stats) Stats {
 	return Stats{
 		Jobs:        s.Jobs - base.Jobs,
 		Done:        s.Done - base.Done,
+		Prepares:    s.Prepares - base.Prepares,
 		Partitions:  s.Partitions - base.Partitions,
 		Sims:        s.Sims - base.Sims,
 		CacheHits:   s.CacheHits - base.CacheHits,
@@ -119,6 +126,7 @@ type Engine struct {
 	m        engMetrics
 
 	mu    sync.Mutex
+	preps map[string]*call[*core.Prepared]
 	parts map[string]*call[*core.Partition]
 	sims  map[string]*call[*sim.Result]
 
@@ -129,12 +137,12 @@ type Engine struct {
 // job execution never touches the registry map. The catalog is documented in
 // DESIGN.md §9.
 type engMetrics struct {
-	jobs, parts, sims    *obs.Counter
-	cacheHits, cacheMiss *obs.Counter
-	dedups               *obs.Counter
-	queueWait, execWall  *obs.Histogram
-	busy                 *obs.Gauge
-	occupancy            *obs.Histogram
+	jobs, preps, parts, sims *obs.Counter
+	cacheHits, cacheMiss     *obs.Counter
+	dedups                   *obs.Counter
+	queueWait, execWall      *obs.Histogram
+	busy                     *obs.Gauge
+	occupancy                *obs.Histogram
 }
 
 func newEngMetrics(r *obs.Registry) engMetrics {
@@ -143,6 +151,7 @@ func newEngMetrics(r *obs.Registry) engMetrics {
 	}
 	return engMetrics{
 		jobs:      r.Counter("grid_jobs_total", "jobs", "unique simulation jobs entered"),
+		preps:     r.Counter("grid_prepares_total", "prepares", "core.Prepare executions"),
 		parts:     r.Counter("grid_partitions_total", "partitions", "core.Select executions"),
 		sims:      r.Counter("grid_sims_total", "sims", "sim.Run executions"),
 		cacheHits: r.Counter("grid_cache_hits_total", "probes", "disk-cache probes that hit"),
@@ -151,7 +160,7 @@ func newEngMetrics(r *obs.Registry) engMetrics {
 		queueWait: r.Histogram("grid_queue_wait_us", "us",
 			"time a ready job waited for a worker slot", obs.ExpBuckets(1, 4, 14)),
 		execWall: r.Histogram("grid_exec_wall_us", "us",
-			"wall time of one core.Select or sim.Run execution", obs.ExpBuckets(1, 4, 14)),
+			"wall time of one core.Prepare, core.Select or sim.Run execution", obs.ExpBuckets(1, 4, 14)),
 		busy: r.Gauge("grid_workers_busy", "workers",
 			"worker slots in use right now"),
 		occupancy: r.Histogram("grid_worker_occupancy", "workers",
@@ -185,6 +194,7 @@ func New(opts Options) *Engine {
 		sem:      make(chan struct{}, workers),
 		dispatch: opts.Dispatcher,
 		m:        newEngMetrics(opts.Metrics),
+		preps:    make(map[string]*call[*core.Prepared]),
 		parts:    make(map[string]*call[*core.Partition]),
 		sims:     make(map[string]*call[*sim.Result]),
 	}
@@ -207,6 +217,7 @@ func (e *Engine) Cache() Cache { return e.cache }
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Jobs: e.m.jobs.Value(), Done: e.done.Load(),
+		Prepares:   e.m.preps.Value(),
 		Partitions: e.m.parts.Value(), Sims: e.m.sims.Value(),
 		CacheHits: e.m.cacheHits.Value(), CacheMisses: e.m.cacheMiss.Value(),
 		Deduped: e.m.dedups.Value(),
@@ -342,19 +353,44 @@ func (e *Engine) Partition(workload string, opts core.Options) (*core.Partition,
 
 // PartitionCtx is Partition with a caller deadline: a job still queued for a
 // worker slot when ctx ends returns ctx.Err() without ever partitioning, and
-// a canceled computation is not memoized.
+// a canceled computation is not memoized. The prepared program resolves
+// first, shared with every other selection on the same program and prepare
+// options, and only then does the selection take a worker slot of its own.
 func (e *Engine) PartitionCtx(ctx context.Context, workload string, opts core.Options) (*core.Partition, error) {
 	if workload == "" {
 		return nil, errors.New("grid: empty workload name")
 	}
 	return flight(ctx, e, e.parts, PartitionKey(workload, opts), func() (*core.Partition, error) {
-		w, err := workloads.ByName(workload)
+		prep, err := e.prepare(ctx, workload, opts)
 		if err != nil {
 			return nil, err
 		}
 		p, err := timed(ctx, e, "grid.partition", func() (*core.Partition, error) {
 			e.m.parts.Inc()
-			return core.Select(w.Build(), opts)
+			return prep.Select(opts)
+		})
+		if err != nil {
+			if isCtxErr(err) {
+				return nil, err
+			}
+			return nil, fmt.Errorf("grid: partition %s: %w", workload, err)
+		}
+		return p, nil
+	})
+}
+
+// prepare returns the workload's program prepared under opts's prepare
+// options, building and preparing it at most once per engine. Prepared
+// programs live in memory only.
+func (e *Engine) prepare(ctx context.Context, workload string, opts core.Options) (*core.Prepared, error) {
+	return flight(ctx, e, e.preps, prepareKey(workload, opts), func() (*core.Prepared, error) {
+		w, err := workloads.ByName(workload)
+		if err != nil {
+			return nil, err
+		}
+		p, err := timed(ctx, e, "grid.prepare", func() (*core.Prepared, error) {
+			e.m.preps.Inc()
+			return core.Prepare(w.Build(), opts)
 		})
 		if err != nil {
 			if isCtxErr(err) {
@@ -452,8 +488,8 @@ func cacheProbe(ctx context.Context, cache Cache, key string, job Job) (res *sim
 
 // ComputeCtx executes one job in this process unconditionally: the
 // partition dependency resolves through the shared single-flight (so jobs
-// on the same selection still select once), then the simulation runs in a
-// worker slot. It bypasses the sim-level memo, the cache, and the
+// on the same selection still select once, and selections on the same
+// program prepare it once), then the simulation runs in a worker slot. It bypasses the sim-level memo, the cache, and the
 // dispatcher — which is exactly what a distribution layer's local worker
 // loop needs: it already holds the job's single-flight leadership via
 // RunCtx, so re-entering RunCtx from the loop would self-deadlock.

@@ -87,3 +87,15 @@ func PartitionKey(workload string, opts core.Options) string {
 		Select   core.Options
 	}{SchemaVersion, "part", workload, opts})
 }
+
+// prepareKey addresses a prepared program in the engine's memo: the workload
+// and the options that reach core.Prepare, so every selection arm with the
+// same projection shares one entry.
+func prepareKey(workload string, opts core.Options) string {
+	return keyOf(struct {
+		Schema   int
+		Kind     string
+		Workload string
+		Prepare  core.Options
+	}{SchemaVersion, "prep", workload, core.PrepareOptions(opts)})
+}

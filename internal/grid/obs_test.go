@@ -41,6 +41,7 @@ func TestEngineMetrics(t *testing.T) {
 		want int64
 	}{
 		{"grid_jobs_total", s.Jobs},
+		{"grid_prepares_total", s.Prepares},
 		{"grid_partitions_total", s.Partitions},
 		{"grid_sims_total", s.Sims},
 		{"grid_cache_hits_total", s.CacheHits},
@@ -57,9 +58,9 @@ func TestEngineMetrics(t *testing.T) {
 		}
 	}
 	// Every worker-slot acquisition contributes one queue-wait and one
-	// occupancy sample; every slot-held execution contributes one wall-time
-	// sample.
-	wantSlots := s.Partitions + s.Sims
+	// occupancy sample; every slot-held execution (a prepare, a selection or
+	// a simulation) contributes one wall-time sample.
+	wantSlots := s.Prepares + s.Partitions + s.Sims
 	if got := byName["grid_queue_wait_us"].Count; got != wantSlots {
 		t.Errorf("grid_queue_wait_us count %d, want %d", got, wantSlots)
 	}

@@ -45,7 +45,7 @@ func TestRunCtxSpans(t *testing.T) {
 		byName[s.Name] = s
 	}
 	for _, want := range []string{"grid.run", "grid.cache-lookup", "grid.queue-wait",
-		"grid.partition", "grid.sim-exec"} {
+		"grid.prepare", "grid.partition", "grid.sim-exec"} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("span %q missing; got %v", want, names(td.Spans))
 		}

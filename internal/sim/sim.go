@@ -238,10 +238,17 @@ func putMachine(s *simulator) {
 	}
 }
 
+// maxHistoryBits bounds HistoryBits: the gshare and path predictor tables
+// hold 1<<HistoryBits entries each, indexed through uint32 masks. The
+// paper's machine uses 16.
+const maxHistoryBits = 24
+
 // validate rejects a machine the timing pass cannot run. A zero functional
-// unit count or a zero out-of-order window would otherwise panic inside the
-// run, a zero issue width would silently run as width one, and a dist worker
-// runs whatever Config it pulls off the wire.
+// unit count, a zero out-of-order window or an empty return-address stack
+// would otherwise panic inside the run, a zero issue width would silently
+// run as width one, a huge HistoryBits would ask for predictor tables no
+// host can allocate, and a dist worker runs whatever Config it pulls off the
+// wire.
 func (cfg Config) validate() error {
 	for _, f := range []struct {
 		name string
@@ -256,10 +263,14 @@ func (cfg Config) validate() error {
 		{"BranchUnits", cfg.BranchUnits, true},
 		{"ROBSize", cfg.ROBSize, !cfg.InOrder},
 		{"IssueQSize", cfg.IssueQSize, !cfg.InOrder},
+		{"RASDepth", cfg.RASDepth, true},
 	} {
 		if f.used && f.v < 1 {
 			return fmt.Errorf("sim: %s must be positive, got %d", f.name, f.v)
 		}
+	}
+	if cfg.HistoryBits > maxHistoryBits {
+		return fmt.Errorf("sim: HistoryBits must be at most %d, got %d", maxHistoryBits, cfg.HistoryBits)
 	}
 	return nil
 }

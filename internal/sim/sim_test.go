@@ -286,6 +286,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"no issue queue", with(func(c *Config) { c.IssueQSize = 0 }), "IssueQSize"},
 		{"in-order, no windows", with(func(c *Config) { c.InOrder, c.ROBSize, c.IssueQSize = true, 0, 0 }), ""},
 		{"in-order, no int units", with(func(c *Config) { c.InOrder, c.IntUnits = true, 0 }), "IntUnits"},
+		{"no ras", with(func(c *Config) { c.RASDepth = 0 }), "RASDepth"},
+		{"negative ras", with(func(c *Config) { c.RASDepth = -1 }), "RASDepth"},
+		// Rejected before any machine is reset: a run would first ask for
+		// two tables of 1<<40 entries.
+		{"huge history", with(func(c *Config) { c.HistoryBits = 40 }), "HistoryBits"},
+		{"history past the bound", with(func(c *Config) { c.HistoryBits = maxHistoryBits + 1 }), "HistoryBits"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Run(part, tc.cfg)
