@@ -646,15 +646,17 @@ func (s *selector) finishTargets() {
 		t := s.part.Tasks[i]
 		members := s.members[t.ID]
 		t.Targets = s.taskTargets(t)
-		t.continueEdge = make(map[edge]bool)
+		t.continues = t.continues[:0]
 		for _, b := range members {
 			fl := &s.flows[t.Fn][b]
 			for k, succ := range fl.succ[:fl.n] {
 				if t.Blocks[succ] && succ != t.Entry && !fl.term[k] {
-					t.continueEdge[edge{from: b, to: succ}] = true
+					t.continues = append(t.continues, edge{from: b, to: succ})
 				}
 			}
 		}
+		slices.SortFunc(t.continues, compareEdges)
+		t.continues = slices.Compact(t.continues)
 		for _, tgt := range t.Targets {
 			switch tgt.Kind {
 			case TargetBlock:

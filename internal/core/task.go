@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"multiscalar/internal/dataflow"
 	"multiscalar/internal/ir"
@@ -105,6 +104,13 @@ func (t Target) String() string {
 type edge struct{ from, to ir.BlockID }
 
 // Task is one static Multiscalar task.
+//
+// Its continue edges are a slice sorted by (from, to) that Continues
+// searches, not a map: the simulator asks once per executed block. Unlike a
+// successor mask over the CFG, the slice can hold any pair of blocks, so a
+// hand-corrupted task (AddContinueEdge) may list a side entrance or a
+// non-CFG edge, and verify's PT003 still sees it. Blocks, IncludeCall and
+// the forward points are still maps.
 type Task struct {
 	ID    int
 	Fn    ir.FnID
@@ -113,10 +119,11 @@ type Task struct {
 	// Blocks is the task's membership set.
 	Blocks map[ir.BlockID]bool
 
-	// continueEdge marks intra-task CFG edges along which execution stays in
-	// the same task instance. Edges not marked (terminal edges, edges leaving
-	// Blocks, edges back to Entry) end the instance.
-	continueEdge map[edge]bool
+	// continues lists the intra-task CFG edges along which execution stays
+	// in the same task instance, sorted by source, then destination. Edges
+	// not listed (terminal edges, edges leaving Blocks, edges back to Entry)
+	// end the instance.
+	continues []edge
 
 	// IncludeCall marks call-terminated blocks whose entire callee invocation
 	// executes inside the task (the CALL_THRESH part of the task-size
@@ -153,7 +160,30 @@ type instrRef struct {
 // Continues reports whether executing the edge from→to stays inside this
 // task instance.
 func (t *Task) Continues(from, to ir.BlockID) bool {
-	return t.continueEdge[edge{from: from, to: to}]
+	_, ok := t.findEdge(edge{from: from, to: to})
+	return ok
+}
+
+// findEdge returns the position of e in t.continues, or where it would be
+// inserted, and whether it is there.
+func (t *Task) findEdge(e edge) (int, bool) {
+	i, j := 0, len(t.continues)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if compareEdges(t.continues[h], e) < 0 {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(t.continues) && t.continues[i] == e
+}
+
+func compareEdges(a, b edge) int {
+	if c := cmp.Compare(a.from, b.from); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.to, b.to)
 }
 
 // AddContinueEdge marks from→to as an edge along which execution stays inside
@@ -161,28 +191,20 @@ func (t *Task) Continues(from, to ir.BlockID) bool {
 // exists for tooling and tests (internal/verify's negative fixtures) that
 // build or corrupt partitions by hand.
 func (t *Task) AddContinueEdge(from, to ir.BlockID) {
-	if t.continueEdge == nil {
-		t.continueEdge = make(map[edge]bool)
+	e := edge{from: from, to: to}
+	if i, ok := t.findEdge(e); !ok {
+		t.continues = slices.Insert(t.continues, i, e)
 	}
-	t.continueEdge[edge{from: from, to: to}] = true
 }
 
 // ContinueEdges returns every continue edge as (from, to) pairs in
 // deterministic order, for analyses that need to walk the intra-task subgraph
 // without probing all block pairs.
 func (t *Task) ContinueEdges() [][2]ir.BlockID {
-	out := make([][2]ir.BlockID, 0, len(t.continueEdge))
-	for e, ok := range t.continueEdge {
-		if ok {
-			out = append(out, [2]ir.BlockID{e.from, e.to})
-		}
+	out := make([][2]ir.BlockID, len(t.continues))
+	for i, e := range t.continues {
+		out[i] = [2]ir.BlockID{e.from, e.to}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 

@@ -14,9 +14,9 @@ package emu
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"multiscalar/internal/ir"
+	"multiscalar/internal/paged"
 )
 
 // ErrLimit is returned by Run when the instruction budget is exhausted
@@ -24,32 +24,27 @@ import (
 var ErrLimit = errors.New("emu: instruction limit exceeded")
 
 // Memory is a sparse word-addressed memory. Addresses are byte addresses;
-// accesses are aligned down to 8-byte words. The zero value is usable.
+// accesses are aligned down to 8-byte words. Words live in 4 KiB pages that
+// a directory indexes by word number (paged.Table): a page is allocated on
+// its first write and kept across Reset, and a map holds only the words past
+// the directory's 32 MiB, which no program reaches. Reset and Checksum visit
+// only the pages written since the last Reset, so both cost what the last
+// run touched. The zero value is usable.
 type Memory struct {
-	words map[uint64]uint64
+	words paged.Table[uint64]
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory { return &Memory{words: make(map[uint64]uint64)} }
+func NewMemory() *Memory { return new(Memory) }
 
 // Load returns the word at the (aligned-down) byte address.
-func (m *Memory) Load(addr uint64) uint64 {
-	if m.words == nil {
-		return 0
-	}
-	return m.words[addr/ir.WordBytes]
-}
+func (m *Memory) Load(addr uint64) uint64 { return m.words.At(addr / ir.WordBytes) }
 
 // Store writes the word at the (aligned-down) byte address.
-func (m *Memory) Store(addr, val uint64) {
-	if m.words == nil {
-		m.words = make(map[uint64]uint64)
-	}
-	m.words[addr/ir.WordBytes] = val
-}
+func (m *Memory) Store(addr, val uint64) { *m.words.Ref(addr / ir.WordBytes) = val }
 
-// Reset empties the memory and keeps its storage for reuse.
-func (m *Memory) Reset() { clear(m.words) }
+// Reset empties the memory and keeps its pages for reuse.
+func (m *Memory) Reset() { m.words.Reset() }
 
 // LoadImage copies the program's initial data image into memory.
 func (m *Memory) LoadImage(p *ir.Program) {
@@ -60,24 +55,21 @@ func (m *Memory) LoadImage(p *ir.Program) {
 
 // Checksum folds every word of memory into a deterministic 64-bit hash
 // (address-sensitive), used to compare simulator and emulator end states.
+// Words are folded in address order, and zero words are skipped: they are
+// indistinguishable from untouched memory.
 func (m *Memory) Checksum() uint64 {
 	var sum uint64 = 14695981039346656037 // FNV offset basis
-	// Iterate in address order for determinism.
-	addrs := make([]uint64, 0, len(m.words))
-	for a := range m.words {
-		addrs = append(addrs, a)
-	}
-	slices.Sort(addrs)
-	for _, a := range addrs {
-		v := m.words[a]
-		if v == 0 {
-			continue // zero words are indistinguishable from untouched memory
+	m.words.Pages(func(first uint64, vals []uint64) {
+		for i, v := range vals {
+			if v == 0 {
+				continue
+			}
+			sum ^= first + uint64(i)
+			sum *= 1099511628211
+			sum ^= v
+			sum *= 1099511628211
 		}
-		sum ^= a
-		sum *= 1099511628211
-		sum ^= v
-		sum *= 1099511628211
-	}
+	})
 	return sum
 }
 

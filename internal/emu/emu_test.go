@@ -297,11 +297,13 @@ func TestPCTracking(t *testing.T) {
 // words returns the number of nonzero words resident in m.
 func words(m *Memory) int {
 	n := 0
-	for _, v := range m.words {
-		if v != 0 {
-			n++
+	m.words.Pages(func(_ uint64, vals []uint64) {
+		for _, v := range vals {
+			if v != 0 {
+				n++
+			}
 		}
-	}
+	})
 	return n
 }
 

@@ -1,6 +1,10 @@
 package mem
 
-import "slices"
+import (
+	"slices"
+
+	"multiscalar/internal/paged"
+)
 
 // ARB models the Address Resolution Buffer: the structure that buffers
 // speculative memory state per task stage and detects memory dependence
@@ -12,21 +16,21 @@ import "slices"
 // or flag a violation when the store's cycle is after the load's. Stores of
 // retired tasks leave the ARB as their words commit.
 //
-// Each live task owns a stage listing the words it touched and the words it
-// stored, so retiring or squashing a task costs what that task did, not what
-// the ARB holds. Stages and store records are recycled, and Reset keeps
-// every array's capacity, so a warm ARB allocates nothing.
+// Each live task owns a stage listing the words it touched, in address
+// order, so retiring or squashing a task costs what that task did, not what
+// the ARB holds. A word's stores are found through a table of head records
+// with emu.Memory's page shape (paged.Table). Stages, store records and
+// pages are recycled, and Reset keeps every array's capacity, so a warm ARB
+// allocates nothing.
 type ARB struct {
 	entriesPerPU int
 	hitLat       int
 
 	// Store records live in one arena, recs, each word's linked newest
-	// first. slot numbers the words stored to since the last reset, and
-	// heads[slot] is the word's newest record (-1 once its stores have all
-	// left; the word keeps its slot). freeRec heads the list of recycled
-	// records, linked through prev.
-	slot    map[uint64]int32
-	heads   []int32
+	// first from heads, which maps a word number to its newest record.
+	// Record 0 is never used, so a zero head or link ends a list. freeRec
+	// heads the list of recycled records, linked through prev.
+	heads   paged.Table[int32]
 	recs    []storeRec
 	freeRec int32
 
@@ -42,24 +46,48 @@ type ARB struct {
 type storeRec struct {
 	task  int
 	cycle int64
-	prev  int32 // the word's next older record, or the next free one; -1 ends
+	prev  int32 // the word's next older record, or the next free one; 0 ends
 }
 
 // stage is one task's ARB state.
 type stage struct {
 	task int
-	// words holds the distinct words the task touched, for capacity
-	// (overflow stall) modeling; true once the task stored to the word.
-	words map[uint64]bool
-	// stored lists the slots of the words the task stored to, each once.
-	stored []int32
+	// words lists the distinct words the task touched, for capacity
+	// (overflow stall) modeling, as ascending word-aligned addresses; bit 0
+	// of an entry is set once the task stored to the word.
+	words []uint64
 	// next links the free list.
 	next *stage
 }
 
-func (st *stage) touched(w uint64) bool {
-	_, ok := st.words[w]
-	return ok
+// stored marks a words entry whose word the task stored to.
+const stored = 1
+
+// index returns the position of word w in st.words, or where it would be
+// inserted, and whether it is there.
+func (st *stage) index(w uint64) (int, bool) {
+	i, j := 0, len(st.words)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if st.words[h]&^7 < w {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(st.words) && st.words[i]&^7 == w
+}
+
+// touch adds word w to st's words, with the stored bit when mark is stored.
+func (st *stage) touch(w, mark uint64) {
+	i, ok := st.index(w)
+	if ok {
+		st.words[i] |= mark
+		return
+	}
+	st.words = append(st.words, 0)
+	copy(st.words[i+1:], st.words[i:])
+	st.words[i] = w | mark
 }
 
 // NewARB builds an ARB with the paper's parameters: 32 entries per PU,
@@ -71,8 +99,8 @@ func NewARB(entriesPerPU int) *ARB {
 }
 
 // Reset drops every stage and store record and zeroes the counters, leaving
-// the ARB equal to NewARB(entriesPerPU) but with its arrays, maps and stages
-// kept for reuse.
+// the ARB equal to NewARB(entriesPerPU) but with its arrays, pages and
+// stages kept for reuse.
 func (a *ARB) Reset(entriesPerPU int) {
 	if entriesPerPU == 0 {
 		entriesPerPU = 32
@@ -82,11 +110,8 @@ func (a *ARB) Reset(entriesPerPU int) {
 		a.release(st)
 	}
 	a.stages = a.stages[:0]
-	if a.slot == nil {
-		a.slot = make(map[uint64]int32)
-	}
-	clear(a.slot)
-	a.heads, a.recs, a.freeRec = a.heads[:0], a.recs[:0], -1
+	a.heads.Reset()
+	a.recs, a.freeRec = append(a.recs[:0], storeRec{}), 0
 	a.Violations, a.Overflows = 0, 0
 }
 
@@ -115,7 +140,7 @@ func (a *ARB) open(task int) *stage {
 	if st != nil {
 		a.free = st.next
 	} else {
-		st = &stage{words: make(map[uint64]bool)}
+		st = new(stage)
 	}
 	st.task = task
 	i := len(a.stages)
@@ -128,35 +153,23 @@ func (a *ARB) open(task int) *stage {
 
 // RecordStore registers a speculative store by task seq at the given cycle.
 func (a *ARB) RecordStore(task int, addr uint64, cycle int64) {
-	w := word(addr)
-	i, ok := a.slot[w]
-	if !ok {
-		i = int32(len(a.heads))
-		a.heads = append(a.heads, -1)
-		a.slot[w] = i
-	}
+	head := a.heads.Ref(addr >> 3)
 	r := a.freeRec
-	if r >= 0 {
+	if r != 0 {
 		a.freeRec = a.recs[r].prev
 	} else {
 		r = int32(len(a.recs))
 		a.recs = append(a.recs, storeRec{})
 	}
-	a.recs[r] = storeRec{task: task, cycle: cycle, prev: a.heads[i]}
-	a.heads[i] = r
-	if st := a.open(task); !st.words[w] {
-		st.words[w] = true
-		st.stored = append(st.stored, i)
-	}
+	a.recs[r] = storeRec{task: task, cycle: cycle, prev: *head}
+	*head = r
+	a.open(task).touch(word(addr), stored)
 }
 
 // RecordLoad registers a speculative load (loads occupy ARB entries too, so
 // violations can be detected).
 func (a *ARB) RecordLoad(task int, addr uint64) {
-	st := a.open(task)
-	if w := word(addr); !st.touched(w) {
-		st.words[w] = false
-	}
+	a.open(task).touch(word(addr), 0)
 }
 
 // LastStoreBefore returns the cycle at which the latest store to addr by a
@@ -166,11 +179,7 @@ func (a *ARB) RecordLoad(task int, addr uint64) {
 // dependence violation (or a synchronization point when the sync table
 // predicts it).
 func (a *ARB) LastStoreBefore(task int, addr uint64) (cycle int64, ok bool) {
-	i, ok := a.slot[word(addr)]
-	if !ok {
-		return 0, false
-	}
-	for r := a.heads[i]; r >= 0; r = a.recs[r].prev {
+	for r := a.heads.At(addr >> 3); r != 0; r = a.recs[r].prev {
 		if a.recs[r].task < task {
 			return a.recs[r].cycle, true
 		}
@@ -187,7 +196,7 @@ func (a *ARB) WouldOverflow(task int, addr uint64) bool {
 	n := 0
 	if i := a.find(task); i >= 0 {
 		st := a.stages[i]
-		if st.touched(word(addr)) {
+		if _, ok := st.index(word(addr)); ok {
 			return false
 		}
 		n = len(st.words)
@@ -221,9 +230,12 @@ func (a *ARB) SquashTask(task int) {
 // recycle frees the records gone reports, by their task, from every word st
 // stored to, and returns st to the free list.
 func (a *ARB) recycle(st *stage, gone func(task int) bool) {
-	for _, i := range st.stored {
-		link := &a.heads[i]
-		for r := *link; r >= 0; r = *link {
+	for _, e := range st.words {
+		if e&stored == 0 {
+			continue
+		}
+		link := a.heads.Ref(e >> 3)
+		for r := *link; r != 0; r = *link {
 			rec := &a.recs[r]
 			if gone(rec.task) {
 				*link, rec.prev, a.freeRec = rec.prev, a.freeRec, r
@@ -237,8 +249,7 @@ func (a *ARB) recycle(st *stage, gone func(task int) bool) {
 
 // release empties st and returns it to the free list.
 func (a *ARB) release(st *stage) {
-	clear(st.words)
-	st.stored = st.stored[:0]
+	st.words = st.words[:0]
 	st.next, a.free = a.free, st
 }
 
@@ -247,10 +258,12 @@ func (a *ARB) release(st *stage) {
 // depend on an earlier store and are made to wait instead of speculate.
 type SyncTable struct {
 	capacity int
-	entries  map[uint64]uint8 // load identity -> 2-bit confidence
-	// order holds the identities in insertion order, starting at oldest
-	// once it is full: a ring that evicts first-in, first-out.
-	order  []uint64
+	// ids and conf hold each entry's load identity and 2-bit confidence.
+	// Entries fill the arrays in insertion order; once capacity are live, a
+	// new entry replaces the one at oldest, which then moves on: a ring
+	// that evicts first-in, first-out.
+	ids    []uint64
+	conf   []uint8
 	oldest int
 
 	// Hits counts loads that synchronized instead of speculating.
@@ -270,37 +283,40 @@ func (s *SyncTable) Reset(capacity int) {
 	if capacity == 0 {
 		capacity = 256
 	}
-	if s.entries == nil {
-		s.entries = make(map[uint64]uint8)
+	s.capacity, s.ids, s.conf, s.oldest, s.Hits = capacity, s.ids[:0], s.conf[:0], 0, 0
+}
+
+// lookup returns the index of id's entry, or -1.
+func (s *SyncTable) lookup(id uint64) int {
+	for i, x := range s.ids {
+		if x == id {
+			return i
+		}
 	}
-	clear(s.entries)
-	s.capacity, s.order, s.oldest, s.Hits = capacity, s.order[:0], 0, 0
+	return -1
 }
 
 // Insert records that the load identified by id caused a memory dependence
 // violation.
 func (s *SyncTable) Insert(id uint64) {
-	if c, ok := s.entries[id]; ok {
-		if c < 3 {
-			s.entries[id] = c + 1
+	if i := s.lookup(id); i >= 0 {
+		if s.conf[i] < 3 {
+			s.conf[i]++
 		}
 		return
 	}
-	if len(s.order) < s.capacity {
-		s.order = append(s.order, id)
-	} else {
-		delete(s.entries, s.order[s.oldest])
-		s.order[s.oldest] = id
-		s.oldest = (s.oldest + 1) % len(s.order)
+	if len(s.ids) < s.capacity {
+		s.ids, s.conf = append(s.ids, id), append(s.conf, 2)
+		return
 	}
-	s.entries[id] = 2
+	s.ids[s.oldest], s.conf[s.oldest] = id, 2
+	s.oldest = (s.oldest + 1) % len(s.ids)
 }
 
 // ShouldSync reports whether the load identified by id is predicted to
 // conflict and must synchronize with the producing store.
 func (s *SyncTable) ShouldSync(id uint64) bool {
-	c, ok := s.entries[id]
-	if ok && c >= 2 {
+	if i := s.lookup(id); i >= 0 && s.conf[i] >= 2 {
 		s.Hits++
 		return true
 	}
@@ -310,10 +326,10 @@ func (s *SyncTable) ShouldSync(id uint64) bool {
 // Weaken lowers confidence for id after a synchronization that turned out to
 // be unnecessary (no earlier store materialized).
 func (s *SyncTable) Weaken(id uint64) {
-	if c, ok := s.entries[id]; ok && c > 0 {
-		s.entries[id] = c - 1
+	if i := s.lookup(id); i >= 0 && s.conf[i] > 0 {
+		s.conf[i]--
 	}
 }
 
 // Len returns the number of live entries.
-func (s *SyncTable) Len() int { return len(s.entries) }
+func (s *SyncTable) Len() int { return len(s.ids) }

@@ -16,15 +16,16 @@ func BenchmarkCacheLookup(b *testing.B) {
 // BenchmarkARBTask runs one task's worth of ARB traffic per iteration, as
 // the simulator drives it on 8 PUs: eight stores and eight loads, each
 // capacity-checked, every load looking up the latest earlier store, then
-// the retirement of the task 16 back.
+// the retirement of the task 16 back. Successive tasks sweep 64 KiB, so the
+// words span 16 pages of the ARB's head table.
 func BenchmarkARBTask(b *testing.B) {
 	a := NewARB(32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for task := 0; task < b.N; task++ {
 		for k := 0; k < 8; k++ {
-			st := uint64(task*64+k*8) % 4096
-			ld := uint64(task*64+k*8+24) % 4096
+			st := uint64(task*64+k*8) % (64 << 10)
+			ld := uint64(task*64+k*8+24) % (64 << 10)
 			a.WouldOverflow(task, st)
 			a.RecordStore(task, st, int64(task+k))
 			a.WouldOverflow(task, ld)

@@ -182,11 +182,10 @@ func TestResultsPinNothing(t *testing.T) {
 	runtime.KeepAlive(held)
 }
 
-// TestWarmRunAllocs gates allocations per run once a machine is warm: the
-// Result the caller keeps and the sorted addresses of the final memory
-// checksum, with room for two more. It holds on a long run (tomcatv, cf, 8
-// PUs), when runs alternate between 4 and 8 PUs, and on the small programs
-// of the corpus, where a new machine's set-up used to dwarf the run.
+// TestWarmRunAllocs gates allocations per run once a machine is warm: one,
+// the Result the caller keeps. It holds on a long run (tomcatv, cf, 8 PUs),
+// when runs alternate between 4 and 8 PUs, and on the small programs of the
+// corpus, where a new machine's set-up used to dwarf the run.
 // Counting allocations does not depend on host speed; the collector is off
 // so that none of its own allocations land in the count.
 //
@@ -231,8 +230,8 @@ func TestWarmRunAllocs(t *testing.T) {
 		run()
 		allocs := testing.AllocsPerRun(3, run)
 		runs := len(c.parts) * len(c.pus)
-		if per := allocs / float64(runs); per > 4 {
-			t.Errorf("%s: %.1f allocations per warm run, want at most 4", c.name, per)
+		if allocs > float64(runs) {
+			t.Errorf("%s: %v allocations in %d warm runs, want at most 1 per run", c.name, allocs, runs)
 		}
 	}
 }
@@ -245,7 +244,7 @@ func TestConcurrentRuns(t *testing.T) {
 	parts := []*core.Partition{
 		partition(t, vecSum(t, 100), core.ControlFlow),
 		partition(t, memDepProg(t), core.DataDependence),
-		partition(t, countedLoop(t, 300), core.BasicBlock),
+		partition(t, countedLoop(t, 300, 8), core.BasicBlock),
 	}
 	cfgs := []Config{DefaultConfig(4), DefaultConfig(8)}
 	want := make([]*Result, len(parts)*len(cfgs))

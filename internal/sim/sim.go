@@ -185,6 +185,7 @@ func (s *simulator) reset(part *core.Partition, cfg Config, t obs.Tracer) {
 		s.regFwd[i] = forwardRec{task: -1}
 	}
 	s.banks.reset(cfg.L1DBanks)
+	s.fus.shape(cfg)
 	s.retireWin = cleared(s.retireWin, cfg.ROBSize)
 	s.issueWin = cleared(s.issueWin, cfg.IssueQSize)
 	s.res = Result{}
@@ -243,12 +244,17 @@ func putMachine(s *simulator) {
 // paper's machine uses 16.
 const maxHistoryBits = 24
 
-// validate rejects a machine the timing pass cannot run. A zero functional
-// unit count, a zero out-of-order window or an empty return-address stack
-// would otherwise panic inside the run, a zero issue width would silently
-// run as width one, a huge HistoryBits would ask for predictor tables no
-// host can allocate, and a dist worker runs whatever Config it pulls off the
-// wire.
+// validate rejects a machine the timing pass cannot run or would run as a
+// different one. A zero functional unit count, a zero out-of-order window or
+// an empty return-address stack would otherwise panic inside the run; a zero
+// issue width or ring bandwidth would silently run as one, no hardware
+// targets would predict every task to its first target, a negative bank
+// count would run as one bank, negative overheads would shorten tasks, a
+// negative ARB size would overflow on every access, and a huge HistoryBits
+// would ask for predictor tables no host can allocate. Fields where 0
+// selects a default (L1DBanks, ARBEntries and the Mem sizes) may be 0. A
+// dist worker runs whatever Config it pulls off the wire, so every field is
+// checked here.
 func (cfg Config) validate() error {
 	for _, f := range []struct {
 		name string
@@ -263,10 +269,33 @@ func (cfg Config) validate() error {
 		{"BranchUnits", cfg.BranchUnits, true},
 		{"ROBSize", cfg.ROBSize, !cfg.InOrder},
 		{"IssueQSize", cfg.IssueQSize, !cfg.InOrder},
+		{"RingBW", cfg.RingBW, true},
+		{"MaxTargets", cfg.MaxTargets, true},
 		{"RASDepth", cfg.RASDepth, true},
 	} {
 		if f.used && f.v < 1 {
 			return fmt.Errorf("sim: %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"TaskStartOverhead", cfg.TaskStartOverhead},
+		{"TaskEndOverhead", cfg.TaskEndOverhead},
+		{"ARBEntries", cfg.ARBEntries},
+		{"L1DBanks", cfg.L1DBanks},
+		{"Mem.NumPUs", cfg.Mem.NumPUs},
+		{"Mem.L1Size", cfg.Mem.L1Size},
+		{"Mem.L1Ways", cfg.Mem.L1Ways},
+		{"Mem.BlockSize", cfg.Mem.BlockSize},
+		{"Mem.L2Size", cfg.Mem.L2Size},
+		{"Mem.L2Ways", cfg.Mem.L2Ways},
+		{"Mem.L2HitLat", cfg.Mem.L2HitLat},
+		{"Mem.MemLat", cfg.Mem.MemLat},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("sim: %s must not be negative, got %d", f.name, f.v)
 		}
 	}
 	if cfg.HistoryBits > maxHistoryBits {
@@ -384,7 +413,7 @@ func (s *simulator) run() error {
 		// Inter-task prediction: resolve the exit of the task just timed.
 		predIdx := s.tp.Predict(entryAddr)
 		correct := s.tp.Resolve(entryAddr, predIdx, tr.exitIdx)
-		next := s.part.TaskAt(tr.next.Fn, tr.next.Blk)
+		next := s.taskAt(tr.next)
 		if next == nil {
 			return fmt.Errorf("sim: task %d exited to %v with no successor task", cur.ID, tr.next)
 		}
@@ -451,6 +480,20 @@ func (s *simulator) run() error {
 	return nil
 }
 
+// taskAt returns the task whose entry is k, or nil. It asks the partition
+// once per block and run, and caches the answer in the block's span.
+func (s *simulator) taskAt(k core.EntryKey) *core.Task {
+	sp := &s.m.spans[s.m.fnBase[k.Fn]+int(k.Blk)]
+	if sp.task == 0 {
+		t := s.part.TaskAt(k.Fn, k.Blk)
+		if t == nil {
+			return nil
+		}
+		sp.task = int32(t.ID) + 1
+	}
+	return s.part.Tasks[sp.task-1]
+}
+
 func encodeEntry(k core.EntryKey) uint64 {
 	return uint64(k.Fn)<<32 | uint64(uint32(k.Blk))
 }
@@ -488,22 +531,27 @@ type violation struct {
 }
 
 // fuPool models the per-PU functional units: schedule returns the issue
-// cycle for an op of the given class not earlier than t.
+// cycle for an op of the given class not earlier than t. Each class's units
+// are a slice of free, which holds every unit's next free cycle.
 type fuPool struct {
+	free    []int64
 	intFree []int64
 	fpFree  []int64
 	memFree []int64
 	brFree  []int64
 }
 
-// reset gives the pool cfg's unit counts, every unit free, for a new
-// timing attempt.
-func (f *fuPool) reset(cfg Config) {
-	f.intFree = cleared(f.intFree, cfg.IntUnits)
-	f.fpFree = cleared(f.fpFree, cfg.FPUnits)
-	f.memFree = cleared(f.memFree, cfg.MemUnits)
-	f.brFree = cleared(f.brFree, cfg.BranchUnits)
+// shape gives the pool cfg's unit counts, once per run.
+func (f *fuPool) shape(cfg Config) {
+	fp := cfg.IntUnits
+	mem := fp + cfg.FPUnits
+	br := mem + cfg.MemUnits
+	f.free = cleared(f.free, br+cfg.BranchUnits)
+	f.intFree, f.fpFree, f.memFree, f.brFree = f.free[:fp], f.free[fp:mem], f.free[mem:br], f.free[br:]
 }
+
+// reset frees every unit for a new timing attempt.
+func (f *fuPool) reset() { clear(f.free) }
 
 // schedule returns the issue cycle for an op of the given class not earlier
 // than t. All units are fully pipelined (one issue slot per cycle); long
@@ -572,7 +620,7 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (complete i
 	// registers sent on the ring, with their send cycles in s.fwdTime.
 	var written, fwd dataflow.RegSet
 
-	s.fus.reset(cfg)
+	s.fus.reset()
 	s.ring = s.ring[:0]
 
 	fetchCycle := start + int64(cfg.TaskStartOverhead)
@@ -581,6 +629,9 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (complete i
 	issuedInCycle := 0
 
 	var prevRetire int64
+	// rob and iq index op i's slots in the ROB and issue-list windows:
+	// i % ROBSize and i % IssueQSize, stepped rather than divided.
+	rob, iq := 0, 0
 	complete = start
 
 	for i := range tr.ops {
@@ -634,10 +685,10 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (complete i
 			}
 		} else {
 			dispatch := fetch
-			if w := s.retireWin[i%cfg.ROBSize]; i >= cfg.ROBSize && w+1 > dispatch {
+			if w := s.retireWin[rob]; i >= cfg.ROBSize && w+1 > dispatch {
 				dispatch = w + 1
 			}
-			if w := s.issueWin[i%cfg.IssueQSize]; i >= cfg.IssueQSize && w > dispatch {
+			if w := s.issueWin[iq]; i >= cfg.IssueQSize && w > dispatch {
 				dispatch = w
 			}
 			issueMin = ready
@@ -727,8 +778,14 @@ func (s *simulator) timeAttempt(tr *taskTrace, seq int, start int64) (complete i
 				r = prevRetire
 			}
 			prevRetire = r
-			s.retireWin[i%cfg.ROBSize] = r
-			s.issueWin[i%cfg.IssueQSize] = issue
+			s.retireWin[rob] = r
+			s.issueWin[iq] = issue
+			if rob++; rob == cfg.ROBSize {
+				rob = 0
+			}
+			if iq++; iq == cfg.IssueQSize {
+				iq = 0
+			}
 		}
 
 		if op.hasDst {

@@ -9,6 +9,7 @@ import (
 	"multiscalar/internal/core"
 	"multiscalar/internal/emu"
 	"multiscalar/internal/ir"
+	"multiscalar/internal/mem"
 )
 
 // vecSum builds a program that initializes an array and reduces it — a
@@ -292,6 +293,26 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		// two tables of 1<<40 entries.
 		{"huge history", with(func(c *Config) { c.HistoryBits = 40 }), "HistoryBits"},
 		{"history past the bound", with(func(c *Config) { c.HistoryBits = maxHistoryBits + 1 }), "HistoryBits"},
+		// Each of these ran before as a different machine, without an error.
+		{"no ring bandwidth", with(func(c *Config) { c.RingBW = 0 }), "RingBW"},
+		{"negative ring bandwidth", with(func(c *Config) { c.RingBW = -3 }), "RingBW"},
+		{"no targets", with(func(c *Config) { c.MaxTargets = 0 }), "MaxTargets"},
+		{"negative targets", with(func(c *Config) { c.MaxTargets = -1 }), "MaxTargets"},
+		{"negative banks", with(func(c *Config) { c.L1DBanks = -2 }), "L1DBanks"},
+		{"negative arb", with(func(c *Config) { c.ARBEntries = -1 }), "ARBEntries"},
+		{"negative start overhead", with(func(c *Config) { c.TaskStartOverhead = -5 }), "TaskStartOverhead"},
+		{"negative end overhead", with(func(c *Config) { c.TaskEndOverhead = -5 }), "TaskEndOverhead"},
+		{"negative mem pus", with(func(c *Config) { c.Mem.NumPUs = -1 }), "Mem.NumPUs"},
+		{"negative l1 size", with(func(c *Config) { c.Mem.L1Size = -1 }), "Mem.L1Size"},
+		{"negative l1 ways", with(func(c *Config) { c.Mem.L1Ways = -1 }), "Mem.L1Ways"},
+		{"negative block size", with(func(c *Config) { c.Mem.BlockSize = -32 }), "Mem.BlockSize"},
+		{"negative l2 size", with(func(c *Config) { c.Mem.L2Size = -1 }), "Mem.L2Size"},
+		{"negative l2 ways", with(func(c *Config) { c.Mem.L2Ways = -1 }), "Mem.L2Ways"},
+		{"negative l2 latency", with(func(c *Config) { c.Mem.L2HitLat = -1 }), "Mem.L2HitLat"},
+		{"negative memory latency", with(func(c *Config) { c.Mem.MemLat = -1 }), "Mem.MemLat"},
+		// Zero still selects the default where it did.
+		{"default banks, arb and caches", with(func(c *Config) { c.L1DBanks, c.ARBEntries, c.Mem = 0, 0, mem.Config{} }), ""},
+		{"no overheads", with(func(c *Config) { c.TaskStartOverhead, c.TaskEndOverhead = 0, 0 }), ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Run(part, tc.cfg)
@@ -307,17 +328,20 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// countedLoop builds a loop of trips iterations over an 8-word array, so its
-// memory footprint stays fixed while its dynamic length grows with trips.
-func countedLoop(t testing.TB, trips int64) *ir.Program {
+// countedLoop builds a loop of trips iterations that updates an array of
+// words words, a power of two, 61 words apart: 100 trips already reach
+// every page of a 2048-word array. Its footprint in pages stays fixed while
+// its dynamic length grows with trips.
+func countedLoop(t testing.TB, trips int64, words int) *ir.Program {
 	t.Helper()
 	b := ir.NewBuilder("counted")
-	arr := b.Zeros(8)
+	arr := b.Zeros(words)
 	f := b.Func("main")
 	f.Block("entry").MovI(ir.R(3), 0).MovI(ir.R(8), int64(arr)).Goto("head")
 	f.Block("head").SltI(ir.R(5), ir.R(3), trips).Br(ir.R(5), "body", "exit")
 	f.Block("body").
-		AndI(ir.R(6), ir.R(3), 7).
+		MulI(ir.R(6), ir.R(3), 61).
+		AndI(ir.R(6), ir.R(6), int64(words-1)).
 		ShlI(ir.R(6), ir.R(6), 3).
 		Add(ir.R(6), ir.R(6), ir.R(8)).
 		Load(ir.R(7), ir.R(6), 0).
@@ -333,27 +357,26 @@ func countedLoop(t testing.TB, trips int64) *ir.Program {
 // Once a run has warmed up, the simulator's per-task path allocates
 // nothing: allocations per Run follow the program's static size and memory
 // footprint, never its dynamic length. Counting allocations does not depend
-// on host speed, so this holds where wall-time benchmarks drift.
+// on host speed, so this holds where wall-time benchmarks drift. The
+// collector is off while counting, because a cycle that lands inside a run
+// can add a few runtime allocations of its own.
 //
-// Two things outside the simulator would vary the count from run to run, so
-// the test rules them out. A collector cycle that lands inside a run can add
-// a few runtime allocations, so the collector is off while counting. And a
-// map of more than 8 entries allocates overflow buckets according to its
-// random hash seed under the bucket maps of Go releases before 1.24, so the
-// footprint stays at 8 words: the emulator's memory and the ARB's map of
-// stored words then never outgrow one bucket.
+// Two footprints are run: 8 words fit in one memory page and one ARB page,
+// and 2048 words span four of each.
 func TestRunAllocsIndependentOfLength(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, h := range []core.Heuristic{core.BasicBlock, core.ControlFlow} {
-		var want float64
-		for i, trips := range []int64{100, 1_000, 10_000} {
-			part := partition(t, countedLoop(t, trips), h)
-			runtime.GC()
-			allocs := testing.AllocsPerRun(3, func() { runSim(t, part, DefaultConfig(4)) })
-			if i == 0 {
-				want = allocs
-			} else if allocs != want {
-				t.Errorf("%v: %d trips took %v allocations per run, 100 trips %v", h, trips, allocs, want)
+	for _, words := range []int{8, 2048} {
+		for _, h := range []core.Heuristic{core.BasicBlock, core.ControlFlow} {
+			var want float64
+			for i, trips := range []int64{100, 1_000, 10_000} {
+				part := partition(t, countedLoop(t, trips, words), h)
+				runtime.GC()
+				allocs := testing.AllocsPerRun(3, func() { runSim(t, part, DefaultConfig(4)) })
+				if i == 0 {
+					want = allocs
+				} else if allocs != want {
+					t.Errorf("%v, %d words: %d trips took %v allocations per run, 100 trips %v", h, words, trips, allocs, want)
+				}
 			}
 		}
 	}

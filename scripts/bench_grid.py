@@ -6,10 +6,11 @@ Run it from the repository root:
     python3 scripts/bench_grid.py [output.json]
 
 It runs every internal/grid benchmark, BenchmarkSelect, BenchmarkSimulator
-and BenchmarkEmulator, the internal/mem micro-benchmarks, serve's memo-hit
-benchmark and the dist fleet benchmark, echoing their output. It then writes
-one row per benchmark line, the fleet's two-worker speedup and the non-test
-Go source lines per package to the output file (default BENCH_grid.json).
+and BenchmarkEmulator, the internal/mem and internal/emu micro-benchmarks,
+serve's memo-hit benchmark and the dist fleet benchmark, echoing their
+output. It then writes one row per benchmark line, the fleet's two-worker
+speedup and the non-test Go source lines per package to the output file
+(default BENCH_grid.json).
 It exits non-zero when a benchmark fails, when no benchmark line parses, or
 when the two-worker fleet is not faster than one process.
 """
@@ -25,6 +26,7 @@ COMMANDS = [
     ["go", "test", "-run", "XXX", "-bench", "^Benchmark(Select|Simulator|Emulator)$",
      "-benchtime", "2x", "-benchmem", "."],
     ["go", "test", "-run", "XXX", "-bench", ".", "-benchmem", "./internal/mem/"],
+    ["go", "test", "-run", "XXX", "-bench", ".", "-benchmem", "./internal/emu/"],
     ["go", "test", "-run", "XXX", "-bench", "BenchmarkSimulateMemoHit", "-benchmem",
      "./internal/serve/"],
     ["go", "test", "-run", "XXX", "-bench", "BenchmarkFleet", "-benchtime", "3x",
