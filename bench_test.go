@@ -158,8 +158,10 @@ func BenchmarkAblationThresh(b *testing.B) {
 // and on the small generated programs of /v1/simulate's cold path: one
 // corpus op selects seed-1 corpus programs 0–15 under each of the corpus
 // sweep's six arms (96 Select calls; generation is outside the timer).
-// corpus-prepared selects the same 96 partitions as the grid does: one
-// core.Prepare per program, then the six arms from it.
+// corpus-prepared splits the same work as the grid does it: its prepare
+// op runs core.Prepare once per program, and each arm's op selects the 16
+// prepared programs under that arm (preparation outside the timer), so the
+// seven ops add up to the 96 partitions.
 func BenchmarkSelect(b *testing.B) {
 	for _, h := range []core.Heuristic{core.BasicBlock, core.ControlFlow, core.DataDependence} {
 		b.Run(h.String(), func(b *testing.B) {
@@ -183,8 +185,8 @@ func BenchmarkSelect(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, prog := range progs {
-				for _, opts := range arms {
-					if _, err := core.Select(prog, opts); err != nil {
+				for _, arm := range arms {
+					if _, err := core.Select(prog, arm.opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -193,20 +195,35 @@ func BenchmarkSelect(b *testing.B) {
 	})
 	b.Run("corpus-prepared", func(b *testing.B) {
 		progs, arms := corpusProgs(), corpusArms()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, prog := range progs {
-				prep, err := core.Prepare(prog, arms[0])
+		prepare := func(b *testing.B) []*core.Prepared {
+			preps := make([]*core.Prepared, len(progs))
+			for i, prog := range progs {
+				prep, err := core.Prepare(prog, arms[0].opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, opts := range arms {
-					if _, err := prep.Select(opts); err != nil {
-						b.Fatal(err)
+				preps[i] = prep
+			}
+			return preps
+		}
+		b.Run("prepare", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prepare(b)
+			}
+		})
+		preps := prepare(b)
+		for _, arm := range arms {
+			b.Run(arm.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, prep := range preps {
+						if _, err := prep.Select(arm.opts); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
-			}
+			})
 		}
 	})
 }
@@ -221,16 +238,22 @@ func corpusProgs() []*ir.Program {
 	return progs
 }
 
+// corpusArm is one of the corpus sweep's arms, with its row name.
+type corpusArm struct {
+	name string
+	opts core.Options
+}
+
 // corpusArms lists the corpus sweep's six arms: the three heuristics, then
 // the three policies on the control-flow heuristic.
-func corpusArms() []core.Options {
-	arms := []core.Options{
-		{Heuristic: core.BasicBlock},
-		{Heuristic: core.ControlFlow},
-		{Heuristic: core.DataDependence},
+func corpusArms() []corpusArm {
+	arms := []corpusArm{
+		{"bb", core.Options{Heuristic: core.BasicBlock}},
+		{"cf", core.Options{Heuristic: core.ControlFlow}},
+		{"dd", core.Options{Heuristic: core.DataDependence}},
 	}
 	for _, p := range []string{"greedy", "roundrobin", "knapsack"} {
-		arms = append(arms, core.Options{Heuristic: core.ControlFlow, Policy: p})
+		arms = append(arms, corpusArm{p, core.Options{Heuristic: core.ControlFlow, Policy: p}})
 	}
 	return arms
 }
@@ -275,8 +298,8 @@ func BenchmarkSimulator(b *testing.B) {
 	b.Run("corpus", func(b *testing.B) {
 		var parts []*core.Partition
 		for _, prog := range corpusProgs() {
-			for _, opts := range corpusArms() {
-				part, err := core.Select(prog, opts)
+			for _, arm := range corpusArms() {
+				part, err := core.Select(prog, arm.opts)
 				if err != nil {
 					b.Fatal(err)
 				}

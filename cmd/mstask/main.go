@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/gen"
@@ -126,23 +125,13 @@ func printPartition(part *core.Partition) {
 	fmt.Println()
 	for _, t := range part.Tasks {
 		fn := part.Prog.Fn(t.Fn)
-		blocks := make([]int, 0, len(t.Blocks))
-		for b := range t.Blocks {
-			blocks = append(blocks, int(b))
-		}
-		sort.Ints(blocks)
 		fmt.Printf("task %d: %s entry b%d  (%d blocks, %d static instrs)\n",
 			t.ID, fn.Name, t.Entry, len(t.Blocks), t.StaticInstrs)
-		fmt.Printf("  blocks:  %v\n", blocks)
+		fmt.Printf("  blocks:  %v\n", t.Blocks)
 		fmt.Printf("  targets: %v\n", t.Targets)
 		fmt.Printf("  creates: %v\n", t.CreateMask.Regs())
-		if len(t.IncludeCall) > 0 {
-			var calls []int
-			for b := range t.IncludeCall {
-				calls = append(calls, int(b))
-			}
-			sort.Ints(calls)
-			fmt.Printf("  included calls at blocks %v\n", calls)
+		if len(t.IncludedCalls) > 0 {
+			fmt.Printf("  included calls at blocks %v\n", t.IncludedCalls)
 		}
 	}
 }

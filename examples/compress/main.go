@@ -27,12 +27,7 @@ func main() {
 
 	fmt.Printf("compress under the data-dependence + task-size heuristics: %d static tasks\n\n", len(part.Tasks))
 	for _, t := range part.Tasks {
-		blocks := make([]int, 0, len(t.Blocks))
-		for b := range t.Blocks {
-			blocks = append(blocks, int(b))
-		}
-		sort.Ints(blocks)
-		fmt.Printf("  task %d: entry b%-3d blocks %v targets %v\n", t.ID, t.Entry, blocks, t.Targets)
+		fmt.Printf("  task %d: entry b%-3d blocks %v targets %v\n", t.ID, t.Entry, t.Blocks, t.Targets)
 	}
 
 	// Walk the dynamic task stream: how big are instances, where do they exit?

@@ -47,7 +47,7 @@ func TestFigure4DependenceIncluded(t *testing.T) {
 	// Find the task containing the producer block (b2).
 	var producerTask *Task
 	for _, task := range part.Tasks {
-		if task.Fn == 0 && task.Blocks[2] {
+		if task.Fn == 0 && task.Contains(2) {
 			producerTask = task
 			break
 		}
@@ -55,13 +55,13 @@ func TestFigure4DependenceIncluded(t *testing.T) {
 	if producerTask == nil {
 		t.Fatal("no task contains the producer block")
 	}
-	if !producerTask.Blocks[5] {
+	if !producerTask.Contains(5) {
 		t.Errorf("data dependence heuristic left the consumer outside the producer's task: %v",
 			producerTask.Blocks)
 	}
 	// The codependent diamond must have come along (every path from producer
 	// to consumer lies inside the task).
-	if !producerTask.Blocks[3] || !producerTask.Blocks[4] {
+	if !producerTask.Contains(3) || !producerTask.Contains(4) {
 		t.Errorf("codependent diamond not included: %v", producerTask.Blocks)
 	}
 }
@@ -85,9 +85,9 @@ func TestFigure4ControlFlowComparison(t *testing.T) {
 	sameInstance := 0
 	total := 0
 	err := WalkTasks(dd, 100000, func(te TaskExec) {
-		if te.Task.Blocks[2] { // producer's task
+		if te.Task.Contains(2) { // producer's task
 			total++
-			if te.Task.Blocks[5] {
+			if te.Task.Contains(5) {
 				sameInstance++
 			}
 		}
@@ -108,14 +108,14 @@ func TestFigure4ForwardPlacement(t *testing.T) {
 	part := mustSelect(t, figure4Prog(t), Options{Heuristic: ControlFlow})
 	var producerTask *Task
 	for _, task := range part.Tasks {
-		if task.Fn == 0 && task.Blocks[2] {
+		if task.Fn == 0 && task.Contains(2) {
 			producerTask = task
 		}
 	}
 	if producerTask == nil {
 		t.Fatal("no task contains the producer")
 	}
-	if producerTask.Blocks[5] {
+	if producerTask.Contains(5) {
 		// CF merged them anyway (reconvergence) — the dependence is internal,
 		// which is also fine; nothing further to check.
 		return

@@ -89,10 +89,10 @@ func armHolds(prog *ir.Program, ref *emu.Machine, opts Options) error {
 // satisfy, returning the first violation.
 func partitionInvariants(part *Partition) error {
 	for _, task := range part.Tasks {
-		if !task.Blocks[task.Entry] {
+		if !task.Contains(task.Entry) {
 			return fmt.Errorf("task %d does not contain its own entry", task.ID)
 		}
-		if part.ByEntry[EntryKey{Fn: task.Fn, Blk: task.Entry}] != task {
+		if part.TaskAt(task.Fn, task.Entry) != task {
 			return fmt.Errorf("task %d not indexed by its entry", task.ID)
 		}
 		if task.NumTargets() > part.Opts.MaxTargets &&
@@ -107,10 +107,10 @@ func partitionInvariants(part *Partition) error {
 		}
 		// Continue edges stay inside the task and never re-enter the entry.
 		f := part.Prog.Fn(task.Fn)
-		for b := range task.Blocks {
+		for _, b := range task.Blocks {
 			for _, s := range f.Block(b).Succs(nil) {
 				if task.Continues(b, s) {
-					if !task.Blocks[s] {
+					if !task.Contains(s) {
 						return fmt.Errorf("task %d: continue edge b%d->b%d leaves the task", task.ID, b, s)
 					}
 					if s == task.Entry {

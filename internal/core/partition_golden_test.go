@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"sort"
 	"testing"
 
 	"multiscalar/internal/core"
@@ -70,16 +69,10 @@ func dumpPartition(h hash.Hash, part *core.Partition) {
 	fmt.Fprintf(h, "tasks %d included %v\n", len(part.Tasks), part.FnIncluded)
 	for _, t := range part.Tasks {
 		f := part.Prog.Fn(t.Fn)
-		blocks := make([]ir.BlockID, 0, len(t.Blocks))
-		for b, in := range t.Blocks {
-			if in {
-				blocks = append(blocks, b)
-			}
-		}
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+		blocks := t.Blocks
 		var incl []ir.BlockID
 		for _, b := range blocks {
-			if t.IncludeCall[b] {
+			if t.IncludesCall(b) {
 				incl = append(incl, b)
 			}
 		}

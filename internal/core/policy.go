@@ -127,7 +127,7 @@ func (s *selector) policyGrow(fn ir.FnID, entry ir.BlockID) []ir.BlockID {
 	f := s.prog().Fn(fn)
 	facts := s.facts[fn]
 	S := &s.set
-	S.fill([]ir.BlockID{entry})
+	S.fill(s.flows[fn], entry, []ir.BlockID{entry})
 	defs := facts.Blocks[entry].Def
 	state := PolicyTask{Fn: fn, Entry: entry, Blocks: 1, Instrs: f.Block(entry).Len(), Regs: defs.Count()}
 	for len(S.order) < growCap {
@@ -163,7 +163,7 @@ func (s *selector) policyFrontier(fn ir.FnID, entry ir.BlockID, defs dataflow.Re
 			if S.in[ch] || ch == entry || fl.term[k] || s.blockMark[ch] == s.stamp {
 				continue
 			}
-			if s.entries[fn][ch] != nil {
+			if s.part.ByEntry[fn][ch] != nil {
 				continue // ch already starts another task; keep its boundary
 			}
 			s.blockMark[ch] = s.stamp
@@ -179,8 +179,8 @@ func (s *selector) policyFrontier(fn ir.FnID, entry ir.BlockID, defs dataflow.Re
 		// heuristic explores past the limit hunting reconvergence; policies
 		// trade that away for budget control.)
 		S.add(ch)
-		feasible := s.feasible(fn, entry)
-		S.truncate(len(S.order) - 1)
+		feasible := S.targets <= s.opts.MaxTargets
+		S.pop()
 		if !feasible {
 			continue
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"multiscalar/internal/dataflow"
 	"multiscalar/internal/ir"
 )
@@ -11,34 +13,35 @@ import (
 // forward points (instructions that are provably the last definition of
 // their register on every continuation path, letting the hardware send the
 // value early instead of at task end). facts holds per-function dataflow
-// solutions and writes per-function write summaries (fnWriteSummaries), both
-// indexed by ir.FnID; members[id] lists task id's blocks.
-func computeRegComm(part *Partition, facts []*dataflow.Facts, members [][]ir.BlockID, writes []dataflow.RegSet) {
+// solutions, writes per-function write summaries (fnWriteSummaries) and
+// incl[fn][b] the included call blocks, each indexed by ir.FnID.
+func computeRegComm(part *Partition, facts []*dataflow.Facts, writes []dataflow.RegSet, incl [][]bool) {
 	maxBlocks := 0
 	for _, f := range part.Prog.Fns {
 		maxBlocks = max(maxBlocks, len(f.Blocks))
 	}
-	sc := &regCommScratch{
-		cont:   make([]outcomes, maxBlocks),
-		def:    make([]dataflow.RegSet, maxBlocks),
-		reach:  make([]dataflow.RegSet, maxBlocks),
-		last:   make([]dataflow.RegSet, maxBlocks),
-		mustFw: make([]dataflow.RegSet, maxBlocks),
-	}
+	sc := &regCommScratch{blocks: make([]blockComm, maxBlocks)}
 	for _, t := range part.Tasks {
-		computeTaskRegComm(part.Prog, t, members[t.ID], writes, facts[t.Fn], sc)
+		computeTaskRegComm(part.Prog, t, writes, facts[t.Fn], incl[t.Fn], sc)
 	}
 }
 
 // regCommScratch holds computeTaskRegComm's per-block facts, indexed by
-// block ID and reused across tasks: each task sets the entries of its own
-// blocks before reading them.
+// block ID, and its forward points before they are copied out at their
+// final size. It is reused across tasks: each task sets the entries of its
+// own blocks before reading them.
 type regCommScratch struct {
-	cont   []outcomes        // the block's CFG successors, split by continue edge
-	def    []dataflow.RegSet // own defs plus any included callee's writes
-	reach  []dataflow.RegSet // registers defined strictly later on a continuation path
-	last   []dataflow.RegSet // registers with a forward point in the block
-	mustFw []dataflow.RegSet // registers forwarded on every path from the block to an exit
+	blocks   []blockComm
+	forwards []instrRef
+}
+
+// blockComm is what register communication knows of one member block.
+type blockComm struct {
+	cont   outcomes        // the block's CFG successors, split by continue edge
+	def    dataflow.RegSet // own defs plus any included callee's writes
+	reach  dataflow.RegSet // registers defined strictly later on a continuation path
+	last   dataflow.RegSet // registers with a forward point in the block
+	mustFw dataflow.RegSet // registers forwarded on every path from the block to an exit
 }
 
 // outcomes lists the successors a block continues to inside its task and
@@ -83,37 +86,41 @@ func fnWriteSummaries(p *ir.Program) []dataflow.RegSet {
 	return out
 }
 
-func computeTaskRegComm(p *ir.Program, t *Task, blocks []ir.BlockID, fnWrites []dataflow.RegSet, fa *dataflow.Facts, sc *regCommScratch) {
+func computeTaskRegComm(p *ir.Program, t *Task, fnWrites []dataflow.RegSet, fa *dataflow.Facts, incl []bool, sc *regCommScratch) {
 	f := p.Fn(t.Fn)
+	bc := sc.blocks
 	var succBuf [2]ir.BlockID
 	var callWrites dataflow.RegSet // regs written by included callees anywhere in the task
-	for _, b := range blocks {
+	edges := t.continues           // sorted by source; every source is a member
+	for _, b := range t.Blocks {
 		blk := f.Block(b)
+		// The continue edges leaving b come next.
+		k := 0
+		for k < len(edges) && edges[k].from == b {
+			k++
+		}
+		run := edges[:k]
+		edges = edges[k:]
 		// A return, a halt, a call whose callee is not included, or any
 		// CFG successor not reached along a continue edge ends the task.
 		c := outcomes{exits: blk.Term.Kind == ir.TermRet || blk.Term.Kind == ir.TermHalt ||
-			(blk.Term.Kind == ir.TermCall && !t.IncludeCall[b])}
+			(blk.Term.Kind == ir.TermCall && !incl[b])}
 		for _, s := range blk.Succs(succBuf[:0]) {
-			if t.Continues(b, s) {
+			if slices.Contains(run, edge{from: b, to: s}) {
 				c.succ[c.n] = s
 				c.n++
 			} else {
 				c.exits = true
 			}
 		}
-		sc.cont[b] = c
-		var def dataflow.RegSet
-		for _, in := range blk.Instrs {
-			if d, ok := in.Def(); ok {
-				def = def.Add(d)
-			}
-		}
-		if t.IncludeCall[b] {
+		bc[b].cont = c
+		def := fa.Blocks[b].Def
+		if incl[b] {
 			cw := fnWrites[blk.Term.Callee]
 			def = def.Union(cw)
 			callWrites = callWrites.Union(cw)
 		}
-		sc.def[b] = def
+		bc[b].def = def
 		t.CreateMask = t.CreateMask.Union(def)
 	}
 
@@ -121,33 +128,35 @@ func computeTaskRegComm(p *ir.Program, t *Task, blocks []ir.BlockID, fnWrites []
 	// register communication"): only registers live out of some task exit
 	// need to travel on the ring. Exit points are blocks with at least one
 	// non-continue outcome.
-	if fa != nil {
-		var exitLive dataflow.RegSet
-		for _, b := range blocks {
-			if sc.cont[b].exits {
-				exitLive = exitLive.Union(fa.Blocks[b].LiveOut)
-			}
+	var exitLive dataflow.RegSet
+	for _, b := range t.Blocks {
+		if bc[b].cont.exits {
+			exitLive = exitLive.Union(fa.Blocks[b].LiveOut)
 		}
-		t.CreateMask = t.CreateMask.Intersect(exitLive)
-		callWrites = callWrites.Intersect(exitLive)
 	}
+	t.CreateMask = t.CreateMask.Intersect(exitLive)
+	callWrites = callWrites.Intersect(exitLive)
 
 	// reach[b]: registers defined in blocks strictly after b on some
 	// continuation path (via continue edges). Iterate to fixpoint over the
-	// task's (acyclic) continue-edge subgraph.
-	for _, b := range blocks {
-		sc.reach[b] = 0
+	// task's (acyclic) continue-edge subgraph. Both fixpoints below visit
+	// the blocks in descending order, which mostly meets a block's
+	// successors before the block; the fixpoint does not depend on the
+	// order.
+	for _, b := range t.Blocks {
+		bc[b].reach = 0
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, b := range blocks {
+		for i := len(t.Blocks) - 1; i >= 0; i-- {
+			b := t.Blocks[i]
 			var out dataflow.RegSet
-			c := &sc.cont[b]
+			c := &bc[b].cont
 			for _, s := range c.succ[:c.n] {
-				out = out.Union(sc.def[s]).Union(sc.reach[s])
+				out = out.Union(bc[s].def).Union(bc[s].reach)
 			}
-			if out != sc.reach[b] {
-				sc.reach[b] = out
+			if out != bc[b].reach {
+				bc[b].reach = out
 				changed = true
 			}
 		}
@@ -156,53 +165,58 @@ func computeTaskRegComm(p *ir.Program, t *Task, blocks []ir.BlockID, fnWrites []
 	// Mark last definitions. Registers written by included callees are never
 	// early-forwarded (the callee body is opaque to the forward-point
 	// analysis); they release at task end.
-	t.lastDef = make(map[instrRef]bool)
+	fwd := sc.forwards[:0]
 	t.endForward = callWrites
-	for _, b := range blocks {
+	for _, b := range t.Blocks {
 		blk := f.Block(b)
-		later := sc.reach[b]
-		if t.IncludeCall[b] {
+		later := bc[b].reach
+		if incl[b] {
 			later = later.Union(fnWrites[blk.Term.Callee])
 		}
-		sc.last[b] = 0
+		bc[b].last = 0
+		n := len(fwd)
 		for i := len(blk.Instrs) - 1; i >= 0; i-- {
 			d, ok := blk.Instrs[i].Def()
 			if !ok {
 				continue
 			}
 			if !later.Has(d) && !callWrites.Has(d) {
-				t.lastDef[instrRef{blk: b, idx: i}] = true
-				sc.last[b] = sc.last[b].Add(d)
+				fwd = append(fwd, instrRef{blk: b, idx: i})
+				bc[b].last = bc[b].last.Add(d)
 			}
 			later = later.Add(d)
 		}
+		slices.Reverse(fwd[n:]) // the block's forward points in index order
 	}
+	t.forwards = exactCopy(fwd)
+	sc.forwards = fwd
 	// endForward: registers in the create mask that are NOT guaranteed to hit
 	// a forward point on every path from the task entry to an exit; those are
 	// released when the task ends. Backward must-analysis over the (acyclic)
 	// continue-edge subgraph: mustFw(b) = last(b) ∪ ⋂ outcomes(b), where an
 	// exit outcome contributes the empty set.
 	const all = ^dataflow.RegSet(0)
-	for _, b := range blocks {
-		sc.mustFw[b] = all // optimistic start for the greatest fixpoint
+	for _, b := range t.Blocks {
+		bc[b].mustFw = all // optimistic start for the greatest fixpoint
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, b := range blocks {
-			c := &sc.cont[b]
+		for i := len(t.Blocks) - 1; i >= 0; i-- {
+			b := t.Blocks[i]
+			c := &bc[b].cont
 			meet := all
 			if c.exits {
 				meet = 0
 			}
 			for _, s := range c.succ[:c.n] {
-				meet &= sc.mustFw[s]
+				meet &= bc[s].mustFw
 			}
-			nv := sc.last[b].Union(meet)
-			if nv != sc.mustFw[b] {
-				sc.mustFw[b] = nv
+			nv := bc[b].last.Union(meet)
+			if nv != bc[b].mustFw {
+				bc[b].mustFw = nv
 				changed = true
 			}
 		}
 	}
-	t.endForward = t.endForward.Union(t.CreateMask.Minus(sc.mustFw[t.Entry]))
+	t.endForward = t.endForward.Union(t.CreateMask.Minus(bc[t.Entry].mustFw))
 }

@@ -11,7 +11,7 @@ func TestCreateMaskCoversAllWrites(t *testing.T) {
 		part := mustSelect(t, loopProg(t), Options{Heuristic: h})
 		for _, task := range part.Tasks {
 			f := part.Prog.Fn(task.Fn)
-			for b := range task.Blocks {
+			for _, b := range task.Blocks {
 				for _, in := range f.Block(b).Instrs {
 					if d, ok := in.Def(); ok && !task.CreateMask.Has(d) {
 						t.Errorf("%v: task %d writes %v outside create mask", h, task.ID, d)
@@ -97,7 +97,7 @@ func TestIncludedCallWritesInCreateMask(t *testing.T) {
 	part := mustSelect(t, callProg(t), Options{Heuristic: ControlFlow, TaskSize: true})
 	var found bool
 	for _, task := range part.Tasks {
-		if len(task.IncludeCall) == 0 {
+		if len(task.IncludedCalls) == 0 {
 			continue
 		}
 		found = true
@@ -109,7 +109,7 @@ func TestIncludedCallWritesInCreateMask(t *testing.T) {
 		if !task.EndForward().Has(ir.RegRV) {
 			t.Errorf("task %d early-forwards a register written by an included callee", task.ID)
 		}
-		for ref := range task.lastDef {
+		for _, ref := range task.forwards {
 			d, _ := part.Prog.Fn(task.Fn).Block(ref.blk).Instrs[ref.idx].Def()
 			if d == ir.RegRV {
 				t.Errorf("task %d marks RegRV as last-def despite included call writing it", task.ID)

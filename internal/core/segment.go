@@ -46,7 +46,7 @@ func (inst *Instance) Step(blk *ir.Block, nextBlk ir.BlockID) (cont bool, tgt Ta
 			inst.inclDepth++
 			return true, Target{}
 		}
-		if t.IncludeCall[blk.ID] {
+		if t.IncludesCall(blk.ID) {
 			inst.inclDepth = 1
 			inst.inclCall = blk.ID
 			return true, Target{}

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"multiscalar/internal/cfganal"
 	"multiscalar/internal/dataflow"
@@ -124,13 +124,7 @@ func (p *Prepared) Select(opts Options) (*Partition, error) {
 		return nil, fmt.Errorf("core: options prepare with %s, the program was prepared with %s",
 			prepareString(got), prepareString(p.opts))
 	}
-	part := &Partition{
-		Prog:      p.Prog,
-		Heuristic: opts.Heuristic,
-		Opts:      opts,
-		ByEntry:   make(map[EntryKey]*Task),
-	}
-	sel := &selector{part: part, opts: opts, profile: p.profile, cfgs: p.cfgs, facts: p.facts}
+	sel := newSelector(p, opts)
 	if opts.Policy != "" {
 		pol, err := NewPolicy(opts.Policy, PolicyConfig{SizeBudget: opts.SizeBudget, CommBudget: opts.CommBudget})
 		if err != nil {
@@ -138,10 +132,9 @@ func (p *Prepared) Select(opts Options) (*Partition, error) {
 		}
 		sel.policy = pol
 	}
-	sel.markInclusions()
 	sel.run()
-	computeRegComm(part, p.facts, sel.members, p.writes)
-	return part, nil
+	computeRegComm(sel.part, p.facts, p.writes, sel.incl)
+	return sel.part, nil
 }
 
 // prepareString renders a PrepareOptions projection.
@@ -176,23 +169,73 @@ type selector struct {
 	facts []*dataflow.Facts
 	// flows[fn][b] is block b's way out of itself as growth sees it.
 	flows [][]flow
-	// entries[fn][b] is the task whose entry is block b, or nil (ByEntry,
-	// dense).
-	entries [][]*Task
-	// members[id] lists task id's blocks in ascending order.
-	members [][]ir.BlockID
 
 	// set is the block set being grown or inspected, sized for the largest
 	// function; queue is grow's work list and policyFrontier's candidates.
 	set   blockSet
 	queue []ir.BlockID
+	// cover and queued are coverFunction's work list and its marks.
+	cover  []ir.BlockID
+	queued []bool
 	// frontier is policyFrontier's result, reused across calls.
 	frontier []PolicyCandidate
-	// blockMark and fnMark hold the stamp of the last target count that saw
-	// a block or callee target; a fresh stamp empties both.
+	// targetBuf and edgeBuf collect a task's target list and continue
+	// edges before they are copied out at their final size.
+	targetBuf []Target
+	edgeBuf   []edge
+	// blockMark and fnMark hold the stamp of the last target list or
+	// frontier that saw a block or callee; a fresh stamp empties both.
 	blockMark []uint32
 	fnMark    []uint32
 	stamp     uint32
+}
+
+// newSelector readies a selection of p's program under opts, which must
+// have defaults applied: the partition with its empty entry table, call
+// inclusion, each block's way out and the working sets.
+func newSelector(p *Prepared, opts Options) *selector {
+	prog := p.Prog
+	s := &selector{
+		part: &Partition{
+			Prog:      prog,
+			Heuristic: opts.Heuristic,
+			Opts:      opts,
+			ByEntry:   perBlock[*Task](prog),
+		},
+		opts: opts, profile: p.profile, cfgs: p.cfgs, facts: p.facts,
+	}
+	s.markInclusions()
+	s.flows = perBlock[flow](prog)
+	maxBlocks := 0
+	for i, f := range prog.Fns {
+		s.flowsOf(ir.FnID(i), s.flows[i])
+		maxBlocks = max(maxBlocks, len(f.Blocks))
+	}
+	s.set = blockSet{
+		in:       make([]bool, maxBlocks),
+		refs:     make([]int32, maxBlocks),
+		termRefs: make([]int32, maxBlocks),
+		calls:    make([]int32, len(prog.Fns)),
+	}
+	s.queued = make([]bool, maxBlocks)
+	s.blockMark = make([]uint32, maxBlocks)
+	s.fnMark = make([]uint32, len(prog.Fns))
+	return s
+}
+
+// perBlock returns one zeroed slot per block of p, as one table per
+// function over a single backing array.
+func perBlock[T any](p *ir.Program) [][]T {
+	n := 0
+	for _, f := range p.Fns {
+		n += len(f.Blocks)
+	}
+	all := make([]T, n)
+	out := make([][]T, len(p.Fns))
+	for i, f := range p.Fns {
+		out[i], all = all[:len(f.Blocks):len(f.Blocks)], all[len(f.Blocks):]
+	}
+	return out
 }
 
 // flow is how control leaves one block as task growth sees it. A block that
@@ -208,31 +251,122 @@ type flow struct {
 	exit Target  // a terminal node's target
 }
 
-// blockSet is a set of one function's blocks: dense membership plus the
-// members in insertion order, so the set at any earlier size is a prefix.
+// blockSet is a set of one function's blocks grown into a task entered at
+// entry: dense membership plus the members in insertion order, so the set at
+// any earlier size is a prefix. It keeps the number of distinct targets the
+// set exposes as members come and go, so feasibility is a comparison.
+//
+// A block b is a target when some member edge to it ends the task: b is not
+// a member, or b is the entry, or the edge is terminal. So the set counts,
+// per block, the member edges to it (refs) and the terminal ones among them
+// (termRefs), and, per callee and for return and halt, the terminal-node
+// members exposing it. A target appears when its count leaves zero (or a
+// member edge becomes ending) and disappears when the last one goes.
 type blockSet struct {
 	in    []bool
 	order []ir.BlockID
+
+	flows []flow // the function's ways out
+	entry ir.BlockID
+
+	refs, termRefs []int32
+	calls          []int32 // per callee
+	rets, halts    int32
+	// targets is the number of distinct targets the set exposes.
+	targets int
 }
 
-func (bs *blockSet) add(b ir.BlockID) {
-	bs.in[b] = true
-	bs.order = append(bs.order, b)
-}
-
-// truncate drops every member added after the first k.
-func (bs *blockSet) truncate(k int) {
-	for _, b := range bs.order[k:] {
-		bs.in[b] = false
-	}
-	bs.order = bs.order[:k]
-}
-
-// fill makes the set hold exactly blocks.
-func (bs *blockSet) fill(blocks []ir.BlockID) {
-	bs.truncate(0)
+// fill makes the set hold exactly blocks, as a set of the function with the
+// given ways out entered at entry.
+func (bs *blockSet) fill(flows []flow, entry ir.BlockID, blocks []ir.BlockID) {
+	bs.reset()
+	bs.flows, bs.entry = flows, entry
 	for _, b := range blocks {
 		bs.add(b)
+	}
+}
+
+// reset empties the set and zeroes every count its members raised.
+func (bs *blockSet) reset() {
+	for _, b := range bs.order {
+		bs.in[b] = false
+		fl := &bs.flows[b]
+		for _, s := range fl.succ[:fl.n] {
+			bs.refs[s], bs.termRefs[s] = 0, 0
+		}
+		if fl.n == 0 && fl.exit.Kind == TargetCall {
+			bs.calls[fl.exit.Fn] = 0
+		}
+	}
+	bs.order = bs.order[:0]
+	bs.rets, bs.halts, bs.targets = 0, 0, 0
+}
+
+// add adds block b, which must not be a member.
+func (bs *blockSet) add(b ir.BlockID) {
+	fl := &bs.flows[b]
+	bs.targets -= bs.blockTargets(b, fl)
+	bs.in[b] = true
+	bs.order = append(bs.order, b)
+	bs.count(fl, 1)
+	bs.targets += bs.blockTargets(b, fl)
+}
+
+// pop removes the member added last.
+func (bs *blockSet) pop() {
+	b := bs.order[len(bs.order)-1]
+	fl := &bs.flows[b]
+	bs.targets -= bs.blockTargets(b, fl)
+	bs.in[b] = false
+	bs.order = bs.order[:len(bs.order)-1]
+	bs.count(fl, -1)
+	bs.targets += bs.blockTargets(b, fl)
+}
+
+// blockTargets counts the targets among b and b's successors, the blocks
+// whose status adding or removing b can change.
+func (bs *blockSet) blockTargets(b ir.BlockID, fl *flow) int {
+	n := bs.isTarget(b)
+	for _, s := range fl.succ[:fl.n] {
+		if s != b {
+			n += bs.isTarget(s)
+		}
+	}
+	return n
+}
+
+func (bs *blockSet) isTarget(b ir.BlockID) int {
+	if bs.refs[b] > 0 && (!bs.in[b] || b == bs.entry || bs.termRefs[b] > 0) {
+		return 1
+	}
+	return 0
+}
+
+// count adds d (1 or -1) to the counts raised by a member with way out fl.
+// A terminal node's exit target is counted here; block targets are
+// recounted by the caller.
+func (bs *blockSet) count(fl *flow, d int32) {
+	if fl.n > 0 {
+		for k, s := range fl.succ[:fl.n] {
+			bs.refs[s] += d
+			if fl.term[k] {
+				bs.termRefs[s] += d
+			}
+		}
+		return
+	}
+	c := &bs.halts
+	switch fl.exit.Kind {
+	case TargetCall:
+		c = &bs.calls[fl.exit.Fn]
+	case TargetReturn:
+		c = &bs.rets
+	}
+	switch *c += d; {
+	case d > 0 && *c == 1: // the first member exposing the target
+		bs.targets++
+	case d < 0 && *c == 0: // the last one gone
+		bs.targets--
 	}
 }
 
@@ -243,10 +377,7 @@ func (s *selector) prog() *ir.Program { return s.part.Prog }
 // heuristic is on; otherwise every call terminates its task, as in the
 // paper's control-flow-only configurations.
 func (s *selector) markInclusions() {
-	s.incl = make([][]bool, len(s.prog().Fns))
-	for i, f := range s.prog().Fns {
-		s.incl[i] = make([]bool, len(f.Blocks))
-	}
+	s.incl = perBlock[bool](s.prog())
 	s.part.FnIncluded = make([]bool, len(s.prog().Fns))
 	if !s.opts.TaskSize {
 		return
@@ -288,19 +419,7 @@ func (s *selector) markInclusions() {
 
 // run drives selection over every function.
 func (s *selector) run() {
-	fns := s.prog().Fns
-	s.flows = make([][]flow, len(fns))
-	s.entries = make([][]*Task, len(fns))
-	maxBlocks := 0
-	for i, f := range fns {
-		s.flows[i] = s.flowsOf(ir.FnID(i))
-		s.entries[i] = make([]*Task, len(f.Blocks))
-		maxBlocks = max(maxBlocks, len(f.Blocks))
-	}
-	s.set.in = make([]bool, maxBlocks)
-	s.blockMark = make([]uint32, maxBlocks)
-	s.fnMark = make([]uint32, len(fns))
-	for i := range fns {
+	for i := range s.prog().Fns {
 		fn := ir.FnID(i)
 		if s.part.FnIncluded[i] {
 			continue // never starts a task
@@ -321,17 +440,16 @@ func (s *selector) run() {
 			s.dataDependenceTasks(fn)
 		}
 	}
-	s.finishTargets()
+	s.finishTasks()
 }
 
-// flowsOf tabulates each block's way out. A terminal node (the paper's
-// is_a_terminal_node) never grows past itself; terminal edges (the paper's
-// is_a_terminal_edge plus the loop entry/exit rules of the task-size
-// discussion) end any task they leave. For an included call, execution
-// resumes at the fall block after the callee runs inside the task.
-func (s *selector) flowsOf(fn ir.FnID) []flow {
+// flowsOf tabulates into flows each block's way out. A terminal node (the
+// paper's is_a_terminal_node) never grows past itself; terminal edges (the
+// paper's is_a_terminal_edge plus the loop entry/exit rules of the
+// task-size discussion) end any task they leave. For an included call,
+// execution resumes at the fall block after the callee runs inside the task.
+func (s *selector) flowsOf(fn ir.FnID, flows []flow) {
 	f := s.prog().Fn(fn)
-	flows := make([]flow, len(f.Blocks))
 	for i, blk := range f.Blocks {
 		fl := &flows[i]
 		switch blk.Term.Kind {
@@ -359,42 +477,36 @@ func (s *selector) flowsOf(fn ir.FnID) []flow {
 			fl.term[k] = s.cfgs[fn].IsTerminalEdge(ir.BlockID(i), fl.succ[k])
 		}
 	}
-	return flows
 }
 
 // newTask registers a task over blocks with the partition. The entry must be
 // unowned.
 func (s *selector) newTask(fn ir.FnID, entry ir.BlockID, blocks []ir.BlockID) *Task {
-	key := EntryKey{Fn: fn, Blk: entry}
-	if s.entries[fn][entry] != nil {
-		panic(fmt.Sprintf("core: duplicate task entry %v", key))
+	if s.part.ByEntry[fn][entry] != nil {
+		panic(fmt.Sprintf("core: duplicate task entry %v", EntryKey{Fn: fn, Blk: entry}))
 	}
-	members := slices.Clone(blocks)
-	slices.Sort(members)
-	t := &Task{
-		ID:          len(s.part.Tasks),
-		Fn:          fn,
-		Entry:       entry,
-		Blocks:      make(map[ir.BlockID]bool, len(members)),
-		IncludeCall: make(map[ir.BlockID]bool),
-	}
-	for _, b := range members {
-		s.addBlock(t, b)
-	}
+	t := &Task{ID: len(s.part.Tasks), Fn: fn, Entry: entry, Blocks: sortedCopy(blocks)}
 	s.part.Tasks = append(s.part.Tasks, t)
-	s.part.ByEntry[key] = t
-	s.entries[fn][entry] = t
-	s.members = append(s.members, members)
+	s.part.ByEntry[fn][entry] = t
 	return t
 }
 
-// addBlock adds block b to task t's membership, size and included calls.
-func (s *selector) addBlock(t *Task, b ir.BlockID) {
-	t.Blocks[b] = true
-	t.StaticInstrs += s.prog().Fn(t.Fn).Block(b).Len()
-	if s.incl[t.Fn][b] {
-		t.IncludeCall[b] = true
+// exactCopy returns a copy of xs whose length and capacity are len(xs), or
+// nil when xs is empty.
+func exactCopy[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
 	}
+	out := make([]T, len(xs))
+	copy(out, xs)
+	return out
+}
+
+// sortedCopy returns an exact copy of blocks in ascending order.
+func sortedCopy(blocks []ir.BlockID) []ir.BlockID {
+	out := exactCopy(blocks)
+	slices.Sort(out)
+	return out
 }
 
 // basicBlockTasks makes every reachable block its own task.
@@ -409,16 +521,17 @@ func (s *selector) basicBlockTasks(fn ir.FnID) {
 	}
 }
 
-// countTargets counts the distinct successors of s.set entered at entry,
-// following the dynamic semantics in segment.go exactly. With list nil it
-// stops once the count exceeds MaxTargets; otherwise it appends every target
-// to *list, unsorted.
-func (s *selector) countTargets(fn ir.FnID, entry ir.BlockID, list *[]Target) int {
+// countTargets counts the distinct successors of s.set from scratch,
+// following the dynamic semantics in segment.go exactly, and appends each to
+// *list, unsorted. It builds target lists and is the reference the set's
+// own count is tested against.
+func (s *selector) countTargets(list *[]Target) int {
+	S := &s.set
 	s.stamp++
 	n := 0
 	var ret, halt bool
-	for _, b := range s.set.order {
-		fl := &s.flows[fn][b]
+	for _, b := range S.order {
+		fl := &S.flows[b]
 		if fl.n == 0 {
 			switch fl.exit.Kind {
 			case TargetCall:
@@ -438,13 +551,11 @@ func (s *selector) countTargets(fn ir.FnID, entry ir.BlockID, list *[]Target) in
 				halt = true
 			}
 			n++
-			if list != nil {
-				*list = append(*list, fl.exit)
-			}
+			*list = append(*list, fl.exit)
 			continue
 		}
 		for k, succ := range fl.succ[:fl.n] {
-			if s.set.in[succ] && succ != entry && !fl.term[k] {
+			if S.in[succ] && succ != S.entry && !fl.term[k] {
 				continue // control stays inside the task
 			}
 			if s.blockMark[succ] == s.stamp {
@@ -452,30 +563,20 @@ func (s *selector) countTargets(fn ir.FnID, entry ir.BlockID, list *[]Target) in
 			}
 			s.blockMark[succ] = s.stamp
 			n++
-			if list != nil {
-				*list = append(*list, Target{Kind: TargetBlock, Blk: succ})
-			}
-		}
-		if list == nil && n > s.opts.MaxTargets {
-			break
+			*list = append(*list, Target{Kind: TargetBlock, Blk: succ})
 		}
 	}
 	return n
 }
 
-// feasible reports whether s.set entered at entry stays within the hardware
-// target limit.
-func (s *selector) feasible(fn ir.FnID, entry ir.BlockID) bool {
-	return s.countTargets(fn, entry, nil) <= s.opts.MaxTargets
-}
-
-// taskTargets returns task t's distinct successors, sorted.
-func (s *selector) taskTargets(t *Task) []Target {
-	s.set.fill(s.members[t.ID])
-	var out []Target
-	s.countTargets(t.Fn, t.Entry, &out)
-	sortTargets(out)
-	return out
+// targetList returns the distinct targets of s.set, sorted, in a slice of
+// their number.
+func (s *selector) targetList() []Target {
+	list := s.targetBuf[:0]
+	s.countTargets(&list)
+	sortTargets(list)
+	s.targetBuf = list
+	return exactCopy(list)
 }
 
 // claim returns the task entered at block b of fn, growing one from b when
@@ -484,7 +585,7 @@ func (s *selector) taskTargets(t *Task) []Target {
 // governs straggler and callee-entry tasks too, not just the main coverage
 // pass.
 func (s *selector) claim(fn ir.FnID, b ir.BlockID) *Task {
-	if t := s.entries[fn][b]; t != nil {
+	if t := s.part.ByEntry[fn][b]; t != nil {
 		return t
 	}
 	if s.policy != nil {
@@ -495,54 +596,52 @@ func (s *selector) claim(fn ir.FnID, b ir.BlockID) *Task {
 
 // grow implements the greedy feasible-task exploration shared by the
 // control-flow and data-dependence heuristics. Starting from the seed blocks
-// (ascending, and already feasible), it explores outward along non-terminal
-// edges. explore, when non-nil, restricts which included blocks are explored
-// *further* (the data-dependence heuristic explores only the codependent
-// set, but — per the paper's dependence_task pseudo-code — still includes
-// non-codependent children in the feasible task when the target count
-// allows, so reconverging paths keep helping). Exploration continues past
-// the target limit, greedily looking for reconverging paths; the largest set
-// whose target count stays within MaxTargets is returned. The set only ever
-// grows, so that largest set is the one at the last feasible step: a prefix
-// of the insertion order. The result aliases s.set until its next use.
+// (already feasible), it explores outward along non-terminal edges. explore,
+// when non-nil, restricts which included blocks are explored *further* (the
+// data-dependence heuristic explores only the codependent set, but — per the
+// paper's dependence_task pseudo-code — still includes non-codependent
+// children in the feasible task when the target count allows, so
+// reconverging paths keep helping). Exploration continues past the target
+// limit, greedily looking for reconverging paths; the largest set whose
+// target count stays within MaxTargets is returned. The set only ever grows,
+// so that largest set is the one at the last feasible step: a prefix of the
+// insertion order, which starts with the seed. The result aliases s.set
+// until its next use.
 func (s *selector) grow(fn ir.FnID, entry ir.BlockID, seed []ir.BlockID, explore []bool) []ir.BlockID {
 	const exploreCap = 512
 	S := &s.set
-	S.fill(seed)
+	S.fill(s.flows[fn], entry, seed)
 	queue := append(s.queue[:0], seed...)
+	// Even the seed may exceed the limit (not a single block, which has at
+	// most two successors, but possibly a multi-block seed); then it is
+	// returned as it is.
 	best := len(S.order)
-	bestOK := s.feasible(fn, entry)
 	for head := 0; head < len(queue) && len(S.order) < exploreCap; head++ {
 		fl := &s.flows[fn][queue[head]]
 		for k, ch := range fl.succ[:fl.n] {
 			if fl.term[k] || ch == entry || S.in[ch] {
 				continue
 			}
-			if s.entries[fn][ch] != nil {
+			if s.part.ByEntry[fn][ch] != nil {
 				// ch already starts another task; keep its boundary.
 				continue
 			}
 			S.add(ch)
-			feasible := s.feasible(fn, entry)
+			feasible := S.targets <= s.opts.MaxTargets
 			if !feasible && s.opts.NoGreedy {
 				// First-fit: never explore past the target limit.
-				S.truncate(len(S.order) - 1)
+				S.pop()
 				continue
 			}
 			if explore == nil || explore[ch] {
 				queue = append(queue, ch)
 			}
 			if feasible {
-				best, bestOK = len(S.order), true
+				best = len(S.order)
 			}
 		}
 	}
 	s.queue = queue
-	if !bestOK {
-		// Even the seed exceeds the limit (cannot happen for a single block,
-		// which has at most two successors, but guard the multi-block case).
-		return seed
-	}
 	return S.order[:best]
 }
 
@@ -552,17 +651,23 @@ func (s *selector) grow(fn ir.FnID, entry ir.BlockID, seed []ir.BlockID, explore
 func (s *selector) coverFunction(fn ir.FnID) {
 	g := s.cfgs[fn]
 	f := s.prog().Fn(fn)
-	queue := []ir.BlockID{f.Entry}
-	queued := make([]bool, len(f.Blocks))
+	queued := s.queued[:len(f.Blocks)]
+	clear(queued)
+	queue := append(s.cover[:0], f.Entry)
 	queued[f.Entry] = true
-	for len(queue) > 0 {
-		seed := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		seed := queue[head]
 		if g.DFSNum[seed] < 0 {
 			continue
 		}
+		// A task's members are final once this pass claims it, so its
+		// target list is built once, here or in finishTasks.
 		t := s.claim(fn, seed)
-		for _, tgt := range s.taskTargets(t) {
+		if t.Targets == nil {
+			s.set.fill(s.flows[fn], t.Entry, t.Blocks)
+			t.Targets = s.targetList()
+		}
+		for _, tgt := range t.Targets {
 			if tgt.Kind == TargetBlock && !queued[tgt.Blk] {
 				queued[tgt.Blk] = true
 				queue = append(queue, tgt.Blk)
@@ -571,14 +676,15 @@ func (s *selector) coverFunction(fn ir.FnID) {
 		// The resume point after a non-included call must start a task too.
 		// Ascending order: the BFS visit order decides which task claims a
 		// contested block.
-		for _, b := range s.members[t.ID] {
+		for _, b := range t.Blocks {
 			blk := f.Block(b)
-			if blk.Term.Kind == ir.TermCall && !t.IncludeCall[b] && !queued[blk.Term.Fall] {
+			if blk.Term.Kind == ir.TermCall && !s.incl[fn][b] && !queued[blk.Term.Fall] {
 				queued[blk.Term.Fall] = true
 				queue = append(queue, blk.Term.Fall)
 			}
 		}
 	}
+	s.cover = queue
 }
 
 // dataDependenceTasks implements the paper's dependence-driven selection:
@@ -599,7 +705,7 @@ func (s *selector) dataDependenceTasks(fn ir.FnID) {
 			edges[i].Freq = d
 		}
 	}
-	sort.SliceStable(edges, func(i, j int) bool { return edges[i].Freq > edges[j].Freq })
+	slices.SortStableFunc(edges, func(a, b dataflow.DefUseEdge) int { return cmp.Compare(b.Freq, a.Freq) })
 
 	owner := make([][]*Task, len(g.Succs)) // including-tasks per block
 	for _, e := range edges {
@@ -608,7 +714,7 @@ func (s *selector) dataDependenceTasks(fn ir.FnID) {
 		}
 		tasks := owner[e.Def]
 		if len(tasks) == 0 {
-			if s.entries[fn][e.Def] != nil {
+			if s.part.ByEntry[fn][e.Def] != nil {
 				// The producer block is an entry of an existing task that
 				// does not contain it?? cannot happen: entry is a member.
 				continue
@@ -619,44 +725,57 @@ func (s *selector) dataDependenceTasks(fn ir.FnID) {
 		}
 		codep := facts.Codependent(e)
 		for _, t := range tasks {
-			added := false
-			for _, b := range s.grow(fn, t.Entry, s.members[t.ID], codep) {
-				if !t.Blocks[b] {
-					s.addBlock(t, b)
-					s.members[t.ID] = append(s.members[t.ID], b)
-					owner[b] = append(owner[b], t)
-					added = true
-				}
+			// The seed is t's members, so what growth adds follows them.
+			grown := s.grow(fn, t.Entry, t.Blocks, codep)
+			if len(grown) == len(t.Blocks) {
+				continue
 			}
-			if added {
-				slices.Sort(s.members[t.ID])
+			for _, b := range grown[len(t.Blocks):] {
+				owner[b] = append(owner[b], t)
 			}
+			t.Blocks = sortedCopy(grown)
 		}
 	}
 	// Cover everything the dependence pass did not reach.
 	s.coverFunction(fn)
 }
 
-// finishTargets recomputes the final target list and continue edges of every
-// task (growth may have changed boundaries), then ensures every exposed
-// block target has a task of its own, growing single-block tasks for any
-// stragglers (this terminates because new tasks only claim unowned entries).
-func (s *selector) finishTargets() {
+// finishTasks completes every task: its target list (when coverFunction
+// did not build it), size, included calls and continue edges. It then
+// ensures every exposed block target has a task of its own, growing tasks
+// for any stragglers (this terminates because new tasks only claim unowned
+// entries).
+func (s *selector) finishTasks() {
 	for i := 0; i < len(s.part.Tasks); i++ { // index loop: the slice grows
 		t := s.part.Tasks[i]
-		members := s.members[t.ID]
-		t.Targets = s.taskTargets(t)
-		t.continues = t.continues[:0]
-		for _, b := range members {
-			fl := &s.flows[t.Fn][b]
+		f := s.prog().Fn(t.Fn)
+		incl := s.incl[t.Fn]
+		flows := s.flows[t.Fn]
+		s.set.fill(flows, t.Entry, t.Blocks)
+		if t.Targets == nil {
+			t.Targets = s.targetList()
+		}
+		// The included calls and continue edges are collected in the
+		// selector's buffers and copied out at their final size.
+		calls := s.queue[:0]
+		edges := s.edgeBuf[:0]
+		for _, b := range t.Blocks {
+			t.StaticInstrs += f.Block(b).Len()
+			if incl[b] {
+				calls = append(calls, b)
+			}
+			fl := &flows[b]
+			n := len(edges)
 			for k, succ := range fl.succ[:fl.n] {
-				if t.Blocks[succ] && succ != t.Entry && !fl.term[k] {
-					t.continues = append(t.continues, edge{from: b, to: succ})
+				if s.set.in[succ] && succ != t.Entry && !fl.term[k] {
+					edges = append(edges, edge{from: b, to: succ})
 				}
 			}
+			slices.SortFunc(edges[n:], compareEdges) // b's edges, by destination
 		}
-		slices.SortFunc(t.continues, compareEdges)
-		t.continues = slices.Compact(t.continues)
+		t.IncludedCalls = exactCopy(calls)
+		t.continues = exactCopy(edges)
+		s.queue, s.edgeBuf = calls, edges
 		for _, tgt := range t.Targets {
 			switch tgt.Kind {
 			case TargetBlock:
@@ -666,10 +785,9 @@ func (s *selector) finishTargets() {
 			}
 		}
 		// Post-call resume blocks are reached via return targets.
-		f := s.prog().Fn(t.Fn)
-		for _, b := range members {
+		for _, b := range t.Blocks {
 			blk := f.Block(b)
-			if blk.Term.Kind == ir.TermCall && !t.IncludeCall[b] {
+			if blk.Term.Kind == ir.TermCall && !incl[b] {
 				s.claim(t.Fn, blk.Term.Fall)
 			}
 		}

@@ -62,6 +62,23 @@ func mustSelect(t testing.TB, p *ir.Program, opts Options) *Partition {
 	return part
 }
 
+// TestTaskAtOutsideProgram requires TaskAt to find every task at its entry
+// and to return nil for a function or block the program does not have.
+func TestTaskAtOutsideProgram(t *testing.T) {
+	part := mustSelect(t, loopProg(t), Options{Heuristic: BasicBlock})
+	for _, task := range part.Tasks {
+		if part.TaskAt(task.Fn, task.Entry) != task {
+			t.Errorf("TaskAt(%d, %d) does not find task %d", task.Fn, task.Entry, task.ID)
+		}
+	}
+	nfn, nblk := ir.FnID(len(part.Prog.Fns)), ir.BlockID(len(part.Prog.Fn(0).Blocks))
+	for _, k := range []EntryKey{{ir.NoFn, 0}, {nfn, 0}, {0, ir.NoBlock}, {0, nblk}, {ir.NoFn, ir.NoBlock}, {nfn, nblk}} {
+		if got := part.TaskAt(k.Fn, k.Blk); got != nil {
+			t.Errorf("TaskAt(%d, %d) = task %d, want nil", k.Fn, k.Blk, got.ID)
+		}
+	}
+}
+
 func TestBasicBlockTasksOnePerBlock(t *testing.T) {
 	p := loopProg(t)
 	part := mustSelect(t, p, Options{Heuristic: BasicBlock})
@@ -129,7 +146,7 @@ func TestLoopBodySingleTaskPerIteration(t *testing.T) {
 	}
 	// The head task should absorb the body (head->body edge is not terminal)
 	// but end at the back edge.
-	if !head.Blocks[2] {
+	if !head.Contains(2) {
 		t.Errorf("head task does not include body: %v", head.Blocks)
 	}
 	if head.Continues(2, 1) {
@@ -175,7 +192,7 @@ func TestCallInclusionUnderThreshold(t *testing.T) {
 	// tiny is 2 instructions, far below CALL_THRESH: every call site included.
 	foundInclusion := false
 	for _, task := range part.Tasks {
-		for range task.IncludeCall {
+		for range task.IncludedCalls {
 			foundInclusion = true
 		}
 	}
@@ -192,7 +209,7 @@ func TestNoInclusionWithoutTaskSize(t *testing.T) {
 	p := callProg(t)
 	part := mustSelect(t, p, Options{Heuristic: ControlFlow, TaskSize: false})
 	for _, task := range part.Tasks {
-		if len(task.IncludeCall) != 0 {
+		if len(task.IncludedCalls) != 0 {
 			t.Error("call inclusion without task-size heuristic")
 		}
 	}

@@ -42,7 +42,7 @@ func ComputeStats(p *Partition) Stats {
 		}
 		s.TargetHistogram[n]++
 		regs += t.CreateMask.Count()
-		s.IncludedCalls += len(t.IncludeCall)
+		s.IncludedCalls += len(t.IncludedCalls)
 		for _, tgt := range t.Targets {
 			if tgt.Kind == TargetReturn {
 				s.ReturnTasks++

@@ -105,19 +105,21 @@ type edge struct{ from, to ir.BlockID }
 
 // Task is one static Multiscalar task.
 //
-// Its continue edges are a slice sorted by (from, to) that Continues
-// searches, not a map: the simulator asks once per executed block. Unlike a
-// successor mask over the CFG, the slice can hold any pair of blocks, so a
-// hand-corrupted task (AddContinueEdge) may list a side entrance or a
-// non-CFG edge, and verify's PT003 still sees it. Blocks, IncludeCall and
-// the forward points are still maps.
+// A task holds no map. Its member blocks, included calls, continue edges and
+// forward points are slices sorted in ascending order, each allocated once at
+// its final size, and Contains, IncludesCall, Continues and ForwardsAt search
+// them. Membership is per task because tasks may overlap (data-dependence
+// tasks do). A slice can hold any block, so a hand-corrupted task (verify's
+// negative fixtures write Blocks and IncludedCalls directly, or call
+// AddContinueEdge) may list a non-member, a side entrance or a non-CFG edge,
+// and verify still sees it.
 type Task struct {
 	ID    int
 	Fn    ir.FnID
 	Entry ir.BlockID
 
-	// Blocks is the task's membership set.
-	Blocks map[ir.BlockID]bool
+	// Blocks lists the task's member blocks in ascending order.
+	Blocks []ir.BlockID
 
 	// continues lists the intra-task CFG edges along which execution stays
 	// in the same task instance, sorted by source, then destination. Edges
@@ -125,10 +127,11 @@ type Task struct {
 	// end the instance.
 	continues []edge
 
-	// IncludeCall marks call-terminated blocks whose entire callee invocation
-	// executes inside the task (the CALL_THRESH part of the task-size
-	// heuristic).
-	IncludeCall map[ir.BlockID]bool
+	// IncludedCalls lists, in ascending order, the member call blocks whose
+	// entire callee invocation executes inside the task (the CALL_THRESH
+	// part of the task-size heuristic). It is empty unless Options.TaskSize
+	// is set.
+	IncludedCalls []ir.BlockID
 
 	// Targets are the possible successors, deterministically ordered; the
 	// index is the hardware target number.
@@ -143,10 +146,10 @@ type Task struct {
 	// continuation path).
 	endForward dataflow.RegSet
 
-	// lastDef marks instructions that are the final write of their register
-	// on every path to task exit; the hardware forwards the value there.
-	// Key: block ID and instruction index within the block.
-	lastDef map[instrRef]bool
+	// forwards lists, sorted by block and then index, the instructions that
+	// are the final write of their register on every path to task exit; the
+	// hardware forwards the value there.
+	forwards []instrRef
 
 	// StaticInstrs is the total instruction count of the member blocks.
 	StaticInstrs int
@@ -155,6 +158,26 @@ type Task struct {
 type instrRef struct {
 	blk ir.BlockID
 	idx int
+}
+
+func compareRefs(a, b instrRef) int {
+	if c := cmp.Compare(a.blk, b.blk); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// Contains reports whether b is one of the task's member blocks.
+func (t *Task) Contains(b ir.BlockID) bool {
+	_, ok := slices.BinarySearch(t.Blocks, b)
+	return ok
+}
+
+// IncludesCall reports whether the call ending member block b runs its
+// whole callee invocation inside the task.
+func (t *Task) IncludesCall(b ir.BlockID) bool {
+	_, ok := slices.BinarySearch(t.IncludedCalls, b)
+	return ok
 }
 
 // Continues reports whether executing the edge from→to stays inside this
@@ -211,7 +234,8 @@ func (t *Task) ContinueEdges() [][2]ir.BlockID {
 // ForwardsAt reports whether the instruction at (blk, idx) is a forward point
 // (the last definition of its destination register within the task).
 func (t *Task) ForwardsAt(blk ir.BlockID, idx int) bool {
-	return t.lastDef[instrRef{blk: blk, idx: idx}]
+	_, ok := slices.BinarySearchFunc(t.forwards, instrRef{blk: blk, idx: idx}, compareRefs)
+	return ok
 }
 
 // EndForward returns the registers only released at task end.
@@ -246,17 +270,23 @@ type Partition struct {
 	Heuristic Heuristic
 	Opts      Options
 
-	Tasks   []*Task
-	ByEntry map[EntryKey]*Task
+	Tasks []*Task
+	// ByEntry[fn][b] is the task whose entry is block b of function fn, or
+	// nil: one slot per block of Prog.
+	ByEntry [][]*Task
 
 	// FnIncluded[fn] reports that every call to fn is included inside the
 	// caller's tasks (fn is below CALL_THRESH).
 	FnIncluded []bool
 }
 
-// TaskAt returns the task whose entry is (fn, blk), or nil.
+// TaskAt returns the task whose entry is (fn, blk), or nil, also for a
+// function or block the program does not have.
 func (p *Partition) TaskAt(fn ir.FnID, blk ir.BlockID) *Task {
-	return p.ByEntry[EntryKey{Fn: fn, Blk: blk}]
+	if uint(fn) < uint(len(p.ByEntry)) && uint(blk) < uint(len(p.ByEntry[fn])) {
+		return p.ByEntry[fn][blk]
+	}
+	return nil
 }
 
 // EntryTask returns the task that starts the program.

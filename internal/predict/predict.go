@@ -5,6 +5,8 @@
 // plus the return-address stack the sequencer uses to resolve return targets.
 package predict
 
+import "math/bits"
+
 // Gshare is the intra-task conditional branch predictor.
 type Gshare struct {
 	history uint32
@@ -12,8 +14,10 @@ type Gshare struct {
 	mask    uint32
 	// table holds 2-bit saturating counters (taken >= 2), each stored XOR 2
 	// so that zeroed memory reads as weakly taken: building or resetting the
-	// table is a clear.
-	table []uint8
+	// table is a clear. written marks the chunks of it Update wrote since
+	// the last reset.
+	table   []uint8
+	written []uint64
 
 	// Lookups and Mispredicts count accesses for reporting.
 	Lookups, Mispredicts uint64
@@ -29,12 +33,44 @@ func NewGshare(historyBits uint) *Gshare {
 }
 
 // Reset returns every counter to weakly taken and zeroes the history and
-// the counts, leaving g equal to NewGshare(historyBits).
+// the counts, leaving g equal to NewGshare(historyBits). It clears only the
+// chunks of the table written since the last reset, unless the table
+// changes size.
 func (g *Gshare) Reset(historyBits uint) {
 	size := 1 << historyBits
-	g.table = cleared(g.table, size)
+	g.table, g.written = resetTable(g.table, g.written, size)
 	g.history, g.bits, g.mask = 0, historyBits, uint32(size-1)
 	g.Lookups, g.Mispredicts = 0, 0
+}
+
+// A predictor table is cleared in chunks of 1<<chunkShift entries: each
+// write marks its chunk in a bitmap, and a reset clears the marked chunks
+// only, as the paged memory clears only its written pages. A run that
+// writes a few hundred entries then clears at most that many chunks, not
+// the whole table.
+const chunkShift = 6
+
+// mark records that entry i of a table was written.
+func mark(written []uint64, i uint32) {
+	written[i>>(chunkShift+6)] |= 1 << (i >> chunkShift & 63)
+}
+
+// resetTable returns tab as n zero entries and written as a zero bitmap of
+// its chunks. A table already n entries long has only its marked chunks
+// cleared; any other is cleared, or allocated, whole.
+func resetTable[T any](tab []T, written []uint64, n int) ([]T, []uint64) {
+	words := ((n+1<<chunkShift-1)>>chunkShift + 63) / 64
+	if len(tab) != n || len(written) != words {
+		return cleared(tab, n), cleared(written, words)
+	}
+	for k, set := range written {
+		for ; set != 0; set &= set - 1 {
+			c := (k*64 + bits.TrailingZeros64(set)) << chunkShift
+			clear(tab[c:min(c+1<<chunkShift, n)])
+		}
+		written[k] = 0
+	}
+	return tab, written
 }
 
 // cleared returns s resized to n zero elements, reusing its array when it
@@ -74,6 +110,7 @@ func (g *Gshare) Update(pc uint64, taken bool) bool {
 		c--
 	}
 	g.table[i] = c ^ 2
+	mark(g.written, i)
 	bit := uint32(0)
 	if taken {
 		bit = 1
@@ -94,6 +131,9 @@ type PathPredictor struct {
 	history uint32
 	mask    uint32
 	entries []pathEntry
+	// written marks the chunks of entries Resolve wrote since the last
+	// reset.
+	written []uint64
 
 	// MaxTargets is the number of successor slots the hardware tracks (the
 	// paper's N = 4, two-bit target numbers). Predicted numbers are always in
@@ -119,10 +159,12 @@ func NewPathPredictor(historyBits uint, maxTargets int) *PathPredictor {
 }
 
 // Reset clears every entry, the path history and the counts, leaving p
-// equal to NewPathPredictor(historyBits, maxTargets).
+// equal to NewPathPredictor(historyBits, maxTargets). It clears only the
+// chunks of the table written since the last reset, unless the table
+// changes size.
 func (p *PathPredictor) Reset(historyBits uint, maxTargets int) {
 	size := 1 << historyBits
-	p.entries = cleared(p.entries, size)
+	p.entries, p.written = resetTable(p.entries, p.written, size)
 	p.history, p.mask, p.MaxTargets = 0, uint32(size-1), maxTargets
 	p.Lookups, p.Mispredicts = 0, 0
 }
@@ -160,6 +202,7 @@ func (p *PathPredictor) Resolve(taskPC uint64, predicted, actual int) bool {
 	}
 	i := p.index(taskPC)
 	e := &p.entries[i]
+	mark(p.written, i)
 	act := uint8(0)
 	if actual >= 0 && actual < p.MaxTargets {
 		act = uint8(actual)

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -212,6 +213,71 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 		if g.Mispredicts != fg.Mispredicts || p.Accuracy() != fp.Accuracy() || r.Overflows != fr.Overflows {
 			t.Fatalf("run %d: counts differ from fresh predictors", run)
+		}
+	}
+}
+
+// resetCases are the table sizes the reset tests train at and reset to:
+// the same size, a smaller one, a larger one, and sizes below one chunk.
+var resetCases = []struct{ from, to uint }{
+	{10, 10}, {16, 16}, {12, 9}, {9, 12}, {4, 4}, {3, 8}, {8, 3},
+}
+
+// TestGshareResetMatchesNew trains a predictor at random, resets it, and
+// requires every entry, the history, the counts and the next predictions
+// and updates to equal a new predictor's. Each case trains and resets one
+// predictor three times, so resets follow resets.
+func TestGshareResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range resetCases {
+		g := NewGshare(c.from)
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 1+rng.Intn(2000); i++ {
+				g.Update(uint64(rng.Intn(1<<20))<<2, rng.Intn(3) == 0)
+			}
+			g.Reset(c.to)
+			fresh := NewGshare(c.to)
+			if !reflect.DeepEqual(g, fresh) {
+				t.Fatalf("%d→%d bits, round %d: reset predictor differs from a new one", c.from, c.to, round)
+			}
+			for i := 0; i < 500; i++ {
+				pc, taken := uint64(rng.Intn(1<<20))<<2, rng.Intn(2) == 0
+				if g.Predict(pc) != fresh.Predict(pc) || g.Update(pc, taken) != fresh.Update(pc, taken) {
+					t.Fatalf("%d→%d bits, round %d: prediction %d differs from a new predictor's", c.from, c.to, round, i)
+				}
+			}
+			g.Reset(c.from)
+		}
+	}
+}
+
+// TestPathPredictorResetMatchesNew is TestGshareResetMatchesNew for the
+// inter-task predictor.
+func TestPathPredictorResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, c := range resetCases {
+		p := NewPathPredictor(c.from, 4)
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 1+rng.Intn(2000); i++ {
+				pc := uint64(rng.Intn(1<<20)) << 2
+				p.Resolve(pc, p.Predict(pc), rng.Intn(6)-1)
+				p.Speculate(uint64(rng.Intn(1<<20)) << 2)
+			}
+			p.Reset(c.to, 4)
+			fresh := NewPathPredictor(c.to, 4)
+			if !reflect.DeepEqual(p, fresh) {
+				t.Fatalf("%d→%d bits, round %d: reset predictor differs from a new one", c.from, c.to, round)
+			}
+			for i := 0; i < 500; i++ {
+				pc, next, actual := uint64(rng.Intn(1<<20))<<2, uint64(rng.Intn(1<<20))<<2, rng.Intn(6)-1
+				a, b := p.Predict(pc), fresh.Predict(pc)
+				if a != b || p.Resolve(pc, a, actual) != fresh.Resolve(pc, b, actual) {
+					t.Fatalf("%d→%d bits, round %d: prediction %d differs from a new predictor's", c.from, c.to, round, i)
+				}
+				p.Speculate(next)
+				fresh.Speculate(next)
+			}
+			p.Reset(c.from, 4)
 		}
 	}
 }

@@ -413,7 +413,7 @@ func (s *simulator) run() error {
 		// Inter-task prediction: resolve the exit of the task just timed.
 		predIdx := s.tp.Predict(entryAddr)
 		correct := s.tp.Resolve(entryAddr, predIdx, tr.exitIdx)
-		next := s.taskAt(tr.next)
+		next := s.part.TaskAt(tr.next.Fn, tr.next.Blk)
 		if next == nil {
 			return fmt.Errorf("sim: task %d exited to %v with no successor task", cur.ID, tr.next)
 		}
@@ -478,20 +478,6 @@ func (s *simulator) run() error {
 	s.res.L1DMissRate = s.hier.L1D.MissRate()
 	s.res.L2MissRate = s.hier.L2.MissRate()
 	return nil
-}
-
-// taskAt returns the task whose entry is k, or nil. It asks the partition
-// once per block and run, and caches the answer in the block's span.
-func (s *simulator) taskAt(k core.EntryKey) *core.Task {
-	sp := &s.m.spans[s.m.fnBase[k.Fn]+int(k.Blk)]
-	if sp.task == 0 {
-		t := s.part.TaskAt(k.Fn, k.Blk)
-		if t == nil {
-			return nil
-		}
-		sp.task = int32(t.ID) + 1
-	}
-	return s.part.Tasks[sp.task-1]
 }
 
 func encodeEntry(k core.EntryKey) uint64 {

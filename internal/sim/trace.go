@@ -84,23 +84,17 @@ type machine struct {
 	// tr is the trace runTask fills; its ops buffer is reused by every task
 	// instance.
 	tr taskTrace
-	// spans[fnBase[fn]+blk] locates a block's op templates in tmpl and
-	// caches the task the block starts. A block is decoded on its first
-	// execution; end == 0 marks one not yet decoded (every block has at
-	// least its terminator).
+	// spans[fnBase[fn]+blk] locates a block's op templates in tmpl. A block
+	// is decoded on its first execution; end == 0 marks one not yet decoded
+	// (every block has at least its terminator).
 	fnBase []int
 	spans  []opSpan
 	tmpl   []traceOp
 }
 
-// opSpan is one block's entry in the machine's per-block array.
-type opSpan struct {
-	start, end int32
-	// task is 1 + the ID of the task whose entry is the block, once the
-	// simulator has looked it up; 0 before. A task's ID is its index in
-	// Partition.Tasks (verify's PT009), so the entry holds no pointer.
-	task int32
-}
+// opSpan is one block's entry in the machine's per-block array: where its
+// op templates are in tmpl.
+type opSpan struct{ start, end int32 }
 
 type retAddr struct {
 	fn  ir.FnID

@@ -56,7 +56,7 @@ const (
 	RuleTargetSet     RuleID = "PT005" // Targets disagree with the CFG exit-edge successors
 	RuleCreateMask    RuleID = "PT006" // create mask misses a live register the task may write
 	RuleForwardPoint  RuleID = "PT007" // forward point unsound or register never released
-	RuleCallInclusion RuleID = "PT008" // IncludeCall / FnIncluded inconsistency
+	RuleCallInclusion RuleID = "PT008" // IncludedCalls / FnIncluded inconsistency
 	RulePartIndex     RuleID = "PT009" // task index / target-task existence broken
 	RuleDeadForward   RuleID = "PT010" // create-mask register with no forward point anywhere (dead mask bit)
 )

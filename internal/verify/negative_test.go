@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"testing"
 
 	"multiscalar/internal/core"
@@ -51,7 +52,7 @@ func nonMember(t *testing.T, part *core.Partition, task *core.Task) ir.BlockID {
 	t.Helper()
 	f := part.Prog.Fn(task.Fn)
 	for i := range f.Blocks {
-		if !task.Blocks[ir.BlockID(i)] {
+		if !task.Contains(ir.BlockID(i)) {
 			return ir.BlockID(i)
 		}
 	}
@@ -78,7 +79,7 @@ func TestNegativePartitions(t *testing.T) {
 				task := multiBlockTask(t, part)
 				outside := nonMember(t, part, task)
 				var interior ir.BlockID = ir.NoBlock
-				for b := range task.Blocks {
+				for _, b := range task.Blocks {
 					if b != task.Entry {
 						interior = b
 					}
@@ -93,7 +94,7 @@ func TestNegativePartitions(t *testing.T) {
 			corrupt: func(t *testing.T, part *core.Partition) {
 				task := multiBlockTask(t, part)
 				var interior ir.BlockID = ir.NoBlock
-				for b := range task.Blocks {
+				for _, b := range task.Blocks {
 					if b != task.Entry {
 						interior = b
 					}
@@ -107,7 +108,8 @@ func TestNegativePartitions(t *testing.T) {
 			sev:  SevError,
 			corrupt: func(t *testing.T, part *core.Partition) {
 				task := multiBlockTask(t, part)
-				task.Blocks[nonMember(t, part, task)] = true
+				task.Blocks = append(task.Blocks, nonMember(t, part, task))
+				slices.Sort(task.Blocks)
 			},
 		},
 		{
@@ -165,7 +167,16 @@ func TestNegativePartitions(t *testing.T) {
 			sev:  SevError,
 			corrupt: func(t *testing.T, part *core.Partition) {
 				task := part.Tasks[0]
-				task.IncludeCall[task.Entry] = true
+				task.IncludedCalls = append(task.IncludedCalls, task.Entry)
+			},
+		},
+		{
+			name: "member listed twice",
+			rule: RulePartIndex,
+			sev:  SevError,
+			corrupt: func(t *testing.T, part *core.Partition) {
+				task := multiBlockTask(t, part)
+				task.Blocks = append(task.Blocks, task.Blocks[len(task.Blocks)-1])
 			},
 		},
 		{
@@ -200,7 +211,7 @@ func TestNegativeCoverage(t *testing.T) {
 	// Only drop a task whose block no other task covers, and keep IDs dense
 	// so PT009 stays quiet about slots.
 	part.Tasks = part.Tasks[:len(part.Tasks)-1]
-	delete(part.ByEntry, core.EntryKey{Fn: victim.Fn, Blk: victim.Entry})
+	part.ByEntry[victim.Fn][victim.Entry] = nil
 	fs := Partition(part)
 	hits := byRule(fs, RuleCoverage)
 	if len(hits) != 1 {

@@ -31,9 +31,11 @@ func (c *checker) maxTargets() int {
 }
 
 // checkPartIndex (PT009) verifies the partition's own bookkeeping: dense
-// task IDs, a mutually consistent ByEntry index, entries that are members,
-// and — so the sequencer can always continue — a task at every block target,
-// at every non-included callee's entry, and at every post-call resume block.
+// task IDs, a mutually consistent ByEntry index, member and included-call
+// lists in strictly ascending order (Contains and IncludesCall search them),
+// entries that are members, and — so the sequencer can always continue — a
+// task at every block target, at every non-included callee's entry, and at
+// every post-call resume block.
 func (c *checker) checkPartIndex() {
 	p := c.part
 	for i, t := range p.Tasks {
@@ -41,7 +43,15 @@ func (c *checker) checkPartIndex() {
 			c.report(RulePartIndex, SevError, t.Fn, ir.NoBlock, t.ID,
 				"task ID %d does not match its slot %d", t.ID, i)
 		}
-		if !t.Blocks[t.Entry] {
+		if !strictlyAscending(t.Blocks) {
+			c.report(RulePartIndex, SevError, t.Fn, t.Entry, t.ID,
+				"member blocks %v are not in strictly ascending order", t.Blocks)
+		}
+		if !strictlyAscending(t.IncludedCalls) {
+			c.report(RulePartIndex, SevError, t.Fn, t.Entry, t.ID,
+				"included calls %v are not in strictly ascending order", t.IncludedCalls)
+		}
+		if !t.Contains(t.Entry) {
 			c.report(RulePartIndex, SevError, t.Fn, t.Entry, t.ID,
 				"task does not contain its own entry block")
 		}
@@ -50,14 +60,13 @@ func (c *checker) checkPartIndex() {
 				"ByEntry does not index the task at its entry")
 		}
 	}
-	for key, t := range p.ByEntry {
-		if t == nil || t.Fn != key.Fn || t.Entry != key.Blk {
-			id := -1
-			if t != nil {
-				id = t.ID
+	for i, tab := range p.ByEntry {
+		for b, t := range tab {
+			fn, blk := ir.FnID(i), ir.BlockID(b)
+			if t != nil && (t.Fn != fn || t.Entry != blk) {
+				c.report(RulePartIndex, SevError, fn, blk, t.ID,
+					"ByEntry slot (fn %d, b%d) indexes a task with a different entry", fn, blk)
 			}
-			c.report(RulePartIndex, SevError, key.Fn, key.Blk, id,
-				"ByEntry key (fn %d, b%d) indexes a task with a different entry", key.Fn, key.Blk)
 		}
 	}
 	for _, t := range p.Tasks {
@@ -79,14 +88,23 @@ func (c *checker) checkPartIndex() {
 		// A non-included call returns into the fall block, which therefore
 		// must start a task of its own.
 		f := c.prog.Fn(t.Fn)
-		for _, b := range sortedBlockIDs(t.Blocks) {
+		for _, b := range t.Blocks {
 			blk := f.Block(b)
-			if blk.Term.Kind == ir.TermCall && !t.IncludeCall[b] && p.TaskAt(t.Fn, blk.Term.Fall) == nil {
+			if blk.Term.Kind == ir.TermCall && !t.IncludesCall(b) && p.TaskAt(t.Fn, blk.Term.Fall) == nil {
 				c.report(RulePartIndex, SevError, t.Fn, blk.Term.Fall, t.ID,
 					"post-call resume block b%d starts no task", blk.Term.Fall)
 			}
 		}
 	}
+}
+
+func strictlyAscending(bs []ir.BlockID) bool {
+	for i := 1; i < len(bs); i++ {
+		if bs[i-1] >= bs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // checkCoverage (PT001) verifies every reachable block of every function
@@ -96,7 +114,7 @@ func (c *checker) checkPartIndex() {
 func (c *checker) checkCoverage() {
 	covered := make(map[core.EntryKey]bool)
 	for _, t := range c.part.Tasks {
-		for b := range t.Blocks {
+		for _, b := range t.Blocks {
 			covered[core.EntryKey{Fn: t.Fn, Blk: b}] = true
 		}
 	}
@@ -119,28 +137,28 @@ func (c *checker) checkCoverage() {
 }
 
 // checkCallInclusion (PT008) verifies the CALL_THRESH bookkeeping:
-// IncludeCall only marks member call blocks (never self-recursive ones), and
+// IncludedCalls lists only member call blocks (never self-recursive ones), and
 // a fully-included function neither starts tasks nor appears as a call
 // target — while every call to it from inside a task must be included.
 func (c *checker) checkCallInclusion() {
 	p := c.part
 	for _, t := range p.Tasks {
 		f := c.prog.Fn(t.Fn)
-		for _, b := range sortedBlockIDs(t.IncludeCall) {
-			if !t.Blocks[b] {
+		for _, b := range t.IncludedCalls {
+			if !t.Contains(b) {
 				c.report(RuleCallInclusion, SevError, t.Fn, b, t.ID,
-					"IncludeCall marks b%d which is not a member block", b)
+					"IncludedCalls lists b%d which is not a member block", b)
 				continue
 			}
 			blk := f.Block(b)
 			if blk.Term.Kind != ir.TermCall {
 				c.report(RuleCallInclusion, SevError, t.Fn, b, t.ID,
-					"IncludeCall marks b%d whose terminator is %s, not a call", b, blk.Term.Kind)
+					"IncludedCalls lists b%d whose terminator is %s, not a call", b, blk.Term.Kind)
 				continue
 			}
 			if blk.Term.Callee == t.Fn {
 				c.report(RuleCallInclusion, SevError, t.Fn, b, t.ID,
-					"IncludeCall marks a self-recursive call; inclusion would never terminate")
+					"IncludedCalls lists a self-recursive call; inclusion would never terminate")
 			}
 		}
 	}
@@ -165,9 +183,9 @@ func (c *checker) checkCallInclusion() {
 				}
 			}
 			f := c.prog.Fn(t.Fn)
-			for _, b := range sortedBlockIDs(t.Blocks) {
+			for _, b := range t.Blocks {
 				blk := f.Block(b)
-				if blk.Term.Kind == ir.TermCall && blk.Term.Callee == fn && !t.IncludeCall[b] {
+				if blk.Term.Kind == ir.TermCall && blk.Term.Callee == fn && !t.IncludesCall(b) {
 					c.report(RuleCallInclusion, SevError, t.Fn, b, t.ID,
 						"call to fully-included function %s is not included here", c.prog.Fn(fn).Name)
 				}
@@ -196,10 +214,10 @@ func (c *checker) checkTaskShape(v *taskView) {
 		case to == t.Entry:
 			c.report(RuleSingleEntry, SevError, t.Fn, from, t.ID,
 				"continue edge b%d→b%d re-enters the task entry; the instance would never end", from, to)
-		case !t.Blocks[from]:
+		case !t.Contains(from):
 			c.report(RuleSingleEntry, SevError, t.Fn, from, t.ID,
 				"continue edge b%d→b%d starts outside the task (side entrance)", from, to)
-		case !t.Blocks[to]:
+		case !t.Contains(to):
 			c.report(RuleSingleEntry, SevError, t.Fn, to, t.ID,
 				"continue edge b%d→b%d leaves the membership set", from, to)
 		}
@@ -208,7 +226,7 @@ func (c *checker) checkTaskShape(v *taskView) {
 	// inside a task: non-terminal dynamic successor edges.
 	for _, e := range t.ContinueEdges() {
 		from, to := e[0], e[1]
-		if !t.Blocks[from] || !t.Blocks[to] || to == t.Entry {
+		if !t.Contains(from) || !t.Contains(to) || to == t.Entry {
 			continue // already reported above
 		}
 		real := false
@@ -316,7 +334,7 @@ func (c *checker) checkRegComm(v *taskView) {
 	for _, b := range v.members {
 		blk := v.f.Block(b)
 		var calleeWrites dataflow.RegSet
-		if t.IncludeCall[b] {
+		if t.IncludesCall(b) {
 			calleeWrites = c.fnWrites[blk.Term.Callee]
 		}
 		var laterInBlock dataflow.RegSet
@@ -374,7 +392,7 @@ func (c *checker) checkRegComm(v *taskView) {
 				}
 			}
 			if nOutcomes == 0 || blk.Term.Kind == ir.TermRet || blk.Term.Kind == ir.TermHalt ||
-				(blk.Term.Kind == ir.TermCall && !t.IncludeCall[b]) {
+				(blk.Term.Kind == ir.TermCall && !t.IncludesCall(b)) {
 				exits = true
 			}
 			if exits {

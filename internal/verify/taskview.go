@@ -19,7 +19,7 @@ type taskView struct {
 	f *ir.Function
 	g *fnAnalysis
 
-	members []ir.BlockID // sorted membership
+	members []ir.BlockID // sorted membership (the task's Blocks)
 
 	// contSucc is the continue-edge adjacency (from the task's own edge set).
 	contSucc map[ir.BlockID][]ir.BlockID
@@ -35,14 +35,14 @@ func (c *checker) viewTask(t *core.Task) *taskView {
 		c: c, t: t,
 		f:        c.prog.Fn(t.Fn),
 		g:        c.fns[t.Fn],
+		members:  t.Blocks,
 		contSucc: make(map[ir.BlockID][]ir.BlockID),
 		blockDef: make(map[ir.BlockID]dataflow.RegSet, len(t.Blocks)),
 	}
 	for _, e := range t.ContinueEdges() {
 		v.contSucc[e[0]] = append(v.contSucc[e[0]], e[1])
 	}
-	for _, b := range sortedBlockIDs(t.Blocks) {
-		v.members = append(v.members, b)
+	for _, b := range t.Blocks {
 		blk := v.f.Block(b)
 		var def dataflow.RegSet
 		for _, in := range blk.Instrs {
@@ -50,7 +50,7 @@ func (c *checker) viewTask(t *core.Task) *taskView {
 				def = def.Add(d)
 			}
 		}
-		if t.IncludeCall[b] {
+		if t.IncludesCall(b) {
 			def = def.Union(c.fnWrites[blk.Term.Callee])
 		}
 		v.blockDef[b] = def
@@ -64,7 +64,7 @@ func (c *checker) viewTask(t *core.Task) *taskView {
 func (v *taskView) terminalNode(b ir.BlockID) bool {
 	switch v.f.Block(b).Term.Kind {
 	case ir.TermCall:
-		return !v.t.IncludeCall[b]
+		return !v.t.IncludesCall(b)
 	case ir.TermRet, ir.TermHalt:
 		return true
 	}
@@ -78,7 +78,7 @@ func (v *taskView) dynSuccs(b ir.BlockID) []ir.BlockID {
 	blk := v.f.Block(b)
 	switch blk.Term.Kind {
 	case ir.TermCall:
-		if v.t.IncludeCall[b] {
+		if v.t.IncludesCall(b) {
 			return []ir.BlockID{blk.Term.Fall}
 		}
 		return nil
@@ -109,7 +109,7 @@ func (v *taskView) expectedTargets() []core.Target {
 		blk := v.f.Block(b)
 		switch blk.Term.Kind {
 		case ir.TermCall:
-			if !v.t.IncludeCall[b] {
+			if !v.t.IncludesCall(b) {
 				add(core.Target{Kind: core.TargetCall, Fn: blk.Term.Callee})
 				continue
 			}
@@ -121,7 +121,7 @@ func (v *taskView) expectedTargets() []core.Target {
 			continue
 		}
 		for _, succ := range v.dynSuccs(b) {
-			if !v.t.Blocks[succ] || succ == v.t.Entry ||
+			if !v.t.Contains(succ) || succ == v.t.Entry ||
 				v.g.g.IsTerminalEdge(b, succ) || v.terminalNode(b) {
 				add(core.Target{Kind: core.TargetBlock, Blk: succ})
 			}
@@ -147,7 +147,7 @@ func (v *taskView) exitBlocks() []ir.BlockID {
 func (v *taskView) isExit(b ir.BlockID) bool {
 	blk := v.f.Block(b)
 	if blk.Term.Kind == ir.TermRet || blk.Term.Kind == ir.TermHalt ||
-		(blk.Term.Kind == ir.TermCall && !v.t.IncludeCall[b]) {
+		(blk.Term.Kind == ir.TermCall && !v.t.IncludesCall(b)) {
 		return true
 	}
 	for _, s := range blk.Succs(nil) {
@@ -213,15 +213,4 @@ func sortTargets(ts []core.Target) {
 		}
 		return false
 	})
-}
-
-func sortedBlockIDs(set map[ir.BlockID]bool) []ir.BlockID {
-	out := make([]ir.BlockID, 0, len(set))
-	for b, ok := range set {
-		if ok {
-			out = append(out, b)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -97,9 +97,14 @@ func FormatProgram(p *Program) string { return ir.Format(p) }
 
 // Task selection (the paper's contribution).
 type (
-	// Partition is a complete task selection for a program.
+	// Partition is a complete task selection for a program. TaskAt finds
+	// the task entered at a block, through one table per function indexed
+	// by block.
 	Partition = core.Partition
-	// Task is one static Multiscalar task.
+	// Task is one static Multiscalar task. It holds no map: its member
+	// blocks (Blocks) and included calls (IncludedCalls) are sorted
+	// slices, and Contains, IncludesCall, Continues and ForwardsAt search
+	// it.
 	Task = core.Task
 	// Options configures Select.
 	Options = core.Options
